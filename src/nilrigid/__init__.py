@@ -1,16 +1,6 @@
 """Exact rational models and cohomology of nilpotent Lie algebras."""
 
-from .cohomology import (
-    ClassVector,
-    Cohomology,
-    betti,
-    betti_by_weight,
-    class_coordinates,
-    cochain_matrix,
-    cohomology_basis,
-    euler_characteristic,
-    indecomposables,
-)
+from .cohomology import ClassVector, Cohomology, cochain_matrix
 from .errors import (
     DomainMismatchError,
     FamilyShapeError,
@@ -28,6 +18,7 @@ from .families import (
     theorem2_family,
     theorem4_example,
 )
+from .fileformat import parse_algebra
 from .forms import (
     Form,
     Generator,

@@ -10,12 +10,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 
 from . import linalg
 from .errors import ModelError, NotClosedError
 from .forms import (
     Form,
-    Monomial,
     SullivanModel,
     apply_differential,
     check_d_squared,
@@ -39,38 +39,33 @@ class ClassVector:
         return not any(self.coordinates)
 
 
-def cochain_matrix(A: SullivanModel, p: int) -> list[list[Fraction]]:
-    """Matrix of d: Lambda^p -> Lambda^(p+1).
+def cochain_matrix(A: SullivanModel, p: int) -> list[dict[int, Fraction]]:
+    """Sparse columns of d: Lambda^p -> Lambda^(p+1).
 
-    Columns follow the lexicographic monomial basis in degree p, rows the
-    one in degree p + 1.
+    Column j is d of the j-th lexicographic monomial of degree p, as
+    {row: coefficient} over the lexicographic monomials of degree p + 1.
     """
-    src = monomial_basis(A, p)
-    dst = monomial_basis(A, p + 1)
-    index = {m: i for i, m in enumerate(dst)}
-    rows = [[_ZERO] * len(src) for _ in dst]
-    for j, mono in enumerate(src):
+    index = {m: i for i, m in enumerate(monomial_basis(A, p + 1))}
+    columns = []
+    for mono in monomial_basis(A, p):
         df = apply_differential(A, Form(A.generators, {mono: 1}))
-        for m, c in df.terms.items():
-            rows[index[m]][j] = c
-    return rows
+        columns.append({index[m]: c for m, c in df.terms.items()})
+    return columns
 
 
-class _DegreeData:
-    __slots__ = (
-        "monos",
-        "mono_index",
-        "betti",
-        "rep_vectors",
-        "rep_forms",
-        "cob_rref",
-        "cob_pivots",
-        "solver",
-    )
+class _Classes:
+    """Representatives of one degree; the solver is built on first use."""
+
+    __slots__ = ("index", "vectors", "forms", "solver")
 
 
 class Cohomology:
-    """Cohomology ring of a valid Sullivan model, computed degree by degree."""
+    """Cohomology ring of a valid Sullivan model, computed degree by degree.
+
+    Each d_p is built once: its rank gives Betti numbers, its kernel the
+    cocycles of degree p, its column span the coboundaries of degree p + 1,
+    and its weight blocks the weight refinement.
+    """
 
     def __init__(self, model: SullivanModel):
         defects = check_d_squared(model)
@@ -78,60 +73,40 @@ class Cohomology:
             names = ", ".join(g.name for g, _ in defects)
             raise ModelError(f"d^2 != 0 on {names}", defects=defects)
         self.model = model
-        self._data: dict[int, _DegreeData] = {}
+        self._d: dict[int, list[dict[int, Fraction]]] = {}
+        self._images: dict[int, dict[int, dict[int, Fraction]]] = {}
+        self._data: dict[int, _Classes] = {}
+        self._dec: dict[int, list[list[Fraction]]] = {}
         self._indec: dict[int, tuple[int, tuple[ClassVector, ...]]] = {}
 
     # -- internal ----------------------------------------------------------
 
-    def _degree(self, p: int) -> _DegreeData:
+    def _differential(self, p: int) -> list[dict[int, Fraction]]:
+        if p not in self._d:
+            self._d[p] = cochain_matrix(self.model, p)
+        return self._d[p]
+
+    def _coboundaries(self, p: int) -> dict[int, dict[int, Fraction]]:
+        """Reduced echelon basis of d(Lambda^(p-1)), keyed by pivot."""
+        if p not in self._images:
+            self._images[p] = linalg.echelon(self._differential(p - 1)) if p > 0 else {}
+        return self._images[p]
+
+    def _degree(self, p: int) -> _Classes:
         if p in self._data:
             return self._data[p]
         A = self.model
-        n = A.dimension
-        data = _DegreeData()
         monos = monomial_basis(A, p)
-        data.monos = monos
-        data.mono_index = {m: i for i, m in enumerate(monos)}
-        dim = len(monos)
-        if dim == 0:
-            data.betti = 0
-            data.rep_vectors = []
-            data.rep_forms = []
-            data.cob_rref, data.cob_pivots = [], []
-            data.solver = None
-            self._data[p] = data
-            return data
-        # cocycles: kernel of d_p
-        if p < n:
-            d_rows = cochain_matrix(A, p)
-            cocycles = linalg.nullspace(d_rows, dim)
-        else:
-            cocycles = linalg.identity(dim)
-        # coboundaries: images of the degree p-1 monomials
-        if p > 0:
-            cob_rows = []
-            for mono in monomial_basis(A, p - 1):
-                df = apply_differential(A, Form(A.generators, {mono: 1}))
-                if not df.is_zero():
-                    row = [_ZERO] * dim
-                    for m, c in df.terms.items():
-                        row[data.mono_index[m]] = c
-                    cob_rows.append(row)
-            cob_rref, cob_pivots = linalg.rref(cob_rows, dim)
-        else:
-            cob_rref, cob_pivots = [], []
-        data.cob_rref, data.cob_pivots = cob_rref, cob_pivots
-        # representatives: rref rows of the cocycle space whose pivot is not
-        # a coboundary pivot; deterministic by construction
-        z_rref, z_pivots = linalg.rref(cocycles, dim)
-        cob_pivot_set = set(cob_pivots)
-        data.rep_vectors = [
-            row for row, piv in zip(z_rref, z_pivots) if piv not in cob_pivot_set
-        ]
-        data.betti = len(data.rep_vectors)
-        data.rep_forms = [
-            Form(A.generators, {m: c for m, c in zip(monos, vec) if c})
-            for vec in data.rep_vectors
+        cocycles = linalg.nullspace(self._differential(p), comb(A.dimension, p + 1))
+        coboundaries = self._coboundaries(p)
+        data = _Classes()
+        data.index = {m: i for i, m in enumerate(monos)}
+        # representatives: reduced echelon cocycle rows whose pivot is not a
+        # coboundary pivot; deterministic by construction
+        data.vectors = [v for v in cocycles if min(v) not in coboundaries]
+        data.forms = [
+            Form(A.generators, {monos[i]: c for i, c in v.items()})
+            for v in data.vectors
         ]
         data.solver = None
         self._data[p] = data
@@ -140,24 +115,18 @@ class Cohomology:
     def _solver(self, p: int) -> linalg.ColumnSolver:
         data = self._degree(p)
         if data.solver is None:
-            columns = [list(v) for v in data.rep_vectors]
-            columns += [list(r) for r in data.cob_rref]
-            data.solver = linalg.ColumnSolver(columns, len(data.monos))
+            columns = data.vectors + list(self._coboundaries(p).values())
+            data.solver = linalg.ColumnSolver(columns, len(data.index))
         return data.solver
-
-    def _vector_of(self, f: Form, p: int) -> list[Fraction]:
-        data = self._degree(p)
-        v = [_ZERO] * len(data.monos)
-        for m, c in f.terms.items():
-            v[data.mono_index[m]] = c
-        return v
 
     # -- public api --------------------------------------------------------
 
     def betti(self, p: int) -> int:
+        """dim Lambda^p - rank d_p - rank d_(p-1)."""
         if p < 0 or p > self.model.dimension:
             return 0
-        return self._degree(p).betti
+        dim = len(self._differential(p))
+        return dim - len(self._coboundaries(p + 1)) - len(self._coboundaries(p))
 
     def betti_vector(self) -> tuple[int, ...]:
         return tuple(self.betti(p) for p in range(self.model.dimension + 1))
@@ -166,7 +135,7 @@ class Cohomology:
         """Closed representative forms mapping to a basis of H^p."""
         if p < 0 or p > self.model.dimension:
             return []
-        return list(self._degree(p).rep_forms)
+        return list(self._degree(p).forms)
 
     def class_coordinates(self, f: Form, p: int | None = None) -> ClassVector:
         """Coordinates of a closed form in the representative basis of H^p."""
@@ -175,20 +144,18 @@ class Cohomology:
         df = apply_differential(self.model, f)
         if not df.is_zero():
             raise NotClosedError("form is not closed", differential=df)
-        if p > self.model.dimension:
+        b = self.betti(p)
+        if b == 0:
             return ClassVector(p, ())
-        data = self._degree(p)
-        if data.betti == 0:
-            return ClassVector(p, ())
-        x = self._solver(p).solve(self._vector_of(f, p))
+        index = self._degree(p).index
+        x = self._solver(p).solve({index[m]: c for m, c in f.terms.items()})
         if x is None:
             raise AssertionError("closed form outside cocycle space")
-        return ClassVector(p, tuple(x[: data.betti]))
+        return ClassVector(p, tuple(x[:b]))
 
     def form_of(self, v: ClassVector) -> Form:
-        data = self._degree(v.degree)
         out = Form.zero(self.model.generators)
-        for c, rep in zip(v.coordinates, data.rep_forms):
+        for c, rep in zip(v.coordinates, self._degree(v.degree).forms):
             if c:
                 out = out + rep.scale(c)
         return out
@@ -212,21 +179,21 @@ class Cohomology:
         indecomposable generator with an arbitrary class, which keeps the
         number of wedges small.
         """
-        b = self.betti(p)
-        rows = []
-        for i in range(1, p):
-            j = p - i
-            if self.betti(j) == 0:
-                continue
-            _, gens_i = self.indecomposables(i)
-            for g in gens_i:
-                gform = self.form_of(g)
-                for rep in self._degree(j).rep_forms:
-                    cv = self.class_coordinates(wedge(gform, rep), p)
-                    if any(cv.coordinates):
-                        rows.append(list(cv.coordinates))
-        red, _ = linalg.rref(rows, b)
-        return red
+        if p not in self._dec:
+            rows = []
+            for i in range(1, p):
+                j = p - i
+                if self.betti(j) == 0:
+                    continue
+                _, gens_i = self.indecomposables(i)
+                for g in gens_i:
+                    gform = self.form_of(g)
+                    for rep in self._degree(j).forms:
+                        cv = self.class_coordinates(wedge(gform, rep), p)
+                        if any(cv.coordinates):
+                            rows.append(list(cv.coordinates))
+            self._dec[p], _ = linalg.rref(rows, self.betti(p))
+        return [list(row) for row in self._dec[p]]
 
     def indecomposables(self, p: int) -> tuple[int, tuple[ClassVector, ...]]:
         """Count and representatives of H^p / (H^+ . H^+)."""
@@ -256,68 +223,27 @@ class Cohomology:
         """H^p split by total lower degree; requires a Carnot-homogeneous d.
 
         The differential then maps the weight-w part of Lambda^p to the
-        weight-(w-1) part of Lambda^(p+1), so cohomology refines by weight.
+        weight-(w-1) part of Lambda^(p+1), so cohomology refines by weight:
+        each weight block of d_p is eliminated on its own.
         """
         A = self.model
         if not is_carnot_homogeneous(A):
             raise ModelError("differential is not Carnot-homogeneous")
-        n = A.dimension
 
-        def blocks(q: int) -> dict[int, list[Monomial]]:
-            out: dict[int, list[Monomial]] = {}
-            for m in monomial_basis(A, q):
-                out.setdefault(monomial_weight(A.generators, m), []).append(m)
+        def blocks(q: int) -> dict[int, list[dict[int, Fraction]]]:
+            """Columns of d_q grouped by the weight of their monomial."""
+            out: dict[int, list[dict[int, Fraction]]] = {}
+            for mono, col in zip(monomial_basis(A, q), self._differential(q)):
+                out.setdefault(monomial_weight(A.generators, mono), []).append(col)
             return out
-
-        def block_rank(src: list[Monomial], dst: list[Monomial]) -> int:
-            if not src or not dst:
-                return 0
-            index = {m: i for i, m in enumerate(dst)}
-            rows = []
-            for mono in src:
-                df = apply_differential(A, Form(A.generators, {mono: 1}))
-                row = [_ZERO] * len(dst)
-                for m, c in df.terms.items():
-                    row[index[m]] = c
-                rows.append(row)
-            return linalg.rank(rows, len(dst))
 
         here = blocks(p)
         below = blocks(p - 1) if p > 0 else {}
-        above = blocks(p + 1) if p < n else {}
         out: dict[int, int] = {}
-        for w, monos in sorted(here.items()):
-            r_out = block_rank(monos, above.get(w - 1, []))
-            r_in = block_rank(below.get(w + 1, []), monos)
-            dim = len(monos) - r_out - r_in
+        for w, cols in sorted(here.items()):
+            r_out = len(linalg.echelon(cols))
+            r_in = len(linalg.echelon(below.get(w + 1, [])))
+            dim = len(cols) - r_out - r_in
             if dim:
                 out[w] = dim
         return out
-
-
-# -- convenience wrappers ---------------------------------------------------
-
-
-def betti(A: SullivanModel) -> tuple[int, ...]:
-    return Cohomology(A).betti_vector()
-
-
-def cohomology_basis(A: SullivanModel, p: int) -> list[Form]:
-    return Cohomology(A).basis(p)
-
-
-def class_coordinates(A: SullivanModel, f: Form, p: int | None = None) -> ClassVector:
-    return Cohomology(A).class_coordinates(f, p)
-
-
-def indecomposables(A: SullivanModel, p: int) -> tuple[int, tuple[ClassVector, ...]]:
-    return Cohomology(A).indecomposables(p)
-
-
-def betti_by_weight(A: SullivanModel, p: int) -> dict[int, int]:
-    return Cohomology(A).betti_by_weight(p)
-
-
-def euler_characteristic(A: SullivanModel) -> int:
-    b = betti(A)
-    return sum((-1) ** p * bp for p, bp in enumerate(b))

@@ -88,6 +88,16 @@ class _Tokens:
             raise ParseError(f"trailing input {text!r}", self.lineno, col)
 
 
+def _fraction(tk: _Tokens) -> Fraction:
+    """The next token as a p or p/q literal; q = 0 is a parse error."""
+    col = tk.peek()[2]
+    text = tk.expect("number")
+    _, slash, den = text.partition("/")
+    if slash and int(den) == 0:
+        raise ParseError(f"zero denominator in {text!r}", tk.lineno, col)
+    return Fraction(text)
+
+
 def _parse_terms(tk: _Tokens, stop: set[str] = frozenset()) -> list[RawTerm]:
     """Sum of terms: [sign] [coefficient] name(^name)*, or a bare number."""
     terms: list[RawTerm] = []
@@ -109,8 +119,7 @@ def _parse_terms(tk: _Tokens, stop: set[str] = frozenset()) -> list[RawTerm]:
         coeff = sign
         has_coeff = False
         if kind == "number":
-            tk.next()
-            coeff = sign * Fraction(text)
+            coeff = sign * _fraction(tk)
             has_coeff = True
             kind, text, col = tk.peek()
         names: list[str] = []
@@ -188,7 +197,7 @@ def parse_source(text: str) -> AlgebraFile:
                 if k == "sym" and t in "+-":
                     tk.next()
                     sign = Fraction(-1) if t == "-" else Fraction(1)
-                entries.append(sign * Fraction(tk.expect("number")))
+                entries.append(sign * _fraction(tk))
             if not entries:
                 raise ParseError("empty vector", lineno)
             af.vectors.append((entries, lineno))
@@ -249,6 +258,8 @@ def build_form(terms: list[RawTerm], target: SullivanModel, lineno: int | None =
     """Resolve a parsed term list to a Form over the model's generators."""
     out = Form.zero(target.generators)
     for coeff, names in terms:
+        if len(set(names)) != len(names):
+            raise ParseError(f"monomial {'^'.join(names)} repeats a generator", lineno)
         part = Form.unit(target.generators)
         for n in names:
             try:

@@ -1,105 +1,121 @@
 """Exact Gaussian elimination over the rationals.
 
-Matrices are lists of rows, rows are lists of Fraction.  Pivoting is always
-"first nonzero in column order", so every result (rref, nullspace, solved
-coordinates) is deterministic for a given input.  The matrices showing up in
-the cochain complexes are sparse with small entries, so plain rational
-elimination with zero-skipping is fast enough at the scales we need; this
-module is the single place to swap in a modular fast path if that ever
-changes.
+Every routine here is a view on one sparse eliminator, ``echelon``, which
+keeps the reduced row echelon basis of a span as ``{column: Fraction}`` rows
+that hold nonzero entries only (after Dumas, Heckenbach, Saunders &
+Welker, restricted to ranks over Q).
+The reduced echelon form of a span is unique, so every result (rref,
+nullspace, solved coordinates) is deterministic for a given input.
+
+Two interfaces sit on top.  ``rref``, ``rank``, ``in_rowspan`` and ``invert``
+take dense matrices as lists of rows, rows being lists of Fraction.
+``nullspace`` and ``ColumnSolver`` take a matrix as a list of sparse
+columns, the form in which the cochain complexes are built.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from fractions import Fraction
 
 Row = list[Fraction]
+Vec = dict[int, Fraction]
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
+def _subtract(target: Vec, f: Fraction, row: Vec) -> None:
+    """target -= f * row, in place, keeping only nonzero entries."""
+    for j, x in row.items():
+        if j in target:
+            v = target[j] - f * x
+            if v:
+                target[j] = v
+            else:
+                del target[j]
+        else:
+            target[j] = -f * x
+
+
+def _reduce(row: Vec, basis: dict[int, Vec]) -> Vec:
+    """Clear ``row`` at every pivot of a reduced echelon basis, in place.
+
+    A basis row is zero at every other pivot, so one pass over the pivots
+    present in ``row`` suffices.
+    """
+    for c in [c for c in row if c in basis]:
+        _subtract(row, row[c], basis[c])
+    return row
+
+
+def echelon(rows: Iterable[Vec]) -> dict[int, Vec]:
+    """Reduced row echelon basis of the span of sparse rows.
+
+    Maps each pivot column to its row, which is 1 at the pivot and 0 at every
+    other pivot column.  Input rows are not modified.
+    """
+    basis: dict[int, Vec] = {}
+    for row in rows:
+        r = _reduce(dict(row), basis)
+        if not r:
+            continue
+        lead = min(r)
+        inv = _ONE / r[lead]
+        if inv != 1:
+            r = {j: x * inv for j, x in r.items()}
+        for prow in basis.values():
+            f = prow.get(lead)
+            if f:
+                _subtract(prow, f, r)
+        basis[lead] = r
+    return basis
+
+
+def _sparse(row: Row) -> Vec:
+    return {j: x for j, x in enumerate(row) if x}
+
+
 def rref(rows: list[Row], ncols: int | None = None) -> tuple[list[Row], list[int]]:
     """Reduced row echelon form of the row span.
 
-    Returns (nonzero rows, pivot column per row).  Input rows are not
-    modified.
+    Returns (nonzero rows, pivot column per row), ordered by pivot.  Input
+    rows are not modified.
     """
     if ncols is None:
         ncols = len(rows[0]) if rows else 0
-    work: list[Row] = []
-    pivots: list[int] = []
-    for row in rows:
-        r = list(row)
-        # reduce against existing pivots
-        for prow, pc in zip(work, pivots):
-            f = r[pc]
-            if f:
-                for j, x in enumerate(prow):
-                    if x:
-                        r[j] -= f * x
-        # find leading entry
-        lead = -1
-        for j in range(ncols):
-            if r[j]:
-                lead = j
-                break
-        if lead < 0:
-            continue
-        inv = _ONE / r[lead]
-        if inv != 1:
-            r = [x * inv if x else x for x in r]
-        # back-substitute into earlier rows
-        for prow, pc in zip(work, pivots):
-            f = prow[lead]
-            if f:
-                for j, x in enumerate(r):
-                    if x:
-                        prow[j] -= f * x
-        # keep rows ordered by pivot column
-        pos = 0
-        while pos < len(pivots) and pivots[pos] < lead:
-            pos += 1
-        work.insert(pos, r)
-        pivots.insert(pos, lead)
-    return work, pivots
+    basis = echelon(_sparse(row) for row in rows)
+    pivots = sorted(basis)
+    red = []
+    for c in pivots:
+        dense = [_ZERO] * ncols
+        for j, x in basis[c].items():
+            dense[j] = x
+        red.append(dense)
+    return red, pivots
 
 
 def rank(rows: list[Row], ncols: int | None = None) -> int:
     return len(rref(rows, ncols)[0])
 
 
-def nullspace(rows: list[Row], ncols: int) -> list[Row]:
-    """Basis of {v : A v = 0} for the matrix with the given rows.
+def nullspace(columns: list[Vec], nrows: int) -> list[Vec]:
+    """Reduced echelon basis of {x : sum_j x_j columns[j] = 0}, by pivot.
 
-    Vectors come out with a 1 in their free coordinate and are ordered by
-    that coordinate.
+    Eliminates the rows (c_j | e_j), with e_j placed after the ``nrows``
+    matrix coordinates: the rows whose pivot lies in the e part are zero in
+    the c part and carry the relations.
     """
-    red, pivots = rref(rows, ncols)
-    pivot_set = set(pivots)
-    basis: list[Row] = []
-    for free in range(ncols):
-        if free in pivot_set:
-            continue
-        v = [_ZERO] * ncols
-        v[free] = _ONE
-        for prow, pc in zip(red, pivots):
-            if prow[free]:
-                v[pc] = -prow[free]
-        basis.append(v)
-    return basis
+    basis = echelon({**col, nrows + j: _ONE} for j, col in enumerate(columns))
+    return [
+        {j - nrows: x for j, x in basis[c].items()} for c in sorted(basis) if c >= nrows
+    ]
 
 
 def in_rowspan(red: list[Row], pivots: list[int], v: Row) -> bool:
     """Membership test against a precomputed rref basis."""
-    r = list(v)
-    for prow, pc in zip(red, pivots):
-        f = r[pc]
-        if f:
-            for j, x in enumerate(prow):
-                if x:
-                    r[j] -= f * x
-    return not any(r)
+    basis = {pc: _sparse(prow) for prow, pc in zip(red, pivots)}
+    return not _reduce(_sparse(v), basis)
 
 
 def identity(n: int) -> list[Row]:
@@ -122,7 +138,7 @@ def invert(rows: list[Row]) -> list[Row] | None:
     n = len(rows)
     aug = [list(row) + ident_row for row, ident_row in zip(rows, identity(n))]
     red, pivots = rref(aug, 2 * n)
-    if pivots[: n if len(pivots) >= n else len(pivots)] != list(range(n)):
+    if pivots[:n] != list(range(n)):
         return None
     return [row[n:] for row in red]
 
@@ -130,68 +146,30 @@ def invert(rows: list[Row]) -> list[Row] | None:
 class ColumnSolver:
     """Factor a column matrix once, then solve M x = b for many b.
 
-    Elimination is recorded in a transform T with R = T M in reduced row
-    echelon form; each solve is then a couple of dot products.
+    The factorisation is the reduced echelon basis of the rows (c_j | e_j),
+    with e_j placed after the ``nrows`` matrix coordinates in reverse column
+    order.  A row with its pivot among the matrix coordinates writes a basis
+    vector of the column span as a combination of columns; relations among
+    the columns get their pivot at their last column, so those combinations
+    avoid every column that depends on earlier ones.
     """
 
-    def __init__(self, columns: list[Row], nrows: int):
+    def __init__(self, columns: list[Vec], nrows: int):
         self.ncols = len(columns)
         self.nrows = nrows
-        rows = [[col[i] for col in columns] for i in range(nrows)]
-        transform = identity(nrows)
-        pivots: list[int] = []
-        pivot_rows: list[int] = []
-        used = [False] * nrows
-        for col in range(self.ncols):
-            piv = -1
-            for i in range(nrows):
-                if not used[i] and rows[i][col]:
-                    piv = i
-                    break
-            if piv < 0:
-                continue
-            inv = _ONE / rows[piv][col]
-            if inv != 1:
-                rows[piv] = [x * inv if x else x for x in rows[piv]]
-                transform[piv] = [x * inv if x else x for x in transform[piv]]
-            prow = rows[piv]
-            ptrans = transform[piv]
-            pnz = [j for j, x in enumerate(prow) if x]
-            tnz = [j for j, x in enumerate(ptrans) if x]
-            for i in range(nrows):
-                if i == piv:
-                    continue
-                f = rows[i][col]
-                if f:
-                    ri = rows[i]
-                    ti = transform[i]
-                    for j in pnz:
-                        ri[j] -= f * prow[j]
-                    for j in tnz:
-                        ti[j] -= f * ptrans[j]
-            used[piv] = True
-            pivots.append(col)
-            pivot_rows.append(piv)
-        self._transform = transform
-        self._pivots = pivots
-        self._pivot_rows = pivot_rows
-        self._spare_rows = [i for i in range(nrows) if not used[i]]
+        self._last = nrows + self.ncols - 1
+        basis = echelon({**col, self._last - j: _ONE} for j, col in enumerate(columns))
+        self._basis = {c: row for c, row in basis.items() if c < nrows}
 
-    def solve(self, b: Row) -> Row | None:
-        """Coordinates x with M x = b, free coordinates set to 0."""
-        bnz = [(i, v) for i, v in enumerate(b) if v]
+    def solve(self, b: Vec) -> Row | None:
+        """Coordinates x with M x = b, free coordinates set to 0.
 
-        def tdot(row: Row) -> Fraction:
-            s = _ZERO
-            for i, v in bnz:
-                if row[i]:
-                    s += row[i] * v
-            return s
-
-        for i in self._spare_rows:
-            if tdot(self._transform[i]):
-                return None
+        Returns None when b is outside the column span.
+        """
+        rest = _reduce(dict(b), self._basis)
         x = [_ZERO] * self.ncols
-        for col, prow in zip(self._pivots, self._pivot_rows):
-            x[col] = tdot(self._transform[prow])
+        for j, v in rest.items():
+            if j < self.nrows:
+                return None
+            x[self._last - j] = -v
         return x

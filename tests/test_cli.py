@@ -1,11 +1,16 @@
 """End-to-end CLI tests: exit codes, JSON schema, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import pytest
 
+import nilrigid
 from nilrigid import Cohomology, theorem1_family
 from nilrigid.cli import main
 
@@ -77,6 +82,40 @@ def test_parse_error_exits_2(run, tmp_path):
     path.write_text("generators a $\n")
     code, out, err = run("check", str(path))
     assert code == 2 and out == "" and "error:" in err
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["generators x y z\nbracket [x,y] = 1/0 z\n", "generators x y z\nvector 1 -2/00\n"],
+    ids=["bracket", "vector"],
+)
+def test_zero_denominator_exits_2_without_traceback(tmp_path, text):
+    # a fresh interpreter, so that an uncaught exception would print a traceback
+    path = tmp_path / "zero.alg"
+    path.write_text(text)
+    env = dict(os.environ, PYTHONPATH=str(Path(nilrigid.__file__).resolve().parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "nilrigid.cli", "betti", str(path)],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert "line 2" in proc.stderr and "zero denominator" in proc.stderr
+
+
+def test_repeated_generator_in_monomial_exits_2(run, tmp_path):
+    form = tmp_path / "form.alg"
+    form.write_text("generators a1 a2 b c d\nform a1^c + a2^a2\n")
+    code, out, err = run("decomposable", str(form))
+    assert code == 2 and out == ""
+    assert "line 2" in err and "repeats a generator" in err
+    pair = tmp_path / "pair.alg"
+    pair.write_text("generators x y\n")
+    mapping = tmp_path / "map.alg"
+    mapping.write_text("generators x y\nclass x -> x\nclass x^x -> y\n")
+    code, out, err = run("verify-ring-iso", str(pair), str(pair), str(mapping))
+    assert code == 2 and out == ""
+    assert "line 3" in err and "repeats a generator" in err
 
 
 def test_missing_file_exits_2(run, tmp_path):

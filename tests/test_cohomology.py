@@ -12,15 +12,17 @@ from nilrigid import (
     ModelError,
     NotClosedError,
     apply_differential,
-    betti,
     ce_model,
     cochain_matrix,
     lie_from_model,
+    monomial_basis,
     theorem1_family,
     theorem2_family,
     trivial_basis,
     wedge,
 )
+from nilrigid import cohomology
+from nilrigid.fileformat import form_to_str
 from helpers import form_of
 from oracle import (
     abelian,
@@ -39,7 +41,7 @@ def model_of(L, weights=None):
 def test_abelian_betti_binomial():
     for n in (2, 4, 5):
         A = model_of(abelian(n))
-        assert betti(A) == tuple(comb(n, p) for p in range(n + 1))
+        assert Cohomology(A).betti_vector() == tuple(comb(n, p) for p in range(n + 1))
 
 
 def test_heisenberg_betti_and_cup():
@@ -56,12 +58,12 @@ def test_heisenberg_betti_and_cup():
 
 
 def test_theorem1_k1_betti():
-    assert betti(theorem1_family(1)) == (1, 2, 2, 2, 1)
+    assert Cohomology(theorem1_family(1)).betti_vector() == (1, 2, 2, 2, 1)
 
 
 def test_betti_invariants_on_families():
     for A in [theorem1_family(1), theorem1_family(2), theorem2_family(2)]:
-        b = betti(A)
+        b = Cohomology(A).betti_vector()
         n = A.dimension
         assert b[0] == 1 and b[n] == 1
         assert all(b[p] == b[n - p] for p in range(n + 1))
@@ -72,7 +74,61 @@ def test_agrees_with_oracle_on_random_algebras():
     rng = random.Random(17)
     for _ in range(10):
         L = random_nilpotent(rng)
-        assert betti(model_of(L)) == oracle_betti(L)
+        assert Cohomology(model_of(L)).betti_vector() == oracle_betti(L)
+
+
+def test_betti_matches_representative_count_on_random_algebras():
+    # ranks alone give betti; the representatives come from kernels
+    rng = random.Random(31)
+    for _ in range(10):
+        H = Cohomology(model_of(random_nilpotent(rng)))
+        for p in range(H.model.dimension + 1):
+            assert H.betti(p) == len(H.basis(p)), p
+
+
+def test_theorem1_k2_representatives_are_pinned():
+    H = Cohomology(theorem1_family(2))
+    assert [form_to_str(f) for f in H.basis(2)] == [
+        "x1^x3", "x1^x4", "x1^n2 - x3^n1", "x2^x4", "x2^n1", "x2^n2",
+        "x2^n3 - x4^n2", "x3^n2", "x3^n3", "x4^n3",
+    ]
+    assert [form_to_str(f) for f in H.basis(3)] == [
+        "x1^x3^n2", "x1^x3^m - x3^n1^n2", "x1^x4^n2 - x3^x4^n1", "x1^x4^n3",
+        "x2^x3^n1", "x2^x3^n2", "x2^x4^n1", "x2^x4^n2", "x2^x4^n3", "x2^n1^n2",
+        "x3^x4^n2", "x3^x4^n3", "x3^n2^n3",
+    ]
+    count, reps = H.indecomposables(3)
+    assert count == 3
+    assert [v.coordinates.index(1) for v in reps] == [1, 9, 12]
+    assert all(sum(v.coordinates) == 1 for v in reps)
+    assert [form_to_str(H.form_of(v)) for v in reps] == [
+        "x1^x3^m - x3^n1^n2", "x2^n1^n2", "x3^n2^n3",
+    ]
+
+
+def test_each_differential_is_built_once(monkeypatch):
+    built, differentiated = [], []
+    build, differentiate = cohomology.cochain_matrix, cohomology.apply_differential
+
+    def counting_build(A, p):
+        built.append(p)
+        return build(A, p)
+
+    def counting_differentiate(A, f):
+        differentiated.append(f)
+        return differentiate(A, f)
+
+    monkeypatch.setattr(cohomology, "cochain_matrix", counting_build)
+    monkeypatch.setattr(cohomology, "apply_differential", counting_differentiate)
+    A = theorem1_family(2)
+    H = Cohomology(A)
+    H.betti_vector()
+    for p in range(A.dimension + 1):
+        H.basis(p)
+        H.betti_by_weight(p)
+    assert sorted(built) == list(range(A.dimension + 1))
+    # every monomial of the exterior algebra is differentiated exactly once
+    assert len(differentiated) == 2 ** A.dimension
 
 
 def test_class_coordinates_round_trip():
@@ -171,10 +227,15 @@ def test_betti_by_weight_requires_homogeneous():
 
 
 def test_cochain_matrix_shape():
+    # one sparse column per degree-1 monomial, rows over the degree-2 ones
     A = theorem1_family(1)
-    rows = cochain_matrix(A, 1)
-    assert len(rows) == comb(4, 2)
-    assert len(rows[0]) == 4
+    columns = cochain_matrix(A, 1)
+    assert len(columns) == 4
+    dst = monomial_basis(A, 2)
+    assert len(dst) == comb(4, 2)
+    for mono, col in zip(monomial_basis(A, 1), columns):
+        df = apply_differential(A, A.form({mono: 1}))
+        assert A.form({dst[i]: c for i, c in col.items()}) == df
 
 
 def test_cohomology_rejects_invalid_model():

@@ -1,0 +1,124 @@
+"""The sparse eliminator and its views, checked against the oracle's elimination."""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from nilrigid import linalg
+from oracle import _forward_rank, _nullspace
+
+ZERO = Fraction(0)
+
+
+def random_matrix(rng, nrows, ncols, density):
+    """Rows with small rational entries; some rows repeat combinations of others."""
+    values = [Fraction(a, b) for a in (-3, -2, -1, 1, 2, 3) for b in (1, 2)]
+    rows = [
+        [rng.choice(values) if rng.random() < density else ZERO for _ in range(ncols)]
+        for _ in range(nrows)
+    ]
+    for i in range(1, nrows):
+        if rng.random() < 0.3:
+            a, b = rng.choice(values), rng.choice(values)
+            k = rng.randrange(i)
+            rows[i] = [a * x + b * y for x, y in zip(rows[i - 1], rows[k])]
+    return rows
+
+
+def matrices():
+    rng = random.Random(5)
+    out = []
+    for density in (0.15, 0.4, 1.0):
+        for _ in range(12):
+            out.append(random_matrix(rng, rng.randint(1, 9), rng.randint(1, 9), density))
+    return out
+
+
+def columns_of(rows, ncols):
+    return [{i: row[j] for i, row in enumerate(rows) if row[j]} for j in range(ncols)]
+
+
+def apply(rows, x):
+    return [sum((a * b for a, b in zip(row, x)), ZERO) for row in rows]
+
+
+@pytest.mark.parametrize("rows", matrices())
+def test_rref_is_canonical(rows):
+    ncols = len(rows[0])
+    red, pivots = linalg.rref(rows, ncols)
+    r = _forward_rank(rows, ncols)
+    assert len(red) == len(pivots) == r == linalg.rank(rows, ncols)
+    assert pivots == sorted(set(pivots))
+    for i, (row, pc) in enumerate(zip(red, pivots)):
+        assert not any(row[:pc]) and row[pc] == 1
+        assert all(other[pc] == 0 for k, other in enumerate(red) if k != i)
+    # same span: the input adds nothing to the reduced rows
+    assert _forward_rank(rows + red, ncols) == r
+    # canonical: any order of the rows gives the same form
+    shuffled = list(rows)
+    random.Random(len(rows)).shuffle(shuffled)
+    assert linalg.rref(shuffled[::-1], ncols) == (red, pivots)
+
+
+@pytest.mark.parametrize("rows", matrices())
+def test_in_rowspan_matches_rank(rows):
+    ncols = len(rows[0])
+    red, pivots = linalg.rref(rows, ncols)
+    r = _forward_rank(rows, ncols)
+    probes = random_matrix(random.Random(ncols), 6, ncols, 0.5) + [rows[-1]]
+    for v in probes:
+        assert linalg.in_rowspan(red, pivots, v) == (_forward_rank(rows + [v], ncols) == r)
+
+
+@pytest.mark.parametrize("rows", matrices())
+def test_nullspace_is_the_reduced_kernel(rows):
+    nrows, ncols = len(rows), len(rows[0])
+    kernel = linalg.nullspace(columns_of(rows, ncols), nrows)
+    assert len(kernel) == ncols - _forward_rank(rows, ncols)
+    dense = [[v.get(j, ZERO) for j in range(ncols)] for v in kernel]
+    for x in dense:
+        assert not any(apply(rows, x))
+    # the reduced echelon form of the oracle's kernel basis
+    assert linalg.rref(_nullspace(rows, ncols), ncols)[0] == dense
+
+
+@pytest.mark.parametrize("rows", [m for m in matrices() if len(m) == len(m[0])])
+def test_invert(rows):
+    n = len(rows)
+    inverse = linalg.invert(rows)
+    if _forward_rank(rows, n) < n:
+        assert inverse is None
+        return
+    product = [[sum((inverse[i][k] * rows[k][j] for k in range(n)), ZERO) for j in range(n)]
+               for i in range(n)]
+    assert product == linalg.identity(n)
+
+
+@pytest.mark.parametrize("rows", matrices())
+def test_column_solver(rows):
+    nrows, ncols = len(rows), len(rows[0])
+    solver = linalg.ColumnSolver(columns_of(rows, ncols), nrows)
+    cols = [[row[j] for row in rows] for j in range(ncols)]
+    # free columns: those in the span of the columns before them
+    free = [j for j in range(ncols)
+            if _forward_rank(cols[: j + 1], nrows) == _forward_rank(cols[:j], nrows)]
+    rng = random.Random(nrows * 10 + ncols)
+    for _ in range(4):
+        x = [Fraction(rng.randint(-3, 3)) for _ in range(ncols)]
+        b = apply(rows, x)
+        y = solver.solve({i: v for i, v in enumerate(b) if v})
+        assert y is not None and apply(rows, y) == b
+        assert all(y[j] == 0 for j in free)
+    r = _forward_rank(cols, nrows)
+    for i in range(nrows):
+        e = [ZERO] * nrows
+        e[i] = Fraction(1)
+        outside = _forward_rank(cols + [e], nrows) > r
+        assert (solver.solve({i: Fraction(1)}) is None) == outside
+
+
+def test_column_solver_sets_free_coordinates_to_zero():
+    one = Fraction(1)
+    solver = linalg.ColumnSolver([{0: one}, {0: one}, {1: one}], 2)
+    assert solver.solve({0: Fraction(2), 1: Fraction(3)}) == [2, 0, 3]
