@@ -71,11 +71,18 @@ def _read_file(path: str) -> str:
         raise ParseError(f"cannot read {path}: {exc.strerror}")
 
 
-def _load(path: str):
-    """Parse an algebra file into (AlgebraFile, LieAlgebra, SullivanModel)."""
-    af = parse_source(_read_file(path))
-    L, _ = lie_algebra(af)
-    return af, L, model(af)
+def _parse(path: str):
+    return parse_source(_read_file(path))
+
+
+def _lie(path: str):
+    """The Lie algebra of an algebra file; declared weights are not needed."""
+    return lie_algebra(_parse(path))[0]
+
+
+def _model(path: str):
+    """The Sullivan model of an algebra file."""
+    return model(_parse(path))
 
 
 def _frac(x: Fraction) -> str:
@@ -90,8 +97,7 @@ def _vec(v) -> list:
 
 
 def _cmd_check(args, report):
-    af = parse_source(_read_file(args.file))
-    L, _ = lie_algebra(af)
+    L = _lie(args.file)
     jd = jacobi_defect(L)
     # weights are irrelevant for the d^2 test, so a trivial basis always works
     A = ce_model(L, trivial_basis(L))
@@ -110,7 +116,7 @@ def _cmd_check(args, report):
 
 
 def _cmd_lcs(args, report):
-    _, L, _ = _load(args.file)
+    L = _lie(args.file)
     chain = lower_central_series(L)
     dims = chain.dimensions()
     report["dimensions"] = list(dims)
@@ -121,7 +127,7 @@ def _cmd_lcs(args, report):
 
 
 def _cmd_carnot(args, report):
-    _, L, _ = _load(args.file)
+    L = _lie(args.file)
     basis = adapted_basis(L)
     graded = carnot(L)
     report["weights"] = list(basis.weights)
@@ -131,7 +137,7 @@ def _cmd_carnot(args, report):
 
 
 def _cmd_model(args, report):
-    _, _, A = _load(args.file)
+    A = _model(args.file)
     report["generators"] = [
         {"name": g.name, "weight": g.weight} for g in A.generators
     ]
@@ -143,7 +149,7 @@ def _cmd_model(args, report):
 
 
 def _cmd_betti(args, report):
-    _, _, A = _load(args.file)
+    A = _model(args.file)
     H = Cohomology(A)
     b = H.betti_vector()
     report["betti"] = list(b)
@@ -153,7 +159,7 @@ def _cmd_betti(args, report):
 
 
 def _cmd_cohomology(args, report):
-    _, _, A = _load(args.file)
+    A = _model(args.file)
     H = Cohomology(A)
     p = args.degree
     report["degree"] = p
@@ -172,7 +178,7 @@ def _cmd_cohomology(args, report):
 
 
 def _cmd_generators(args, report):
-    _, _, A = _load(args.file)
+    A = _model(args.file)
     H = Cohomology(A)
     p = args.degree
     count, reps = H.indecomposables(p)
@@ -197,7 +203,7 @@ def _fingerprint_dict(fp) -> dict:
 
 
 def _cmd_fingerprint(args, report):
-    _, L, _ = _load(args.file)
+    L = _lie(args.file)
     fp = fingerprint(L, max_indec_degree=args.max_degree)
     report["fingerprint"] = _fingerprint_dict(fp)
     report["ok"] = True
@@ -205,8 +211,8 @@ def _cmd_fingerprint(args, report):
 
 
 def _cmd_compare(args, report):
-    _, L1, _ = _load(args.first)
-    _, L2, _ = _load(args.second)
+    L1 = _lie(args.first)
+    L2 = _lie(args.second)
     fp1 = fingerprint(L1, max_indec_degree=args.max_degree)
     fp2 = fingerprint(L2, max_indec_degree=args.max_degree)
     report["first"] = _fingerprint_dict(fp1)
@@ -243,9 +249,9 @@ def _generator_map(af, src, dst) -> GeneratorMap:
 
 
 def _cmd_verify_iso(args, report):
-    _, _, src = _load(args.src)
-    _, _, dst = _load(args.dst)
-    af = parse_source(_read_file(args.map))
+    src = _model(args.src)
+    dst = _model(args.dst)
+    af = _parse(args.map)
     phi = _generator_map(af, src, dst)
     result = verify_cdga_morphism(src, dst, phi)
     report["stage"] = result.stage
@@ -256,9 +262,9 @@ def _cmd_verify_iso(args, report):
 
 
 def _cmd_verify_ring_iso(args, report):
-    _, _, src = _load(args.src)
-    _, _, dst = _load(args.dst)
-    af = parse_source(_read_file(args.map))
+    src = _model(args.src)
+    dst = _model(args.dst)
+    af = _parse(args.map)
     if not af.classes:
         raise ParseError("map file declares no class lines")
     pairs = [
@@ -274,7 +280,7 @@ def _cmd_verify_ring_iso(args, report):
 
 
 def _cmd_normalize(args, report):
-    _, _, A = _load(args.src)
+    A = _model(args.src)
     try:
         norm = normalize_perturbation(A)
     except FamilyShapeError as exc:
@@ -294,7 +300,8 @@ def _cmd_normalize(args, report):
 
 
 def _cmd_decomposable(args, report):
-    af, _, A = _load(args.file)
+    af = _parse(args.file)
+    A = model(af)
     if not af.forms:
         raise ParseError("file declares no form lines")
     results = []
@@ -347,7 +354,7 @@ def _cmd_family(args, report):
     elif name == "theorem3":
         if args.gens is None or args.k is None or args.subspace is None:
             raise ParseError("family theorem3 needs --gens, --k and --subspace")
-        sub_af = parse_source(_read_file(args.subspace))
+        sub_af = _parse(args.subspace)
         vectors = [entries for entries, _ in sub_af.vectors]
         if not vectors:
             raise ParseError("subspace file declares no vector lines")

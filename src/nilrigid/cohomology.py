@@ -26,6 +26,7 @@ from .forms import (
 from .lie import is_carnot_homogeneous
 
 _ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -205,14 +206,8 @@ class Cohomology:
             self._indec[p] = result
             return result
         dec = self.decomposable_subspace(p)
-        red, pivots = linalg.rref(dec, b)
-        reps = []
-        for j in range(b):
-            e = [_ZERO] * b
-            e[j] = Fraction(1)
-            if not linalg.in_rowspan(red, pivots, e):
-                red, pivots = linalg.rref(red + [e], b)
-                reps.append(self.unit_class(p, j))
+        span = linalg.echelon(linalg.sparse(row) for row in dec)
+        reps = [self.unit_class(p, j) for j in range(b) if linalg.extend(span, {j: _ONE})]
         count = b - len(dec)
         assert count == len(reps)
         result = (count, tuple(reps))

@@ -14,9 +14,10 @@ from string import ascii_lowercase
 
 from . import linalg
 from .errors import SizeCapError
-from .lie import LieAlgebra
+from .lie import AdaptedBasis, LieAlgebra, change_basis
 
 _ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 TensorPoly = dict[str, Fraction]
 BracketTree = str | tuple  # a letter, or a pair of trees
@@ -237,28 +238,12 @@ def theorem3_family(l: int, k: int, subspace, max_dim: int = 64) -> LieAlgebra:
     for vec in svecs:
         if len(vec) != width:
             raise ValueError(f"subspace vectors must have {width} coordinates")
-    if linalg.rank([list(v) for v in svecs], width) != len(svecs):
-        raise ValueError("subspace vectors are linearly dependent")
-
+    span: dict[int, linalg.Vec] = {}
+    for vec in svecs:
+        if not linalg.extend(span, linalg.sparse(vec)):
+            raise ValueError("subspace vectors are linearly dependent")
     # complete S to the top component by standard coordinates
-    red, pivots = linalg.rref([list(v) for v in svecs], width)
-    comp = []
-    for j in range(width):
-        e = [_ZERO] * width
-        e[j] = Fraction(1)
-        if not linalg.in_rowspan(red, pivots, e):
-            red, pivots = linalg.rref(red + [e], width)
-            comp.append(e)
-    # top coordinates -> (s coords | complement coords), drop the complement
-    change = [[s[j] for s in svecs] + [c[j] for c in comp] for j in range(width)]
-    inverse = linalg.invert(change)
-    assert inverse is not None
-
-    def project(vec):
-        """Full coordinate vector of the free algebra -> quotient coordinates."""
-        lower = vec[:base]
-        top = linalg.mat_vec(inverse, vec[base:])
-        return list(lower) + top[: len(svecs)]
+    comp = [j for j in range(width) if linalg.extend(span, {j: _ONE})]
 
     names = list(free.words[:base])
     used = set(names)
@@ -273,25 +258,23 @@ def theorem3_family(l: int, k: int, subspace, max_dim: int = 64) -> LieAlgebra:
         used.add(name)
         names.append(name)
 
-    n_new = base + len(svecs)
-    L = free.algebra
-    columns = []
-    for i in range(base):
-        e = [_ZERO] * L.dimension
-        e[i] = Fraction(1)
-        columns.append(e)
-    for vec in svecs:
-        e = [_ZERO] * L.dimension
-        for j, x in enumerate(vec):
-            e[base + j] = x
-        columns.append(e)
+    # rewrite the free algebra in the basis (lower words | S | complement) and
+    # drop the complement, which is central, so the quotient is a restriction
+    n_new = len(names)
+    dim = len(free.words)
+    columns = [linalg.dense({j: _ONE}, dim) for j in range(base)]
+    columns += [[_ZERO] * base + vec for vec in svecs]
+    columns += [linalg.dense({base + j: _ONE}, dim) for j in comp]
+    full = change_basis(
+        free.algebra,
+        AdaptedBasis(
+            columns=tuple(map(tuple, columns)),
+            weights=(0,) * dim,
+            names=tuple(names) + tuple(top_words[j] for j in comp),
+        ),
+    )
     brackets = {}
-    for a in range(n_new):
-        for b in range(a + 1, n_new):
-            w = L.bracket(columns[a], columns[b])
-            if not any(w):
-                continue
-            entries = {i: c for i, c in enumerate(project(w)) if c}
-            if entries:
-                brackets[(a, b)] = entries
+    for (a, b), vec in full.brackets.items():
+        if b < n_new:
+            brackets[(a, b)] = {i: c for i, c in vec.items() if i < n_new}
     return LieAlgebra(tuple(names), brackets)

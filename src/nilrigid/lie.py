@@ -15,6 +15,7 @@ from .errors import ModelError, NotNilpotentError
 from .forms import Form, Generator, SullivanModel, monomial_weight
 
 Vector = list[Fraction]
+Vec = linalg.Vec
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -59,16 +60,19 @@ class LieAlgebra:
             return dict(self.brackets.get((l, k), {}))
         return {i: -c for i, c in self.brackets.get((k, l), {}).items()}
 
-    def bracket(self, u: Vector, v: Vector) -> Vector:
-        """Bilinear extension of the structure constants."""
-        n = self.dimension
-        out = [_ZERO] * n
-        for (l, k), vec in self.brackets.items():
-            f = u[l] * v[k] - u[k] * v[l]
-            if f:
-                for i, c in vec.items():
-                    out[i] += f * c
-        return out
+    def bracket(self, u: Vec, v: Vec) -> Vec:
+        """Bilinear extension of the structure constants to sparse vectors."""
+        out: Vec = {}
+        for l, a in u.items():
+            for k, b in v.items():
+                if l == k:
+                    continue
+                vec = self.brackets.get((l, k) if l < k else (k, l))
+                if vec:
+                    f = a * b if l < k else -a * b
+                    for i, c in vec.items():
+                        out[i] = out.get(i, _ZERO) + f * c
+        return {i: c for i, c in out.items() if c}
 
     def is_abelian(self) -> bool:
         return not self.brackets
@@ -112,46 +116,54 @@ class AdaptedBasis:
 
 
 def jacobi_defect(L: LieAlgebra) -> list[tuple[int, int, int, Vector]]:
-    """Triples (i, j, k) where the Jacobi identity fails, with the defect."""
+    """Triples (i, j, k) where the Jacobi identity fails, with the defect
+    [[X_i, X_j], X_k] + [[X_j, X_k], X_i] + [[X_k, X_i], X_j] as a dense vector."""
     n = L.dimension
+    e = [{i: _ONE} for i in range(n)]
     defects = []
-    basis = linalg.identity(n)
     for i in range(n):
         for j in range(i + 1, n):
-            bij = L.bracket(basis[i], basis[j])
+            bij = L.bracket(e[i], e[j])
             for k in range(j + 1, n):
-                v = L.bracket(bij, basis[k])
-                bjk = L.bracket(basis[j], basis[k])
-                w = L.bracket(bjk, basis[i])
-                bki = L.bracket(basis[k], basis[i])
-                u = L.bracket(bki, basis[j])
-                defect = [a + b + c for a, b, c in zip(v, w, u)]
+                defect = [_ZERO] * n
+                for term in (
+                    L.bracket(bij, e[k]),
+                    L.bracket(L.bracket(e[j], e[k]), e[i]),
+                    L.bracket(L.bracket(e[k], e[i]), e[j]),
+                ):
+                    for x, c in term.items():
+                        defect[x] += c
                 if any(defect):
                     defects.append((i, j, k, defect))
     return defects
 
 
+def _series(L: LieAlgebra) -> tuple[list[dict[int, Vec]], bool]:
+    """Echelon bases of g = g^(0) >= [g,g] >= ..., and whether they reach 0.
+
+    For a non-nilpotent algebra the list ends at the subspace where the
+    series stabilizes.
+    """
+    e = [{i: _ONE} for i in range(L.dimension)]
+    stages = [linalg.echelon(e)]
+    while True:
+        current = stages[-1]
+        nxt = linalg.echelon(L.bracket(u, x) for u in current.values() for x in e)
+        if len(nxt) == len(current):
+            return stages, False
+        stages.append(nxt)
+        if not nxt:
+            return stages, True
+
+
 def lower_central_series(L: LieAlgebra) -> SubspaceChain:
     """Chain g = g^(0) >= [g,g] >= ...; stabilizing nonzero means non-nilpotent."""
+    stages, nilpotent = _series(L)
     n = L.dimension
-    basis = linalg.identity(n)
-    chain = [tuple(tuple(r) for r in basis)]
-    current = basis
-    while True:
-        rows = []
-        for u in current:
-            for e in basis:
-                w = L.bracket(list(u), e)
-                if any(w):
-                    rows.append(w)
-        red, _ = linalg.rref(rows, n)
-        if len(red) == len(current):
-            # stabilized at a nonzero subspace
-            return SubspaceChain(tuple(chain), nilpotent=False)
-        chain.append(tuple(tuple(r) for r in red))
-        if not red:
-            return SubspaceChain(tuple(chain), nilpotent=True)
-        current = red
+    subspaces = tuple(
+        tuple(tuple(linalg.dense(stage[c], n)) for c in sorted(stage)) for stage in stages
+    )
+    return SubspaceChain(subspaces, nilpotent=nilpotent)
 
 
 def adapted_basis(L: LieAlgebra) -> AdaptedBasis:
@@ -161,48 +173,36 @@ def adapted_basis(L: LieAlgebra) -> AdaptedBasis:
     of exactly that weight are promoted first (in index order), so an algebra
     already given in adapted coordinates keeps the identity basis.
     """
-    chain = lower_central_series(L)
-    if not chain.nilpotent:
+    stages, nilpotent = _series(L)
+    if not nilpotent:
         raise NotNilpotentError("lower central series stabilizes at a nonzero subspace")
     n = L.dimension
-    stages = [
-        (list(map(list, sub)), linalg.rref(list(map(list, sub)), n)[1])
-        for sub in chain.subspaces
-    ]
     depth = len(stages) - 1  # last stage is zero
 
-    def stage_contains(i: int, v: Vector) -> bool:
-        rows, pivots = stages[i]
-        return linalg.in_rowspan(rows, pivots, v)
-
-    def weight_of(v: Vector) -> int:
+    def weight_of(j: int) -> int:
+        """Largest i < depth with the standard vector e_j in g^(i)."""
         w = 0
         for i in range(1, depth):
-            if stage_contains(i, v):
-                w = i
-            else:
+            if linalg.reduce({j: _ONE}, stages[i]):
                 break
+            w = i
         return w
 
-    std = linalg.identity(n)
-    std_weights = [weight_of(std[j]) for j in range(n)]
+    std_weights = [weight_of(j) for j in range(n)]
 
-    columns: list[Vector] = []
+    columns: list[Vec] = []
     weights: list[int] = []
     names: list[str] = []
     used_names = set()
     for w in range(depth):
         # span of g^(w+1) plus the vectors already chosen at this weight
-        span_rows = list(map(list, chain.subspaces[w + 1])) if w + 1 <= depth else []
-        red, pivots = linalg.rref(span_rows, n)
-        target = len(stages[w][0])
+        span = linalg.echelon(stages[w + 1].values())
+        target = len(stages[w])
 
-        def try_add(v: Vector, name: str):
-            nonlocal red, pivots
-            if linalg.in_rowspan(red, pivots, v):
-                return False
-            red, pivots = linalg.rref(red + [list(v)], n)
-            columns.append(list(v))
+        def try_add(v: Vec, name: str):
+            if not linalg.extend(span, v):
+                return
+            columns.append(v)
             weights.append(w)
             base = name
             idx = 1
@@ -211,20 +211,19 @@ def adapted_basis(L: LieAlgebra) -> AdaptedBasis:
                 name = f"{base}_{idx}"
             used_names.add(name)
             names.append(name)
-            return True
 
         for j in range(n):
             if std_weights[j] == w:
-                try_add(std[j], L.names[j])
-            if len(red) == target:
+                try_add({j: _ONE}, L.names[j])
+            if len(span) == target:
                 break
-        if len(red) < target:
-            for pos, v in enumerate(stages[w][0]):
-                try_add(list(v), f"v{len(columns)}")
-                if len(red) == target:
+        if len(span) < target:
+            for c in sorted(stages[w]):
+                try_add(stages[w][c], f"v{len(columns)}")
+                if len(span) == target:
                     break
     return AdaptedBasis(
-        columns=tuple(tuple(c) for c in columns),
+        columns=tuple(tuple(linalg.dense(c, n)) for c in columns),
         weights=tuple(weights),
         names=tuple(names),
     )
@@ -242,20 +241,16 @@ def trivial_basis(L: LieAlgebra, weights=None) -> AdaptedBasis:
 def change_basis(L: LieAlgebra, basis: AdaptedBasis) -> LieAlgebra:
     """Structure constants rewritten in the columns of the given basis."""
     n = L.dimension
-    P = [[basis.columns[a][i] for a in range(n)] for i in range(n)]
-    Pinv = linalg.invert(P)
-    if Pinv is None:
+    columns = [linalg.sparse(col) for col in basis.columns]
+    solver = linalg.ColumnSolver(columns, n)
+    if solver.rank < n:
         raise ValueError("change of basis matrix is singular")
     brackets = {}
     for a in range(n):
         for b in range(a + 1, n):
-            old = L.bracket([P[i][a] for i in range(n)], [P[i][b] for i in range(n)])
-            if not any(old):
-                continue
-            new = linalg.mat_vec(Pinv, old)
-            entries = {i: c for i, c in enumerate(new) if c}
-            if entries:
-                brackets[(a, b)] = entries
+            old = L.bracket(columns[a], columns[b])
+            if old:
+                brackets[(a, b)] = linalg.sparse(solver.solve(old))
     return LieAlgebra(basis.names, brackets)
 
 

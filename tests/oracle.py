@@ -238,9 +238,7 @@ def random_invertible(rng, n, bound=2):
             tuple(Fraction(rng.randint(-bound, bound)) for _ in range(n))
             for _ in range(n)
         )
-        from nilrigid import linalg
-
-        if linalg.invert([[cols[a][i] for a in range(n)] for i in range(n)]):
+        if _forward_rank(cols, n) == n:
             return cols
 
 

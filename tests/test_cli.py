@@ -77,6 +77,20 @@ def test_check_refutes_bad_jacobi(run, tmp_path):
     assert "jacobi defect" in out or "d^2" in out
 
 
+@pytest.mark.parametrize("weights", ["", ":0"], ids=["undeclared", "declared"])
+def test_lcs_refutes_non_nilpotent_with_or_without_weights(run, tmp_path, weights):
+    path = tmp_path / "sl2like.alg"
+    path.write_text(
+        f"generators a{weights} b{weights} c{weights}\n"
+        "bracket [a,b] = c\nbracket [a,c] = b\n"
+    )
+    code, out, err = run("--format", "json", "lcs", str(path))
+    report = json.loads(out)
+    assert code == 1 and err == ""
+    assert report["nilpotent"] is False
+    assert report["dimensions"] == [3, 2]
+
+
 def test_parse_error_exits_2(run, tmp_path):
     path = tmp_path / "broken.alg"
     path.write_text("generators a $\n")

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from nilrigid import (
+    AdaptedBasis,
     LieAlgebra,
     NotNilpotentError,
     adapted_basis,
@@ -67,6 +68,47 @@ def test_jacobi_defect_nonempty_on_corruption():
     assert found
 
 
+def jacobiator(L):
+    """Jacobi defects computed straight from the structure constants."""
+    n = L.dimension
+
+    def bracket(u, v):
+        out = [Fraction(0)] * n
+        for (l, k), vec in L.brackets.items():
+            f = u[l] * v[k] - u[k] * v[l]
+            for i, c in vec.items():
+                out[i] += f * c
+        return out
+
+    e = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    defects = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k in range(j + 1, n):
+                terms = (
+                    bracket(bracket(e[i], e[j]), e[k]),
+                    bracket(bracket(e[j], e[k]), e[i]),
+                    bracket(bracket(e[k], e[i]), e[j]),
+                )
+                defect = [sum(column) for column in zip(*terms)]
+                if any(defect):
+                    defects.append((i, j, k, defect))
+    return defects
+
+
+def test_jacobi_defect_matches_the_jacobiator():
+    rng = random.Random(31)
+    algebras = [lie_from_model(theorem4_example())]
+    algebras += [random_nilpotent(rng) for _ in range(6)]
+    failing = 0
+    for L in algebras:
+        for bad in (L, corrupt(rng, L), corrupt(rng, corrupt(rng, L))):
+            expected = jacobiator(bad)
+            assert jacobi_defect(bad) == expected
+            failing += bool(expected)
+    assert failing >= 5
+
+
 def test_ce_model_round_trip_on_families():
     for model in [
         theorem1_family(1),
@@ -104,6 +146,14 @@ def test_change_basis_inverse():
         moved, type(basis)(columns=inv_cols, weights=basis.weights, names=L.names)
     )
     assert back == L
+
+
+def test_change_basis_rejects_a_singular_basis():
+    L = heisenberg()
+    one, zero = Fraction(1), Fraction(0)
+    singular = ((one, zero, zero), (zero, one, zero), (one, one, zero))
+    with pytest.raises(ValueError, match="singular"):
+        change_basis(L, AdaptedBasis(columns=singular, weights=(0, 0, 0), names=L.names))
 
 
 def test_adapted_basis_on_scrambled_algebra():

@@ -59,6 +59,12 @@ def test_rref_is_canonical(rows):
     shuffled = list(rows)
     random.Random(len(rows)).shuffle(shuffled)
     assert linalg.rref(shuffled[::-1], ncols) == (red, pivots)
+    # one row at a time: the span grows exactly when the oracle's rank does
+    basis = {}
+    for i, row in enumerate(rows):
+        grew = linalg.extend(basis, linalg.sparse(row))
+        assert grew == (_forward_rank(rows[: i + 1], ncols) > _forward_rank(rows[:i], ncols))
+    assert [linalg.dense(basis[c], ncols) for c in sorted(basis)] == red
 
 
 @pytest.mark.parametrize("rows", matrices())
