@@ -19,7 +19,6 @@ from .errors import (
     FamilyShapeError,
     ModelError,
     NilrigidError,
-    NotNilpotentError,
     ParseError,
 )
 from .families import (
@@ -556,10 +555,7 @@ def main(argv=None) -> int:
     report = {"schema": SCHEMA_VERSION, "command": args.command, "ok": False}
     try:
         code = _COMMANDS[args.command](args, report)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (NotNilpotentError, ModelError, NilrigidError, ValueError) as exc:
+    except (NilrigidError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     if args.format == "json":

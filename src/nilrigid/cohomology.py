@@ -3,11 +3,14 @@
 Betti numbers, deterministic representative bases, cup products,
 indecomposable (algebra generator) counts and the weight refinement for
 Carnot-homogeneous differentials.  All elimination happens over the
-rationals, so every reported number is exact.
+rationals, so every reported number is exact.  Each degree is eliminated
+once: the weight refinement counts pivots of the cached coboundary bases,
+and the decomposables of a degree are one span of cochains.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
@@ -64,8 +67,9 @@ class Cohomology:
     """Cohomology ring of a valid Sullivan model, computed degree by degree.
 
     Each d_p is built once: its rank gives Betti numbers, its kernel the
-    cocycles of degree p, its column span the coboundaries of degree p + 1,
-    and its weight blocks the weight refinement.
+    cocycles of degree p and its column span the coboundaries B^(p+1), whose
+    pivots per weight give the weight refinement.  The decomposables of
+    degree p are one cochain span, B^p extended by products of classes.
     """
 
     def __init__(self, model: SullivanModel):
@@ -77,8 +81,7 @@ class Cohomology:
         self._d: dict[int, list[dict[int, Fraction]]] = {}
         self._images: dict[int, dict[int, dict[int, Fraction]]] = {}
         self._data: dict[int, _Classes] = {}
-        self._dec: dict[int, list[list[Fraction]]] = {}
-        self._indec: dict[int, tuple[int, tuple[ClassVector, ...]]] = {}
+        self._dec: dict[int, tuple[list[list[Fraction]], tuple[int, tuple]]] = {}
 
     # -- internal ----------------------------------------------------------
 
@@ -120,6 +123,40 @@ class Cohomology:
             data.solver = linalg.ColumnSolver(columns, len(data.index))
         return data.solver
 
+    def _products(self, p: int):
+        """rref basis of H^+ . H^+ in H^p coordinates, and the indecomposables.
+
+        One cochain span holds B^p and the products of indecomposables with
+        classes, which span H^+ . H^+.  Its rows with a pivot outside B^p
+        span those modulo B^p; only they get class coordinates, whose
+        closedness check covers every product.  The unit classes whose
+        cocycles extend the span, in order, represent H^p / (H^+ . H^+).
+        """
+        if p not in self._dec:
+            rows, reps = [], []
+            if p > 0:
+                data = self._degree(p)
+                coboundaries = self._coboundaries(p)
+                span = {c: dict(row) for c, row in coboundaries.items()}
+                for i in range(1, p):
+                    if self.betti(p - i) == 0:
+                        continue
+                    for g in self.indecomposables(i)[1]:
+                        gform = self.form_of(g)
+                        for rep in self._degree(p - i).forms:
+                            product = wedge(gform, rep).terms
+                            linalg.extend(span, {data.index[m]: c for m, c in product.items()})
+                monos = list(data.index)
+                for c, row in span.items():
+                    if c not in coboundaries:
+                        f = Form(self.model.generators, {monos[j]: x for j, x in row.items()})
+                        rows.append(list(self.class_coordinates(f, p).coordinates))
+                reps = [self.unit_class(p, j) for j, v in enumerate(data.vectors)
+                        if linalg.extend(span, v)]
+                assert len(reps) == self.betti(p) - len(rows)
+            self._dec[p] = linalg.rref(rows, self.betti(p))[0], (len(reps), tuple(reps))
+        return self._dec[p]
+
     # -- public api --------------------------------------------------------
 
     def betti(self, p: int) -> int:
@@ -140,8 +177,11 @@ class Cohomology:
 
     def class_coordinates(self, f: Form, p: int | None = None) -> ClassVector:
         """Coordinates of a closed form in the representative basis of H^p."""
+        degree = f.degree()
         if p is None:
-            p = f.degree() or 0
+            p = degree or 0
+        elif degree is not None and degree != p:
+            raise ValueError(f"a form of degree {degree} has no class in degree {p}")
         df = apply_differential(self.model, f)
         if not df.is_zero():
             raise NotClosedError("form is not closed", differential=df)
@@ -171,74 +211,33 @@ class Cohomology:
 
     def unit_class(self, p: int, i: int) -> ClassVector:
         b = self.betti(p)
-        return ClassVector(p, tuple(Fraction(1) if j == i else _ZERO for j in range(b)))
+        return ClassVector(p, tuple(_ONE if j == i else _ZERO for j in range(b)))
 
     def decomposable_subspace(self, p: int) -> list[list[Fraction]]:
-        """rref basis of the image of H^+ . H^+ inside H^p coordinates.
-
-        Products of two positive-degree classes are spanned by products of an
-        indecomposable generator with an arbitrary class, which keeps the
-        number of wedges small.
-        """
-        if p not in self._dec:
-            rows = []
-            for i in range(1, p):
-                j = p - i
-                if self.betti(j) == 0:
-                    continue
-                _, gens_i = self.indecomposables(i)
-                for g in gens_i:
-                    gform = self.form_of(g)
-                    for rep in self._degree(j).forms:
-                        cv = self.class_coordinates(wedge(gform, rep), p)
-                        if any(cv.coordinates):
-                            rows.append(list(cv.coordinates))
-            self._dec[p], _ = linalg.rref(rows, self.betti(p))
-        return [list(row) for row in self._dec[p]]
+        """rref basis of the image of H^+ . H^+ inside H^p coordinates."""
+        return [list(row) for row in self._products(p)[0]]
 
     def indecomposables(self, p: int) -> tuple[int, tuple[ClassVector, ...]]:
         """Count and representatives of H^p / (H^+ . H^+)."""
-        if p in self._indec:
-            return self._indec[p]
-        b = self.betti(p)
-        if p <= 0 or b == 0:
-            result = (0, ())
-            self._indec[p] = result
-            return result
-        dec = self.decomposable_subspace(p)
-        span = linalg.echelon(linalg.sparse(row) for row in dec)
-        reps = [self.unit_class(p, j) for j in range(b) if linalg.extend(span, {j: _ONE})]
-        count = b - len(dec)
-        assert count == len(reps)
-        result = (count, tuple(reps))
-        self._indec[p] = result
-        return result
+        return self._products(p)[1] if self.betti(p) else (0, ())
 
     def betti_by_weight(self, p: int) -> dict[int, int]:
         """H^p split by total lower degree; requires a Carnot-homogeneous d.
 
-        The differential then maps the weight-w part of Lambda^p to the
-        weight-(w-1) part of Lambda^(p+1), so cohomology refines by weight:
-        each weight block of d_p is eliminated on its own.
+        d then maps weight w of Lambda^p to weight w - 1 of Lambda^(p+1), so
+        the cached reduced echelon basis of B^(p+1) is the union of those of
+        the weight blocks: the rank of d_p on weight w is the number of its
+        pivots at weight w - 1, that of d_(p-1) into weight w of B^p's.
         """
         A = self.model
         if not is_carnot_homogeneous(A):
             raise ModelError("differential is not Carnot-homogeneous")
-
-        def blocks(q: int) -> dict[int, list[dict[int, Fraction]]]:
-            """Columns of d_q grouped by the weight of their monomial."""
-            out: dict[int, list[dict[int, Fraction]]] = {}
-            for mono, col in zip(monomial_basis(A, q), self._differential(q)):
-                out.setdefault(monomial_weight(A.generators, mono), []).append(col)
-            return out
-
-        here = blocks(p)
-        below = blocks(p - 1) if p > 0 else {}
-        out: dict[int, int] = {}
-        for w, cols in sorted(here.items()):
-            r_out = len(linalg.echelon(cols))
-            r_in = len(linalg.echelon(below.get(w + 1, [])))
-            dim = len(cols) - r_out - r_in
-            if dim:
-                out[w] = dim
-        return out
+        here, above = (
+            [monomial_weight(A.generators, m) for m in monomial_basis(A, q)] for q in (p, p + 1)
+        )
+        dims = Counter(here)
+        for c in self._coboundaries(p):
+            dims[here[c]] -= 1
+        for c in self._coboundaries(p + 1):
+            dims[above[c] + 1] -= 1
+        return {w: dim for w, dim in sorted(dims.items()) if dim}

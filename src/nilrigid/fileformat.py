@@ -159,7 +159,11 @@ def parse_source(text: str) -> AlgebraFile:
                 k, t, _ = tk.peek()
                 if k == "sym" and t == ":":
                     tk.next()
-                    weight = int(tk.expect("number"))
+                    col = tk.peek()[2]
+                    text = tk.expect("number")
+                    if not text.isdigit():
+                        raise ParseError(f"weight must be an integer, got {text!r}", lineno, col)
+                    weight = int(text)
                 af.generators.append((name, weight, lineno))
         elif keyword == "bracket":
             tk.expect("sym", "[")

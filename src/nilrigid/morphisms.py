@@ -15,7 +15,7 @@ from . import linalg
 from .cohomology import Cohomology
 from .errors import FamilyShapeError
 from .forms import Form, SullivanModel, apply_differential, wedge
-from .lie import LieAlgebra, ce_model, lower_central_series
+from .lie import LieAlgebra, adapted_basis, ce_model
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -222,11 +222,10 @@ class Fingerprint:
 
 def fingerprint(L: LieAlgebra, max_indec_degree: int | None = None) -> Fingerprint:
     """Invariant tuple of a validated nilpotent Lie algebra."""
-    chain = lower_central_series(L)
-    dims = chain.dimensions()
-    quotients = tuple(dims[i] - dims[i + 1] for i in range(len(dims) - 1))
-    model = ce_model(L)
-    H = Cohomology(model)
+    # an adapted basis has dim g^(w) / g^(w+1) vectors of weight w
+    basis = adapted_basis(L)
+    quotients = tuple(basis.weights.count(w) for w in range(max(basis.weights) + 1))
+    H = Cohomology(ce_model(L, basis))
     n = L.dimension
     top = n if max_indec_degree is None else min(n, max_indec_degree)
     indec = tuple(H.indecomposables(p)[0] for p in range(1, top + 1))

@@ -132,6 +132,14 @@ def test_repeated_generator_in_monomial_exits_2(run, tmp_path):
     assert "line 3" in err and "repeats a generator" in err
 
 
+def test_fractional_weight_is_a_parse_error(run, tmp_path):
+    path = tmp_path / "weights.alg"
+    path.write_text("generators x:1/2 y:0\n")
+    code, out, err = run("betti", str(path))
+    assert code == 2 and out == ""
+    assert err == "error: line 1, column 14: weight must be an integer, got '1/2'\n"
+
+
 def test_missing_file_exits_2(run, tmp_path):
     code, _, err = run("betti", str(tmp_path / "nope.alg"))
     assert code == 2 and "error:" in err

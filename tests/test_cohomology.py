@@ -1,8 +1,10 @@
 """Cohomology: Betti numbers, representatives, cup products, indecomposables."""
 
+import json
 import random
 from fractions import Fraction
 from math import comb
+from pathlib import Path
 
 import pytest
 
@@ -18,10 +20,11 @@ from nilrigid import (
     monomial_basis,
     theorem1_family,
     theorem2_family,
+    theorem4_example,
     trivial_basis,
     wedge,
 )
-from nilrigid import cohomology
+from nilrigid import cohomology, linalg
 from nilrigid.fileformat import form_to_str
 from helpers import form_of
 from oracle import (
@@ -123,12 +126,63 @@ def test_each_differential_is_built_once(monkeypatch):
     A = theorem1_family(2)
     H = Cohomology(A)
     H.betti_vector()
+    # the weight split is read off the cached eliminations
+    eliminated, eliminate = [], linalg.echelon
+
+    def counting_echelon(rows):
+        eliminated.append(rows)
+        return eliminate(rows)
+
+    monkeypatch.setattr(linalg, "echelon", counting_echelon)
+    for p in range(A.dimension + 1):
+        assert sum(H.betti_by_weight(p).values()) == H.betti(p)
+    assert eliminated == []
+    monkeypatch.setattr(linalg, "echelon", eliminate)
     for p in range(A.dimension + 1):
         H.basis(p)
-        H.betti_by_weight(p)
     assert sorted(built) == list(range(A.dimension + 1))
     # every monomial of the exterior algebra is differentiated exactly once
     assert len(differentiated) == 2 ** A.dimension
+
+
+PINS = json.loads((Path(__file__).parent / "data" / "cohomology_pins.json").read_text())
+PINNED_MODELS = {"theorem4": theorem4_example, "theorem2(2)": lambda: theorem2_family(2)}
+
+
+@pytest.mark.parametrize("case", sorted(PINS))
+def test_indecomposables_and_decomposables_are_pinned(case):
+    # coordinates and forms of indecomposables(p) and rows of
+    # decomposable_subspace(p), as computed when each product was solved
+    # for its class coordinates on its own
+    name, p = case.split(" p=")
+    H = Cohomology(PINNED_MODELS[name]())
+    count, reps = H.indecomposables(int(p))
+
+    def sparse(row):
+        return {str(j): str(c) for j, c in enumerate(row) if c}
+
+    assert count == len(reps)
+    assert {
+        "coordinates": [sparse(v.coordinates) for v in reps],
+        "forms": [form_to_str(H.form_of(v)) for v in reps],
+        "decomposables": [sparse(row) for row in H.decomposable_subspace(int(p))],
+    } == PINS[case]
+
+
+def test_indecomposables_check_that_products_are_closed(monkeypatch):
+    A = theorem2_family(2)
+    loose = {}  # per degree, a monomial with nonzero differential
+    for p in range(1, A.dimension + 1):
+        for mono in monomial_basis(A, p):
+            f = A.form({mono: 1})
+            if not apply_differential(A, f).is_zero():
+                loose[p] = f
+                break
+    monkeypatch.setattr(
+        cohomology, "wedge", lambda a, b: wedge(a, b) + loose[a.degree() + b.degree()]
+    )
+    with pytest.raises(NotClosedError):
+        Cohomology(A).indecomposables(3)
 
 
 def test_class_coordinates_round_trip():
@@ -146,6 +200,15 @@ def test_class_coordinates_rejects_non_closed():
     with pytest.raises(NotClosedError) as err:
         H.class_coordinates(form_of(A, "n1"))
     assert err.value.differential is not None
+
+
+def test_class_coordinates_rejects_a_form_of_another_degree():
+    H = Cohomology(theorem1_family(1))
+    assert H.betti(3) > 0 and H.betti(5) == 0
+    f = H.basis(2)[0]
+    for p in (3, 5):
+        with pytest.raises(ValueError, match=f"degree 2 .*degree {p}"):
+            H.class_coordinates(f, p)
 
 
 def test_exact_form_has_zero_class():
@@ -194,8 +257,6 @@ def test_indecomposables_agree_with_oracle():
 
 
 def test_indecomposable_representatives_complete_decomposables():
-    from nilrigid import linalg
-
     A = theorem2_family(2)
     H = Cohomology(A)
     count, reps = H.indecomposables(3)

@@ -161,6 +161,16 @@ def test_fingerprint_basis_invariance():
     assert fingerprint(moved) == fp
 
 
+def test_fingerprint_computes_the_central_series_once(monkeypatch):
+    from nilrigid import lie
+
+    calls, series = [], lie._series
+    monkeypatch.setattr(lie, "_series", lambda L: calls.append(L) or series(L))
+    fp = fingerprint(lie_from_model(theorem2_family(2)))
+    assert len(calls) == 1
+    assert fp.lcs_quotients == (5, 3, 1)
+
+
 def test_fingerprints_of_section3_pair_agree():
     first, second = section3_pair()
     assert fingerprint(lie_from_model(first)) == fingerprint(lie_from_model(second))
