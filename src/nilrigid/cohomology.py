@@ -16,7 +16,7 @@ from fractions import Fraction
 from math import comb
 
 from . import linalg
-from .errors import ModelError, NotClosedError
+from .errors import DomainMismatchError, ModelError, NotClosedError
 from .forms import (
     Form,
     SullivanModel,
@@ -68,8 +68,10 @@ class Cohomology:
 
     Each d_p is built once: its rank gives Betti numbers, its kernel the
     cocycles of degree p and its column span the coboundaries B^(p+1), whose
-    pivots per weight give the weight refinement.  The decomposables of
-    degree p are one cochain span, B^p extended by products of classes.
+    pivots per weight give the weight refinement.  Classes are solved as
+    cochain vectors against the representatives and B^p, which span Z^p:
+    membership is closedness.  The decomposables of degree p are one cochain
+    span, B^p extended by products of classes until it is all of Z^p.
     """
 
     def __init__(self, model: SullivanModel):
@@ -116,20 +118,26 @@ class Cohomology:
         self._data[p] = data
         return data
 
-    def _solver(self, p: int) -> linalg.ColumnSolver:
+    def _coordinates(self, v: dict[int, Fraction], p: int) -> ClassVector:
+        """Class of the cochain v of degree p, by monomial index; refused unless closed."""
         data = self._degree(p)
         if data.solver is None:
             columns = data.vectors + list(self._coboundaries(p).values())
             data.solver = linalg.ColumnSolver(columns, len(data.index))
-        return data.solver
+        x = data.solver.solve(v)
+        if x is None:
+            f = Form(self.model.generators, {m: v[j] for m, j in data.index.items() if j in v})
+            raise NotClosedError("form is not closed", differential=self.model.d(f))
+        return ClassVector(p, tuple(x[: len(data.vectors)]))
 
     def _products(self, p: int):
         """rref basis of H^+ . H^+ in H^p coordinates, and the indecomposables.
 
         One cochain span holds B^p and the products of indecomposables with
-        classes, which span H^+ . H^+.  Its rows with a pivot outside B^p
-        span those modulo B^p; only they get class coordinates, whose
-        closedness check covers every product.  The unit classes whose
+        classes, which span H^+ . H^+; products stop once it is full, with
+        len(B^p) + b_p rows, all of Z^p.  Only its rows with a pivot outside
+        B^p get class coordinates.  With B^p they span it, so a product that
+        is not closed makes one of their solves fail.  The unit classes whose
         cocycles extend the span, in order, represent H^p / (H^+ . H^+).
         """
         if p not in self._dec:
@@ -138,19 +146,17 @@ class Cohomology:
                 data = self._degree(p)
                 coboundaries = self._coboundaries(p)
                 span = {c: dict(row) for c, row in coboundaries.items()}
-                for i in range(1, p):
-                    if self.betti(p - i) == 0:
-                        continue
-                    for g in self.indecomposables(i)[1]:
-                        gform = self.form_of(g)
-                        for rep in self._degree(p - i).forms:
-                            product = wedge(gform, rep).terms
-                            linalg.extend(span, {data.index[m]: c for m, c in product.items()})
-                monos = list(data.index)
-                for c, row in span.items():
-                    if c not in coboundaries:
-                        f = Form(self.model.generators, {monos[j]: x for j, x in row.items()})
-                        rows.append(list(self.class_coordinates(f, p).coordinates))
+                full = len(coboundaries) + self.betti(p)
+                factors = ((gform, rep) for i in range(1, p) if self.betti(p - i)
+                           for gform in map(self.form_of, self.indecomposables(i)[1])
+                           for rep in self._degree(p - i).forms)
+                for gform, rep in factors:
+                    if len(span) == full:
+                        break
+                    product = wedge(gform, rep).terms
+                    linalg.extend(span, {data.index[m]: c for m, c in product.items()})
+                rows = [list(self._coordinates(row, p).coordinates)
+                        for c, row in span.items() if c not in coboundaries]
                 reps = [self.unit_class(p, j) for j, v in enumerate(data.vectors)
                         if linalg.extend(span, v)]
                 assert len(reps) == self.betti(p) - len(rows)
@@ -182,17 +188,12 @@ class Cohomology:
             p = degree or 0
         elif degree is not None and degree != p:
             raise ValueError(f"a form of degree {degree} has no class in degree {p}")
-        df = apply_differential(self.model, f)
-        if not df.is_zero():
-            raise NotClosedError("form is not closed", differential=df)
-        b = self.betti(p)
-        if b == 0:
+        if f.gens != self.model.generators:
+            raise DomainMismatchError("form does not live over the model's generators")
+        if p < 0 or p > self.model.dimension:
             return ClassVector(p, ())
         index = self._degree(p).index
-        x = self._solver(p).solve({index[m]: c for m, c in f.terms.items()})
-        if x is None:
-            raise AssertionError("closed form outside cocycle space")
-        return ClassVector(p, tuple(x[:b]))
+        return self._coordinates({index[m]: c for m, c in f.terms.items()}, p)
 
     def form_of(self, v: ClassVector) -> Form:
         out = Form.zero(self.model.generators)
@@ -203,11 +204,8 @@ class Cohomology:
 
     def cup(self, u: ClassVector, v: ClassVector) -> ClassVector:
         """Product of classes, reduced into the representative basis."""
-        p = u.degree + v.degree
-        if p > self.model.dimension:
-            return ClassVector(p, ())
         product = wedge(self.form_of(u), self.form_of(v))
-        return self.class_coordinates(product, p)
+        return self.class_coordinates(product, u.degree + v.degree)
 
     def unit_class(self, p: int, i: int) -> ClassVector:
         b = self.betti(p)

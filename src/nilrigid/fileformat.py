@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import ParseError
-from .forms import Form, SullivanModel, wedge
+from .forms import Form, SullivanModel, product
 from .lie import LieAlgebra, adapted_basis, ce_model, trivial_basis
 
 _TOKEN = re.compile(
@@ -264,14 +264,11 @@ def build_form(terms: list[RawTerm], target: SullivanModel, lineno: int | None =
     for coeff, names in terms:
         if len(set(names)) != len(names):
             raise ParseError(f"monomial {'^'.join(names)} repeats a generator", lineno)
-        part = Form.unit(target.generators)
-        for n in names:
-            try:
-                idx = target.index_of(n)
-            except KeyError:
-                raise ParseError(f"unknown generator {n!r}", lineno) from None
-            part = wedge(part, Form.generator(target.generators, idx))
-        out = out + part.scale(coeff)
+        try:
+            factors = [target.gen(n) for n in names]
+        except KeyError as exc:
+            raise ParseError(f"unknown generator {exc.args[0]!r}", lineno) from None
+        out = out + product(target.generators, factors).scale(coeff)
     return out
 
 

@@ -194,6 +194,16 @@ def wedge(a: Form, b: Form) -> Form:
     return Form(a.gens, terms)
 
 
+def product(gens: tuple[Generator, ...], factors) -> Form:
+    """Wedge of the factors, taken in order from the unit form; stops at zero."""
+    out = Form.unit(gens)
+    for f in factors:
+        out = wedge(out, f)
+        if out.is_zero():
+            break
+    return out
+
+
 class SullivanModel:
     """Degree-1 generators with weights and a quadratic differential.
 
@@ -302,9 +312,10 @@ def monomial_basis(model: SullivanModel, p: int, weight: int | None = None) -> l
     """Lexicographically ordered monomials of exterior degree p.
 
     With a weight filter only monomials of that total weight are kept.
+    Lambda^p = 0 for p < 0, so there the list is empty.
     """
     if p < 0:
-        raise ValueError("degree must be nonnegative")
+        return []
     monos = combinations(range(len(model.generators)), p)
     if weight is None:
         return [tuple(m) for m in monos]

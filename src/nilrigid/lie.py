@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 
 from . import linalg
 from .errors import ModelError, NotNilpotentError
@@ -119,22 +120,14 @@ def jacobi_defect(L: LieAlgebra) -> list[tuple[int, int, int, Vector]]:
     """Triples (i, j, k) where the Jacobi identity fails, with the defect
     [[X_i, X_j], X_k] + [[X_j, X_k], X_i] + [[X_k, X_i], X_j] as a dense vector."""
     n = L.dimension
-    e = [{i: _ONE} for i in range(n)]
     defects = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            bij = L.bracket(e[i], e[j])
-            for k in range(j + 1, n):
-                defect = [_ZERO] * n
-                for term in (
-                    L.bracket(bij, e[k]),
-                    L.bracket(L.bracket(e[j], e[k]), e[i]),
-                    L.bracket(L.bracket(e[k], e[i]), e[j]),
-                ):
-                    for x, c in term.items():
-                        defect[x] += c
-                if any(defect):
-                    defects.append((i, j, k, defect))
+    for i, j, k in combinations(range(n), 3):
+        defect = [_ZERO] * n
+        for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+            for x, v in L.bracket(L.bracket_basis(a, b), {c: _ONE}).items():
+                defect[x] += v
+        if any(defect):
+            defects.append((i, j, k, defect))
     return defects
 
 

@@ -14,7 +14,7 @@ from fractions import Fraction
 from . import linalg
 from .cohomology import Cohomology
 from .errors import FamilyShapeError
-from .forms import Form, SullivanModel, apply_differential, wedge
+from .forms import Form, SullivanModel, apply_differential, product, wedge
 from .lie import LieAlgebra, adapted_basis, ce_model
 
 _ZERO = Fraction(0)
@@ -43,13 +43,7 @@ def map_form(phi: GeneratorMap, src: SullivanModel, dst: SullivanModel, f: Form)
     """Multiplicative extension of the generator images applied to f."""
     out = Form.zero(dst.generators)
     for mono, coeff in f.terms.items():
-        part = Form.unit(dst.generators)
-        for idx in mono:
-            part = wedge(part, phi.images[idx])
-            if part.is_zero():
-                break
-        if not part.is_zero():
-            out = out + part.scale(coeff)
+        out = out + product(dst.generators, (phi.images[idx] for idx in mono)).scale(coeff)
     return out
 
 
@@ -292,6 +286,8 @@ def verify_cohomology_ring_iso(
             return RingIsoResult(False, stage="image-not-closed", detail=f"generator {k}")
         sdeg = sform.degree()
         ddeg = dform.degree()
+        if sdeg == 0 or ddeg == 0:
+            raise ValueError(f"generator {k} has degree 0; class lines need positive degree")
         if sdeg is None or sdeg != ddeg:
             return RingIsoResult(False, stage="degree-mismatch", detail=f"generator {k}")
         src_forms.append(sform)
@@ -310,16 +306,8 @@ def verify_cohomology_ring_iso(
         src_vecs = []
         pair_vecs = []
         for multiset in _generator_products(degrees, p):
-            sprod = Form.unit(src.model.generators)
-            for g in multiset:
-                sprod = wedge(sprod, src_forms[g])
-                if sprod.is_zero():
-                    break
-            dprod = Form.unit(dst.model.generators)
-            for g in multiset:
-                dprod = wedge(dprod, dst_forms[g])
-                if dprod.is_zero():
-                    break
+            sprod = product(src.model.generators, (src_forms[g] for g in multiset))
+            dprod = product(dst.model.generators, (dst_forms[g] for g in multiset))
             u = src.class_coordinates(sprod, p).coordinates
             v = dst.class_coordinates(dprod, p).coordinates
             src_vecs.append(list(u))

@@ -117,6 +117,35 @@ def test_zero_denominator_exits_2_without_traceback(tmp_path, text):
     assert "line 2" in proc.stderr and "zero denominator" in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (("verify-ring-iso", "{alg}", "{alg}", "{map}"), 2),
+        (("cohomology", "{alg}", "--degree", "-1"), 0),
+        (("cohomology", "{alg}", "--degree", "-1", "--by-weight"), 0),
+        (("generators", "{alg}", "--degree", "-1"), 0),
+    ],
+    ids=["degree-0-class", "cohomology", "cohomology-by-weight", "generators"],
+)
+def test_degree_edges_exit_without_traceback(tmp_path, argv, code):
+    # a fresh interpreter, so that an uncaught exception would print a traceback
+    alg, mapping = tmp_path / "t1.alg", tmp_path / "map.alg"
+    alg.write_text(THEOREM1_K1)
+    mapping.write_text("generators x1 x2 n1 m\nclass x1 -> x1\nclass 1 -> 1\n")
+    argv = [a.format(alg=alg, map=mapping) for a in argv]
+    env = dict(os.environ, PYTHONPATH=str(Path(nilrigid.__file__).resolve().parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "nilrigid.cli", "--format", "json", *argv],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == code
+    assert "Traceback" not in proc.stderr
+    if code:
+        assert proc.stderr == "error: generator 1 has degree 0; class lines need positive degree\n"
+    else:
+        assert proc.stderr == "" and json.loads(proc.stdout)["betti"] == 0
+
+
 def test_repeated_generator_in_monomial_exits_2(run, tmp_path):
     form = tmp_path / "form.alg"
     form.write_text("generators a1 a2 b c d\nform a1^c + a2^a2\n")

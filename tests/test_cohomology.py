@@ -10,12 +10,14 @@ import pytest
 
 from nilrigid import (
     Cohomology,
+    DomainMismatchError,
     LieAlgebra,
     ModelError,
     NotClosedError,
     apply_differential,
     ce_model,
     cochain_matrix,
+    fingerprint,
     lie_from_model,
     monomial_basis,
     theorem1_family,
@@ -185,6 +187,14 @@ def test_indecomposables_check_that_products_are_closed(monkeypatch):
         Cohomology(A).indecomposables(3)
 
 
+def test_fingerprint_stops_forming_products_at_a_full_span(monkeypatch):
+    # once B^p and the products span Z^p, no further product is formed
+    calls = []
+    monkeypatch.setattr(cohomology, "wedge", lambda a, b: calls.append(1) or wedge(a, b))
+    fingerprint(lie_from_model(theorem4_example()))
+    assert 0 < len(calls) <= 7737
+
+
 def test_class_coordinates_round_trip():
     A = theorem1_family(2)
     H = Cohomology(A)
@@ -194,12 +204,28 @@ def test_class_coordinates_round_trip():
             assert H.class_coordinates(H.form_of(v), p) == v
 
 
+def sl2_model():
+    # sl2 = <e, f, h> in its given basis: no 1-form is closed, b = (1, 0, 0, 1)
+    brackets = {(0, 1): {2: Fraction(1)}, (0, 2): {0: Fraction(-2)}, (1, 2): {1: Fraction(2)}}
+    return model_of(LieAlgebra(("e", "f", "h"), brackets), (0, 0, 0))
+
+
 def test_class_coordinates_rejects_non_closed():
-    A = theorem1_family(1)
-    H = Cohomology(A)
-    with pytest.raises(NotClosedError) as err:
-        H.class_coordinates(form_of(A, "n1"))
-    assert err.value.differential is not None
+    # the witness is d f, both where H^1 != 0 and where Z^1 = B^1 = 0
+    for A, name, b1 in ((theorem1_family(1), "n1", 2), (sl2_model(), "h", 0)):
+        H = Cohomology(A)
+        assert H.betti(1) == b1
+        f = form_of(A, name)
+        with pytest.raises(NotClosedError) as err:
+            H.class_coordinates(f)
+        assert err.value.differential == apply_differential(A, f)
+    assert Cohomology(sl2_model()).betti_vector() == (1, 0, 0, 1)
+
+
+def test_class_coordinates_rejects_a_form_over_other_generators():
+    H = Cohomology(theorem1_family(1))
+    with pytest.raises(DomainMismatchError):
+        H.class_coordinates(form_of(theorem1_family(2), "x1"), 1)
 
 
 def test_class_coordinates_rejects_a_form_of_another_degree():

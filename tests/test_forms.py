@@ -20,7 +20,7 @@ from nilrigid import (
     section3_pair,
     wedge,
 )
-from nilrigid.forms import merge_monomials
+from nilrigid.forms import merge_monomials, product
 
 
 GENS = tuple(Generator(f"e{i}", i) for i in range(6))
@@ -141,10 +141,20 @@ def test_monomial_basis_counts_and_order():
     assert len(basis) == 6
     assert basis == sorted(basis)
     assert monomial_basis(model, 0) == [()]
+    assert monomial_basis(model, -1) == []
     assert monomial_basis(model, 5) == []
     weighted = monomial_basis(model, 2, weight=1)
     # pairs of one weight-0 x and the weight-1 generator n1
     assert weighted == [(0, 2), (1, 2)]
+
+
+def test_product_wedges_from_the_unit_and_stops_at_zero():
+    x0, x1 = Form.generator(GENS, 0), Form.generator(GENS, 1)
+    assert product(GENS, []) == Form.unit(GENS)
+    assert product(GENS, [x1, x0]) == wedge(x1, x0)
+    taken = []
+    factors = (taken.append(f) or f for f in (x0, x0, x1))
+    assert product(GENS, factors).is_zero() and len(taken) == 2
 
 
 def test_model_validation():

@@ -230,3 +230,10 @@ def test_ring_iso_rejects_non_closed_image():
     pairs = [(form_of(first, "a1"), form_of(second, "b"))]
     result = verify_cohomology_ring_iso(Cohomology(first), Cohomology(second), pairs)
     assert not result.ok and result.stage == "image-not-closed"
+
+
+def test_ring_iso_rejects_a_degree_zero_class():
+    first, second = section3_pair()
+    pairs = ring_pairs(first, second, [("a1", "a1"), ("1", "1")])
+    with pytest.raises(ValueError, match="generator 1 has degree 0"):
+        verify_cohomology_ring_iso(Cohomology(first), Cohomology(second), pairs)
