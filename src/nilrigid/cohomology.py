@@ -20,7 +20,7 @@ from .errors import DomainMismatchError, ModelError, NotClosedError
 from .forms import (
     Form,
     SullivanModel,
-    apply_differential,
+    _derive,
     check_d_squared,
     monomial_basis,
     monomial_weight,
@@ -48,13 +48,15 @@ def cochain_matrix(A: SullivanModel, p: int) -> list[dict[int, Fraction]]:
 
     Column j is d of the j-th lexicographic monomial of degree p, as
     {row: coefficient} over the lexicographic monomials of degree p + 1.
+    Each column is one call of the integer kernel ``forms._derive``, which
+    gives D * d(mono) for D = A.scale, divided by D; no Form is built.
     """
     index = {m: i for i, m in enumerate(monomial_basis(A, p + 1))}
-    columns = []
-    for mono in monomial_basis(A, p):
-        df = apply_differential(A, Form(A.generators, {mono: 1}))
-        columns.append({index[m]: c for m, c in df.terms.items()})
-    return columns
+    scale = A.scale
+    return [
+        {index[m]: Fraction(v, scale) for m, v in _derive(A, mono).items() if v}
+        for mono in monomial_basis(A, p)
+    ]
 
 
 class _Classes:

@@ -4,13 +4,21 @@ Values are immutable; every operation returns a fresh Form.  Monomials are
 strictly increasing tuples of generator indices (all generators are odd, so a
 repeated index kills a monomial) and are ordered lexicographically wherever a
 basis is enumerated, which keeps every downstream matrix deterministic.
+
+A SullivanModel also keeps d as an integer term table: ``scale`` is the lcm
+D of all denominators in the d v_i (1 for d = 0) and ``table[i]`` holds the
+terms (a, b, D * coefficient) of d v_i as ints.  The one derivation kernel,
+``_derive``, returns D * d(mono) as {monomial: int}; apply_differential,
+check_d_squared and cohomology.cochain_matrix divide by D only at the end.
 """
 
 from __future__ import annotations
 
+from bisect import bisect
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 from numbers import Rational
 
 from .errors import DomainMismatchError, MixedDegreeError, ModelError
@@ -211,7 +219,7 @@ class SullivanModel:
     exterior algebra as a derivation of degree +1.
     """
 
-    __slots__ = ("generators", "differential")
+    __slots__ = ("generators", "differential", "scale", "table")
 
     def __init__(self, generators, differential):
         generators = tuple(generators)
@@ -231,6 +239,11 @@ class SullivanModel:
                 raise ModelError(f"differential of {g.name} is not quadratic")
         self.generators = generators
         self.differential = differential
+        self.scale = scale = lcm(*(c.denominator for f in differential for c in f.terms.values()))
+        self.table = tuple(
+            tuple((a, b, c.numerator * (scale // c.denominator)) for (a, b), c in f.terms.items())
+            for f in differential
+        )
 
     @property
     def dimension(self) -> int:
@@ -273,39 +286,64 @@ class SullivanModel:
         return f"SullivanModel({gens})"
 
 
+def _derive(model: SullivanModel, mono: Monomial) -> dict[Monomial, int]:
+    """model.scale * d(mono) as {monomial: int}, cancelled terms kept as 0.
+
+    Each term (a, b, c) of d v_mono[pos] is merged into the rest of mono by
+    bisection; i + j has the parity of the merge's inversions."""
+    out: dict[Monomial, int] = {}
+    table = model.table
+    for pos, idx in enumerate(mono):
+        terms = table[idx]
+        if not terms:
+            continue
+        rest = mono[:pos] + mono[pos + 1 :]
+        for a, b, c in terms:
+            i = bisect(rest, a)
+            j = bisect(rest, b)
+            if (i and rest[i - 1] == a) or (j and rest[j - 1] == b):
+                continue
+            merged = rest[:i] + (a,) + rest[i:j] + (b,) + rest[j:]
+            out[merged] = out.get(merged, 0) + (-c if (pos + i + j) & 1 else c)
+    return out
+
+
 def apply_differential(model: SullivanModel, f: Form) -> Form:
     """Extend the generator differential to f as a degree +1 derivation."""
     if f.gens != model.generators:
         raise DomainMismatchError("form does not live over the model's generators")
     terms: dict[Monomial, Fraction] = {}
     for mono, coeff in f.terms.items():
-        for pos, idx in enumerate(mono):
-            dgen = model.differential[idx]
-            if dgen.is_zero():
-                continue
-            rest = mono[:pos] + mono[pos + 1 :]
-            pos_sign = (-1) ** (pos & 1)
-            for dm, dc in dgen.terms.items():
-                merged, sign = merge_monomials(rest, dm)
-                if merged is None:
-                    continue
-                value = pos_sign * sign * coeff * dc
-                terms[merged] = terms.get(merged, Fraction(0)) + value
-    return Form(model.generators, terms)
+        for merged, v in _derive(model, mono).items():
+            terms[merged] = terms.get(merged, 0) + coeff * v
+    return Form(model.generators, {m: c / model.scale for m, c in terms.items()})
 
 
 def check_d_squared(model: SullivanModel) -> list[tuple[Generator, Form]]:
     """Generators on which d^2 fails, with the nonzero defect form.
 
     Empty exactly when the model is a valid CDGA; checking on generators
-    suffices because d^2 is again a derivation.
+    suffices because d^2 is again a derivation.  D^2 d^2 v_i is summed in ints
+    as c * D d(v_a v_b) over the terms (a, b, c) of table[i]; each pair is
+    derived once and added into every d^2 v_i that uses it.
     """
-    defects = []
-    for g, df in zip(model.generators, model.differential):
-        dd = apply_differential(model, df)
-        if not dd.is_zero():
-            defects.append((g, dd))
-    return defects
+    uses: dict[Monomial, list[tuple[int, int]]] = {}
+    for i, terms in enumerate(model.table):
+        for a, b, c in terms:
+            uses.setdefault((a, b), []).append((i, c))
+    dd: list[dict[Monomial, int]] = [{} for _ in model.table]
+    for pair, targets in uses.items():
+        derived = _derive(model, pair)
+        for i, c in targets:
+            acc = dd[i]
+            for m, v in derived.items():
+                acc[m] = acc.get(m, 0) + c * v
+    square = model.scale**2
+    return [
+        (g, Form(model.generators, {m: Fraction(v, square) for m, v in acc.items() if v}))
+        for g, acc in zip(model.generators, dd)
+        if any(acc.values())
+    ]
 
 
 def monomial_basis(model: SullivanModel, p: int, weight: int | None = None) -> list[Monomial]:

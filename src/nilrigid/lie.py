@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 
 from . import linalg
 from .errors import ModelError, NotNilpotentError
@@ -118,16 +119,27 @@ class AdaptedBasis:
 
 def jacobi_defect(L: LieAlgebra) -> list[tuple[int, int, int, Vector]]:
     """Triples (i, j, k) where the Jacobi identity fails, with the defect
-    [[X_i, X_j], X_k] + [[X_j, X_k], X_i] + [[X_k, X_i], X_j] as a dense vector."""
+    [[X_i, X_j], X_k] + [[X_j, X_k], X_i] + [[X_k, X_i], X_j] as a dense vector.
+
+    The structure constants, scaled by the lcm D of their denominators, form
+    a skew int table; defects are summed in ints and divided by D^2.  Only
+    L.brackets is read, so this stays independent of check_d_squared.
+    """
     n = L.dimension
+    scale = lcm(*(c.denominator for vec in L.brackets.values() for c in vec.values()))
+    table: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    for (l, k), vec in L.brackets.items():
+        table[l, k] = [(i, c.numerator * (scale // c.denominator)) for i, c in vec.items()]
+        table[k, l] = [(i, -v) for i, v in table[l, k]]
     defects = []
     for i, j, k in combinations(range(n), 3):
-        defect = [_ZERO] * n
+        defect = [0] * n
         for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-            for x, v in L.bracket(L.bracket_basis(a, b), {c: _ONE}).items():
-                defect[x] += v
+            for x, u in table.get((a, b), ()):
+                for y, v in table.get((x, c), ()):
+                    defect[y] += u * v
         if any(defect):
-            defects.append((i, j, k, defect))
+            defects.append((i, j, k, [Fraction(v, scale * scale) for v in defect]))
     return defects
 
 

@@ -3,7 +3,8 @@
 The oracle is written independently of the library pipeline: it builds the
 Chevalley-Eilenberg differential straight from the structure constants with
 its own sign bookkeeping and ranks the dense matrices with its own forward
-elimination.  Agreement with the library is therefore meaningful evidence.
+elimination; its Jacobiator brackets dense basis vectors in Fractions.
+Agreement with the library is therefore meaningful evidence.
 """
 
 from fractions import Fraction
@@ -74,6 +75,55 @@ def _differential_matrix(L, p):
                 value = Fraction((-1) ** pos) * (-c) * sign
                 rows[dst[merged]][col] += value
     return rows, len(src)
+
+
+def oracle_columns(L, p):
+    """Sparse columns {row: coefficient} of the dense d_p above."""
+    rows, width = _differential_matrix(L, p)
+    return [{r: row[j] for r, row in enumerate(rows) if row[j]} for j in range(width)]
+
+
+def oracle_d_squared(L):
+    """(i, {row: coefficient}) for every i with d_2 d_1 v_i != 0, rows over Lambda^3."""
+    d1, d2 = oracle_columns(L, 1), oracle_columns(L, 2)
+    out = []
+    for i, column in enumerate(d1):
+        dd = {}
+        for j, c in column.items():
+            for r, v in d2[j].items():
+                dd[r] = dd.get(r, ZERO) + c * v
+        dd = {r: v for r, v in dd.items() if v}
+        if dd:
+            out.append((i, dd))
+    return out
+
+
+def jacobiator(L):
+    """Jacobi defects computed straight from the structure constants."""
+    n = L.dimension
+
+    def bracket(u, v):
+        out = [Fraction(0)] * n
+        for (l, k), vec in L.brackets.items():
+            f = u[l] * v[k] - u[k] * v[l]
+            for i, c in vec.items():
+                out[i] += f * c
+        return out
+
+    e = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    defects = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k in range(j + 1, n):
+                terms = (
+                    bracket(bracket(e[i], e[j]), e[k]),
+                    bracket(bracket(e[j], e[k]), e[i]),
+                    bracket(bracket(e[k], e[i]), e[j]),
+                )
+                defect = [sum(column) for column in zip(*terms)]
+                if any(defect):
+                    defects.append((i, j, k, defect))
+    return defects
 
 
 def oracle_betti(L) -> tuple:

@@ -26,7 +26,7 @@ from nilrigid import (
     trivial_basis,
     truncate,
 )
-from oracle import corrupt, filiform4, heisenberg, random_nilpotent
+from oracle import corrupt, filiform4, heisenberg, jacobiator, random_nilpotent
 
 
 def test_heisenberg_lcs():
@@ -66,34 +66,6 @@ def test_jacobi_defect_nonempty_on_corruption():
             found = True
             break
     assert found
-
-
-def jacobiator(L):
-    """Jacobi defects computed straight from the structure constants."""
-    n = L.dimension
-
-    def bracket(u, v):
-        out = [Fraction(0)] * n
-        for (l, k), vec in L.brackets.items():
-            f = u[l] * v[k] - u[k] * v[l]
-            for i, c in vec.items():
-                out[i] += f * c
-        return out
-
-    e = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    defects = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                terms = (
-                    bracket(bracket(e[i], e[j]), e[k]),
-                    bracket(bracket(e[j], e[k]), e[i]),
-                    bracket(bracket(e[k], e[i]), e[j]),
-                )
-                defect = [sum(column) for column in zip(*terms)]
-                if any(defect):
-                    defects.append((i, j, k, defect))
-    return defects
 
 
 def test_jacobi_defect_matches_the_jacobiator():
