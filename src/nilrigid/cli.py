@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from . import __version__
 from .cohomology import Cohomology
@@ -84,12 +83,8 @@ def _model(path: str):
     return model(_parse(path))
 
 
-def _frac(x: Fraction) -> str:
-    return str(x)
-
-
 def _vec(v) -> list:
-    return [_frac(c) for c in v]
+    return [str(c) for c in v]
 
 
 # -- subcommand implementations ---------------------------------------------
@@ -128,7 +123,7 @@ def _cmd_lcs(args, report):
 def _cmd_carnot(args, report):
     L = _lie(args.file)
     basis = adapted_basis(L)
-    graded = carnot(L)
+    graded = carnot(L, basis)
     report["weights"] = list(basis.weights)
     report["algebra_file"] = emit_algebra(graded, weights=basis.weights)
     report["ok"] = True
@@ -289,7 +284,7 @@ def _cmd_normalize(args, report):
         if img != Form.generator(A.generators, g.index):
             changed[g.name] = form_to_str(img)
     top = [g for g in A.generators if g.weight == 2][0]
-    report["residual"] = _frac(norm.residual)
+    report["residual"] = str(norm.residual)
     report["map"] = changed
     report["normalized_differential"] = form_to_str(
         norm.normalized.differential[top.index]

@@ -135,12 +135,17 @@ class Cohomology:
     def _products(self, p: int):
         """rref basis of H^+ . H^+ in H^p coordinates, and the indecomposables.
 
-        One cochain span holds B^p and the products of indecomposables with
-        classes, which span H^+ . H^+; products stop once it is full, with
-        len(B^p) + b_p rows, all of Z^p.  Only its rows with a pivot outside
-        B^p get class coordinates.  With B^p they span it, so a product that
-        is not closed makes one of their solves fail.  The unit classes whose
-        cocycles extend the span, in order, represent H^p / (H^+ . H^+).
+        One cochain span holds B^p and the products g . h of indecomposables
+        g of degree i <= p // 2 with classes h of degree p - i.  These span
+        H^+ . H^+ in degree p: the indecomposables generate H^+, so it is
+        spanned by products g_1 ... g_r, r >= 2, of them, and by graded
+        commutativity the factor of least degree, at most p / 2, can go
+        first up to sign, the rest being a class of the complementary
+        degree.  Products stop once the span is full, with len(B^p) + b_p
+        rows, all of Z^p.  Only its rows with a pivot outside B^p get class
+        coordinates.  With B^p they span it, so a product that is not closed
+        makes one of their solves fail.  The unit classes whose cocycles
+        extend the span, in order, represent H^p / (H^+ . H^+).
         """
         if p not in self._dec:
             rows, reps = [], []
@@ -149,7 +154,7 @@ class Cohomology:
                 coboundaries = self._coboundaries(p)
                 span = {c: dict(row) for c, row in coboundaries.items()}
                 full = len(coboundaries) + self.betti(p)
-                factors = ((gform, rep) for i in range(1, p) if self.betti(p - i)
+                factors = ((gform, rep) for i in range(1, p // 2 + 1) if self.betti(p - i)
                            for gform in map(self.form_of, self.indecomposables(i)[1])
                            for rep in self._degree(p - i).forms)
                 for gform, rep in factors:

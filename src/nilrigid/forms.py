@@ -125,9 +125,6 @@ class Form:
             raise MixedDegreeError(f"form has mixed weights {sorted(weights)}")
         return weights.pop()
 
-    def monomials(self) -> list[Monomial]:
-        return sorted(self.terms)
-
     # -- arithmetic --------------------------------------------------------
 
     def _require_same_gens(self, other: "Form"):
@@ -350,9 +347,9 @@ def monomial_basis(model: SullivanModel, p: int, weight: int | None = None) -> l
     """Lexicographically ordered monomials of exterior degree p.
 
     With a weight filter only monomials of that total weight are kept.
-    Lambda^p = 0 for p < 0, so there the list is empty.
+    Lambda^p = 0 for p < 0 and for p > n, so there the list is empty.
     """
-    if p < 0:
+    if not 0 <= p <= len(model.generators):
         return []
     monos = combinations(range(len(model.generators)), p)
     if weight is None:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
 from math import lcm
 
 from . import linalg
@@ -75,9 +75,6 @@ class LieAlgebra:
                     for i, c in vec.items():
                         out[i] = out.get(i, _ZERO) + f * c
         return {i: c for i, c in out.items() if c}
-
-    def is_abelian(self) -> bool:
-        return not self.brackets
 
     def __eq__(self, other):
         return (
@@ -174,59 +171,38 @@ def lower_central_series(L: LieAlgebra) -> SubspaceChain:
 def adapted_basis(L: LieAlgebra) -> AdaptedBasis:
     """Basis adapted to the lower central series.
 
-    Complements are chosen greedily: at each weight, standard basis vectors
-    of exactly that weight are promoted first (in index order), so an algebra
-    already given in adapted coordinates keeps the identity basis.
+    At each weight w the span starts from the echelon rows of g^(w+1) and
+    is completed to g^(w) greedily: first the standard vectors e_j that lie
+    in g^(w), in index order and under their own names, then the echelon
+    rows of g^(w), in pivot order and named ``v<position>``.  An algebra
+    already given in adapted coordinates keeps the identity basis.  A name
+    that is taken gets the first free suffix ``_2``, ``_3``, ... in order.
     """
     stages, nilpotent = _series(L)
     if not nilpotent:
         raise NotNilpotentError("lower central series stabilizes at a nonzero subspace")
     n = L.dimension
-    depth = len(stages) - 1  # last stage is zero
-
-    def weight_of(j: int) -> int:
-        """Largest i < depth with the standard vector e_j in g^(i)."""
-        w = 0
-        for i in range(1, depth):
-            if linalg.reduce({j: _ONE}, stages[i]):
-                break
-            w = i
-        return w
-
-    std_weights = [weight_of(j) for j in range(n)]
-
     columns: list[Vec] = []
     weights: list[int] = []
-    names: list[str] = []
-    used_names = set()
-    for w in range(depth):
-        # span of g^(w+1) plus the vectors already chosen at this weight
-        span = linalg.echelon(stages[w + 1].values())
-        target = len(stages[w])
-
-        def try_add(v: Vec, name: str):
-            if not linalg.extend(span, v):
-                return
-            columns.append(v)
-            weights.append(w)
-            base = name
-            idx = 1
-            while name in used_names:
-                idx += 1
-                name = f"{base}_{idx}"
-            used_names.add(name)
-            names.append(name)
-
-        for j in range(n):
-            if std_weights[j] == w:
-                try_add({j: _ONE}, L.names[j])
-            if len(span) == target:
+    raw: list[str] = []
+    for w, (stage, below) in enumerate(zip(stages, stages[1:])):
+        span = {c: dict(row) for c, row in below.items()}
+        standard = (({j: _ONE}, L.names[j]) for j in range(n)
+                    if not linalg.reduce({j: _ONE}, stage))
+        for v, name in chain(standard, ((stage[c], None) for c in sorted(stage))):
+            if len(span) == len(stage):
                 break
-        if len(span) < target:
-            for c in sorted(stages[w]):
-                try_add(stages[w][c], f"v{len(columns)}")
-                if len(span) == target:
-                    break
+            if linalg.extend(span, v):
+                raw.append(f"v{len(columns)}" if name is None else name)
+                columns.append(v)
+                weights.append(w)
+    names: list[str] = []
+    for name in raw:
+        base, idx = name, 1
+        while name in names:
+            idx += 1
+            name = f"{base}_{idx}"
+        names.append(name)
     return AdaptedBasis(
         columns=tuple(tuple(linalg.dense(c, n)) for c in columns),
         weights=tuple(weights),
@@ -259,13 +235,15 @@ def change_basis(L: LieAlgebra, basis: AdaptedBasis) -> LieAlgebra:
     return LieAlgebra(basis.names, brackets)
 
 
-def carnot(L: LieAlgebra) -> LieAlgebra:
-    """Associated Carnot-graded algebra in the adapted basis.
+def carnot(L: LieAlgebra, basis: AdaptedBasis | None = None) -> LieAlgebra:
+    """Associated Carnot-graded algebra in the given (default: computed)
+    adapted basis.
 
     Brackets of basis vectors with weights i and j are projected to the
     component of weight exactly i + j + 1.
     """
-    basis = adapted_basis(L)
+    if basis is None:
+        basis = adapted_basis(L)
     Lb = change_basis(L, basis)
     w = basis.weights
     brackets = {}

@@ -124,8 +124,11 @@ def test_zero_denominator_exits_2_without_traceback(tmp_path, text):
         (("cohomology", "{alg}", "--degree", "-1"), 0),
         (("cohomology", "{alg}", "--degree", "-1", "--by-weight"), 0),
         (("generators", "{alg}", "--degree", "-1"), 0),
+        (("cohomology", "{alg}", "--degree", "9223372036854775807", "--by-weight"), 0),
+        (("cohomology", "{alg}", "--degree", "99999999999999999999", "--by-weight"), 0),
     ],
-    ids=["degree-0-class", "cohomology", "cohomology-by-weight", "generators"],
+    ids=["degree-0-class", "cohomology", "cohomology-by-weight", "generators",
+         "by-weight-ssize-max", "by-weight-beyond-ssize"],
 )
 def test_degree_edges_exit_without_traceback(tmp_path, argv, code):
     # a fresh interpreter, so that an uncaught exception would print a traceback
@@ -144,6 +147,34 @@ def test_degree_edges_exit_without_traceback(tmp_path, argv, code):
         assert proc.stderr == "error: generator 1 has degree 0; class lines need positive degree\n"
     else:
         assert proc.stderr == "" and json.loads(proc.stdout)["betti"] == 0
+
+
+TEXT_REPORTS = json.loads((Path(__file__).parent / "data" / "text_reports.json").read_text())
+
+
+@pytest.mark.parametrize("case", sorted(TEXT_REPORTS["cases"]))
+def test_text_reports_are_pinned(run, tmp_path, case):
+    # every subcommand in the default text format; `conj` is theorem1(1) in
+    # another basis whose names include v0, so that its adapted basis is not
+    # the identity and renames a clashing vector to v3_2
+    paths = {}
+    for name, text in TEXT_REPORTS["inputs"].items():
+        paths[name] = tmp_path / f"{name}.alg"
+        paths[name].write_text(text)
+    want = TEXT_REPORTS["cases"][case]
+    got = run(*(arg.format(**paths) for arg in want["argv"]))
+    assert got == (want["code"], want["stdout"], want["stderr"])
+
+
+def test_carnot_computes_the_central_series_once(run, monkeypatch, tmp_path):
+    from nilrigid import lie
+
+    calls, series = [], lie._series
+    monkeypatch.setattr(lie, "_series", lambda L: calls.append(L) or series(L))
+    path = tmp_path / "conj.alg"
+    path.write_text(TEXT_REPORTS["inputs"]["conj"])
+    assert run("carnot", str(path)) == (0, TEXT_REPORTS["cases"]["carnot conj"]["stdout"], "")
+    assert len(calls) == 1
 
 
 def test_repeated_generator_in_monomial_exits_2(run, tmp_path):

@@ -143,6 +143,7 @@ def test_monomial_basis_counts_and_order():
     assert monomial_basis(model, 0) == [()]
     assert monomial_basis(model, -1) == []
     assert monomial_basis(model, 5) == []
+    assert monomial_basis(model, 10**20) == []
     weighted = monomial_basis(model, 2, weight=1)
     # pairs of one weight-0 x and the weight-1 generator n1
     assert weighted == [(0, 2), (1, 2)]
