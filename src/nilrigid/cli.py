@@ -3,7 +3,8 @@
 Reports are emitted as text (default) or JSON; the JSON envelope carries
 ``"schema": "nilrigid-report/1"`` and validates against
 ``schemas/report.schema.json``.  Exit codes: 0 success, 1 mathematical
-refutation (the report carries the witness), 2 usage or parse errors.
+refutation (the report carries the witness), 2 usage or parse errors, and
+also an internal error, reported on one line without a traceback.
 """
 
 from __future__ import annotations
@@ -552,6 +553,10 @@ def main(argv=None) -> int:
         code = _COMMANDS[args.command](args, report)
     except (NilrigidError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except Exception as exc:  # a fault of the program: never exit 1, which refutes
+        message = " ".join(str(exc).split())
+        print(f"error: internal: {type(exc).__name__}: {message}", file=sys.stderr)
         return EXIT_USAGE
     if args.format == "json":
         sys.stdout.write(json.dumps(report, sort_keys=True, indent=2) + "\n")

@@ -2,10 +2,11 @@
 
 Betti numbers, deterministic representative bases, cup products,
 indecomposable (algebra generator) counts and the weight refinement for
-Carnot-homogeneous differentials.  All elimination happens over the
-rationals, so every reported number is exact.  Each degree is eliminated
-once: the weight refinement counts pivots of the cached coboundary bases,
-and the decomposables of a degree are one span of cochains.
+Carnot-homogeneous differentials.  All elimination is exact, fraction-free
+on integers with rational results, so every reported number is exact.  Each
+degree is eliminated once: Betti numbers and the weight refinement count
+pivots of the cached coboundary bases, and the decomposables of a degree
+are one span of cochains.
 """
 
 from __future__ import annotations
@@ -68,9 +69,12 @@ class _Classes:
 class Cohomology:
     """Cohomology ring of a valid Sullivan model, computed degree by degree.
 
-    Each d_p is built once: its rank gives Betti numbers, its kernel the
-    cocycles of degree p and its column span the coboundaries B^(p+1), whose
-    pivots per weight give the weight refinement.  Classes are solved as
+    Each d_p is built once.  Its column span, the coboundaries B^(p+1), is
+    eliminated once into an integer echelon basis: Betti numbers are pivot
+    counts of it, and so is the weight refinement, weight by weight.  The
+    reduced basis of B^(p+1) is built from that same integer basis, which it
+    replaces, only when representatives, products or solves need its rows.
+    The kernel of d_p gives the cocycles of degree p.  Classes are solved as
     cochain vectors against the representatives and B^p, which span Z^p:
     membership is closedness.  The decomposables of degree p are one cochain
     span, B^p extended by products of classes until it is all of Z^p.
@@ -83,6 +87,7 @@ class Cohomology:
             raise ModelError(f"d^2 != 0 on {names}", defects=defects)
         self.model = model
         self._d: dict[int, list[dict[int, Fraction]]] = {}
+        self._echelons: dict[int, dict[int, dict[int, int]]] = {}
         self._images: dict[int, dict[int, dict[int, Fraction]]] = {}
         self._data: dict[int, _Classes] = {}
         self._dec: dict[int, tuple[list[list[Fraction]], tuple[int, tuple]]] = {}
@@ -94,10 +99,21 @@ class Cohomology:
             self._d[p] = cochain_matrix(self.model, p)
         return self._d[p]
 
+    def _pivots(self, p: int) -> dict[int, dict]:
+        """The pivot columns of B^p = d(Lambda^(p-1)), as the keys of its
+        integer echelon basis, or of the reduced basis once that is built."""
+        if p in self._images:
+            return self._images[p]
+        if p not in self._echelons:
+            self._echelons[p] = linalg.integer_echelon(self._differential(p - 1)) if p > 0 else {}
+        return self._echelons[p]
+
     def _coboundaries(self, p: int) -> dict[int, dict[int, Fraction]]:
-        """Reduced echelon basis of d(Lambda^(p-1)), keyed by pivot."""
+        """Reduced echelon basis of B^p, keyed by pivot, built from the
+        integer echelon basis, which it replaces."""
         if p not in self._images:
-            self._images[p] = linalg.echelon(self._differential(p - 1)) if p > 0 else {}
+            self._pivots(p)
+            self._images[p] = linalg.to_rref(self._echelons.pop(p))
         return self._images[p]
 
     def _degree(self, p: int) -> _Classes:
@@ -106,7 +122,7 @@ class Cohomology:
         A = self.model
         monos = monomial_basis(A, p)
         cocycles = linalg.nullspace(self._differential(p), comb(A.dimension, p + 1))
-        coboundaries = self._coboundaries(p)
+        coboundaries = self._pivots(p)
         data = _Classes()
         data.index = {m: i for i, m in enumerate(monos)}
         # representatives: reduced echelon cocycle rows whose pivot is not a
@@ -173,11 +189,12 @@ class Cohomology:
     # -- public api --------------------------------------------------------
 
     def betti(self, p: int) -> int:
-        """dim Lambda^p - rank d_p - rank d_(p-1)."""
+        """dim Lambda^p - rank d_p - rank d_(p-1), the ranks being the pivot
+        counts of the integer echelon bases of B^(p+1) and B^p."""
         if p < 0 or p > self.model.dimension:
             return 0
         dim = len(self._differential(p))
-        return dim - len(self._coboundaries(p + 1)) - len(self._coboundaries(p))
+        return dim - len(self._pivots(p + 1)) - len(self._pivots(p))
 
     def betti_vector(self) -> tuple[int, ...]:
         return tuple(self.betti(p) for p in range(self.model.dimension + 1))
@@ -230,9 +247,10 @@ class Cohomology:
         """H^p split by total lower degree; requires a Carnot-homogeneous d.
 
         d then maps weight w of Lambda^p to weight w - 1 of Lambda^(p+1), so
-        the cached reduced echelon basis of B^(p+1) is the union of those of
-        the weight blocks: the rank of d_p on weight w is the number of its
-        pivots at weight w - 1, that of d_(p-1) into weight w of B^p's.
+        the pivot set of B^(p+1), which does not depend on the echelon basis
+        it is read from, is the union of those of the weight blocks: the
+        rank of d_p on weight w is the number of its pivots at weight w - 1,
+        that of d_(p-1) into weight w of B^p's.
         """
         A = self.model
         if not is_carnot_homogeneous(A):
@@ -241,8 +259,8 @@ class Cohomology:
             [monomial_weight(A.generators, m) for m in monomial_basis(A, q)] for q in (p, p + 1)
         )
         dims = Counter(here)
-        for c in self._coboundaries(p):
+        for c in self._pivots(p):
             dims[here[c]] -= 1
-        for c in self._coboundaries(p + 1):
+        for c in self._pivots(p + 1):
             dims[above[c] + 1] -= 1
         return {w: dim for w, dim in sorted(dims.items()) if dim}

@@ -1,16 +1,21 @@
 """Exact Gaussian elimination over the rationals.
 
-Every routine here is a view on one sparse elimination step, ``extend``,
-which grows the reduced row echelon basis of a span, kept as
-``{column: Fraction}`` rows that hold nonzero entries only, by one row
-(after Dumas, Heckenbach, Saunders & Welker, restricted to ranks over Q).
-The reduced echelon form of a span is unique, so every result (rref,
-nullspace, solved coordinates) is deterministic for a given input.
+A span is held as an echelon basis of sparse rows, ``{column: value}``
+dicts with nonzero entries only, keyed by pivot column.  ``echelon`` is the
+one elimination of a whole set of rows: ``integer_echelon`` reduces them
+fraction-free on Python ints (Bareiss; the exact integer strategy of Dumas,
+Saunders & Villard), and ``to_rref`` turns that basis into the reduced row
+echelon basis, with ``Fraction`` entries.  The reduced form of a span is
+unique, so every result (rref, nullspace, solved coordinates) is
+deterministic for a given input, and equals what ``extend``, the one-row
+step on a reduced basis, builds row by row.  A rank or a pivot set needs
+only the integer basis.
 
-Library code calls the sparse routines: ``extend``, ``echelon``, ``reduce``
-(a membership test), and ``nullspace`` and ``ColumnSolver``, which take a
-matrix as a list of sparse columns, the form in which the cochain complexes
-and changes of basis are built.  The dense views ``rref``,
+Library code calls the sparse routines: ``echelon``, ``integer_echelon``
+and ``to_rref``; ``extend`` and ``reduce`` (a membership test) for spans
+grown one row at a time; and ``nullspace`` and ``ColumnSolver``, which
+take a matrix as a list of sparse columns, the form in which the cochain
+complexes and changes of basis are built.  The dense views ``rref``,
 ``rank``, ``in_rowspan``, ``invert`` and ``identity`` take matrices as lists
 of rows of Fraction; they serve tests and the benchmark's input generation,
 plus the small dense rank checks in ``morphisms`` and the dense basis that
@@ -21,6 +26,8 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
+from math import gcd, lcm
 
 Row = list[Fraction]
 Vec = dict[int, Fraction]
@@ -76,12 +83,123 @@ def extend(basis: dict[int, Vec], row: Vec) -> bool:
     return True
 
 
-def echelon(rows: Iterable[Vec]) -> dict[int, Vec]:
-    """Reduced row echelon basis of the span of sparse rows, pivot -> row."""
-    basis: dict[int, Vec] = {}
+def _primitive(row: dict[int, Fraction | int]) -> dict[int, int]:
+    """``row`` times the one positive rational that makes it an integer row
+    whose entries have no common factor, as a new dict."""
+    den = 1
+    for x in row.values():
+        den = lcm(den, x.denominator)
+    r = {j: x.numerator * (den // x.denominator) for j, x in row.items()}
+    _remove_content(r)
+    return r
+
+
+def _scale(r: dict[int, int], a: int) -> None:
+    """r *= a, in place."""
+    for j in r:
+        r[j] *= a
+
+
+def _remove_content(r: dict[int, int]) -> None:
+    """Divide the integer row ``r`` by the gcd of its entries, in place."""
+    g = 0
+    for x in r.values():
+        g = gcd(g, x)
+        if g == 1:
+            return
+    if g > 1:
+        for j in r:
+            r[j] //= g
+
+
+def integer_echelon(rows: Iterable[dict[int, Fraction | int]]) -> dict[int, dict[int, int]]:
+    """Echelon basis of the span of sparse rows, pivot -> primitive integer row.
+
+    Each row is scaled to a primitive integer row and reduced fraction-free
+    (Bareiss) against the basis, pivot by pivot in increasing order from a
+    heap: r <- (a/g) r - (f/g) prow, where a is the pivot entry of prow, f
+    the entry of r there and g = gcd(a, f), then r is divided by its content.
+    A row that does not reduce to zero joins the basis at its leading
+    column.  The rows are not reduced above their pivots, so this is not
+    the unique reduced form, but its pivot set, that of the span, is unique;
+    ``to_rref`` gives the reduced form.  Entries may be int or Fraction.
+    """
+    basis: dict[int, dict[int, int]] = {}
     for row in rows:
-        extend(basis, row)
+        if not row:
+            continue
+        r = _primitive(row)
+        heap = [c for c in r if c in basis]
+        heapify(heap)
+        while heap:
+            c = heappop(heap)
+            f = r.get(c)
+            if f is None:  # cleared by an earlier step, or pushed twice
+                continue
+            prow = basis[c]
+            a = prow[c]
+            g = gcd(a, f)
+            if g != a:
+                _scale(r, a // g)
+            f //= g
+            for j, x in prow.items():
+                v = r.get(j)
+                w = f * x
+                if v is None:
+                    r[j] = -w
+                    if j in basis:
+                        heappush(heap, j)
+                elif v == w:
+                    del r[j]
+                else:
+                    r[j] = v - w
+            _remove_content(r)
+        if r:
+            basis[min(r)] = r
     return basis
+
+
+def to_rref(basis: dict[int, dict[int, int]]) -> dict[int, Vec]:
+    """The reduced row echelon basis of the span of an ``integer_echelon``
+    basis, which it turns into that basis in place and returns.
+
+    One integer back-substitution in decreasing pivot order clears each row
+    at the later pivots it holds: the rows there are already reduced, so
+    none of them brings back another pivot, and with m the lcm of their
+    pivot entries a_j, r <- m r - sum_j (m r_j / a_j) row_j in one pass.
+    Each row is then divided by its pivot entry, into ``Fraction`` entries
+    that share one object per value.  Rows and keys keep their order.
+    """
+    for c in sorted(basis, reverse=True):
+        r = basis[c]
+        later = [j for j in r if j != c and j in basis]
+        if later:
+            m = 1
+            for j in later:
+                m = lcm(m, basis[j][j])
+            _scale(r, m)
+            for j in later:
+                _subtract(r, r[j] // basis[j][j], basis[j])
+            _remove_content(r)
+    quotients: dict[tuple[int, int], Fraction] = {}
+    for c, r in basis.items():
+        a = r[c]
+        for j, x in r.items():
+            q = quotients.get((x, a))
+            if q is None:
+                q = quotients[x, a] = Fraction(x, a)
+            r[j] = q
+    return basis
+
+
+def echelon(rows: Iterable[dict[int, Fraction | int]]) -> dict[int, Vec]:
+    """Reduced row echelon basis of the span of sparse rows, pivot -> row.
+
+    The elimination runs on Python ints (``integer_echelon``) and only the
+    result becomes ``Fraction``: the reduced form is unique, so it equals
+    the basis that ``extend`` builds one row at a time.
+    """
+    return to_rref(integer_echelon(rows))
 
 
 def sparse(row) -> Vec:

@@ -16,6 +16,8 @@ from nilrigid.lie import LieAlgebra, change_basis, trivial_basis, jacobi_defect
 from nilrigid.free_nilpotent import free_nilpotent_lie
 
 ZERO = Fraction(0)
+# pairwise coprime denominators, so that common denominators grow to ~1e30
+DENOMINATORS = (1, 2, 3, 7, 999953, 999959, 999961, 999979, 999983)
 
 
 def _sorted_sign(seq):
@@ -303,6 +305,20 @@ def random_nilpotent(rng):
     )
     assert not jacobi_defect(conjugated)
     return conjugated
+
+
+def rational_conjugate(rng, L):
+    """L in a random basis whose entries are small integers over DENOMINATORS."""
+    n = L.dimension
+    while True:
+        cols = tuple(
+            tuple(Fraction(rng.randint(-2, 2), rng.choice(DENOMINATORS)) for _ in range(n))
+            for _ in range(n)
+        )
+        if _forward_rank(cols, n) == n:
+            break
+    basis = trivial_basis(L)
+    return change_basis(L, type(basis)(columns=cols, weights=basis.weights, names=L.names))
 
 
 def corrupt(rng, L):

@@ -12,6 +12,7 @@ import pytest
 
 import nilrigid
 from nilrigid import Cohomology, theorem1_family
+from nilrigid import cli
 from nilrigid.cli import main
 
 THEOREM1_K1 = """\
@@ -338,3 +339,24 @@ def test_decomposable_exit_codes(run, tmp_path):
     bad.write_text("generators a1 a2 b c d\nform a1^c + a2^b\n")
     code, out, _ = run("decomposable", str(bad))
     assert code == 1 and "not decomposable" in out
+
+
+@pytest.mark.parametrize("fault", [RuntimeError("engine\nfault"), AssertionError("bad rank")])
+def test_internal_error_exits_2_on_one_line(run, monkeypatch, t1_file, fault):
+    def broken(args, report):
+        raise fault
+
+    monkeypatch.setitem(cli._COMMANDS, "betti", broken)
+    code, out, err = run("betti", t1_file)
+    assert code == 2 and out == ""
+    assert err == f"error: internal: {type(fault).__name__}: {' '.join(str(fault).split())}\n"
+
+
+@pytest.mark.parametrize("interrupt", [KeyboardInterrupt, SystemExit])
+def test_interrupt_and_exit_pass_through(monkeypatch, t1_file, interrupt):
+    def stopped(args, report):
+        raise interrupt()
+
+    monkeypatch.setitem(cli._COMMANDS, "betti", stopped)
+    with pytest.raises(interrupt):
+        main(["betti", t1_file])

@@ -75,6 +75,15 @@ def test_betti_invariants_on_families():
         assert sum((-1) ** p * bp for p, bp in enumerate(b)) == 0
 
 
+def test_theorem1_k4_betti_is_pinned():
+    # n = 16, from the exact Fraction engine that inserted one row at a time
+    A = theorem1_family(4)
+    b = Cohomology(A).betti_vector()
+    assert b == (1, 8, 40, 128, 306, 533, 710, 738, 700, 738, 710, 533, 306, 128, 40, 8, 1)
+    assert all(b[p] == b[A.dimension - p] for p in range(A.dimension + 1))
+    assert sum((-1) ** p * bp for p, bp in enumerate(b)) == 0
+
+
 def test_agrees_with_oracle_on_random_algebras():
     rng = random.Random(17)
     for _ in range(10):
@@ -128,27 +137,39 @@ def test_each_differential_is_built_once(monkeypatch):
         differentiated.append(f)
         return differentiate(A, f)
 
-    monkeypatch.setattr(cohomology, "cochain_matrix", counting_build)
-    monkeypatch.setattr(cohomology, "_derive", counting_derive)
-    monkeypatch.setattr(forms, "apply_differential", counting_differentiate)
-    A = theorem1_family(2)
-    H = Cohomology(A)
-    H.betti_vector()
-    # the weight split is read off the cached eliminations
-    eliminated, eliminate = [], linalg.echelon
+    eliminated, reduced = [], []
+    eliminate, to_rref = linalg.integer_echelon, linalg.to_rref
 
-    def counting_echelon(rows):
+    def counting_eliminate(rows):
         eliminated.append(rows)
         return eliminate(rows)
 
-    monkeypatch.setattr(linalg, "echelon", counting_echelon)
+    def counting_to_rref(basis):
+        reduced.append(basis)
+        return to_rref(basis)
+
+    monkeypatch.setattr(cohomology, "cochain_matrix", counting_build)
+    monkeypatch.setattr(cohomology, "_derive", counting_derive)
+    monkeypatch.setattr(forms, "apply_differential", counting_differentiate)
+    monkeypatch.setattr(linalg, "integer_echelon", counting_eliminate)
+    monkeypatch.setattr(linalg, "to_rref", counting_to_rref)
+    A = theorem1_family(2)
+    H = Cohomology(A)
+    H.betti_vector()
     for p in range(A.dimension + 1):
         assert sum(H.betti_by_weight(p).values()) == H.betti(p)
-    assert eliminated == []
-    monkeypatch.setattr(linalg, "echelon", eliminate)
+    # Betti numbers and the weight split count pivots of integer eliminations
+    assert len(eliminated) == A.dimension + 1 and reduced == []
     for p in range(A.dimension + 1):
         H.basis(p)
+        H.indecomposables(p)
     assert sorted(built) == list(range(A.dimension + 1))
+    # representatives and products reduce the same integer bases: every d_p
+    # is eliminated once, besides the kernels
+    d = [rows for rows in eliminated if any(rows is d_p for d_p in H._d.values())]
+    assert len(d) == len({id(rows) for rows in d}) == A.dimension + 1
+    # a reduced basis replaces the integer one it was built from
+    assert reduced and not H._echelons.keys() & H._images.keys()
     # every monomial of the exterior algebra is differentiated exactly once,
     # by the integer kernel and never through a Form
     assert len(derived) == len(set(derived)) == 2 ** A.dimension

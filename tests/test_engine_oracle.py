@@ -1,8 +1,11 @@
-"""The integer derivation engine against the Fraction-only oracle.
+"""The integer engines against the Fraction-only oracle.
 
 cochain_matrix and check_d_squared derive through the model's integer term
 table, jacobi_defect through its own integer bracket table; the oracle builds
-d and the Jacobiator from the rational structure constants directly.
+d and the Jacobiator from the rational structure constants directly.  Betti
+numbers and indecomposables come from integer elimination of primitive rows,
+which the oracle's dense Fraction ranks check on conjugates whose entries
+have large coprime denominators.
 """
 
 import random
@@ -10,14 +13,18 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-from nilrigid import LieAlgebra, ce_model, check_d_squared, cochain_matrix, jacobi_defect
-from nilrigid import monomial_basis, trivial_basis
+from nilrigid import Cohomology, LieAlgebra, ce_model, check_d_squared, cochain_matrix
+from nilrigid import jacobi_defect, monomial_basis, trivial_basis
 from oracle import (
+    DENOMINATORS,
     corrupt,
     jacobiator,
+    oracle_betti,
     oracle_columns,
     oracle_d_squared,
+    oracle_indecomposables,
     random_nilpotent,
+    rational_conjugate,
 )
 
 
@@ -47,8 +54,6 @@ def test_conjugates_and_corruptions_match_the_oracle():
     assert max(scales) > 1 and failing >= 5
 
 
-# pairwise coprime denominators, so the common denominator D grows to ~1e30
-DENOMINATORS = (1, 2, 3, 7, 999953, 999959, 999961, 999979, 999983)
 coefficients = st.builds(
     Fraction,
     st.integers(-(10**6), 10**6).filter(bool),
@@ -71,3 +76,17 @@ def structure_constants(draw):
 @given(structure_constants())
 def test_random_structure_constants_match_the_oracle(L):
     assert_engine_matches_oracle(L)
+
+
+def test_large_denominator_conjugates_match_the_oracle():
+    # the entries of the integer rows grow with the common denominator
+    rng = random.Random(43)
+    algebras = [rational_conjugate(rng, random_nilpotent(rng)) for _ in range(8)]
+    scales = []
+    for L in [L for L in algebras if L.brackets]:
+        H = Cohomology(ce_model(L, trivial_basis(L)))
+        scales.append(H.model.scale)
+        assert H.betti_vector() == oracle_betti(L)
+        for p in range(1, L.dimension + 1):
+            assert H.indecomposables(p)[0] == oracle_indecomposables(L, p), (L.names, p)
+    assert len(scales) == 5 and max(scales) > 10**100

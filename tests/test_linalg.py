@@ -4,9 +4,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nilrigid import linalg
-from oracle import _forward_rank, _nullspace
+from oracle import DENOMINATORS, _forward_rank, _nullspace
 
 ZERO = Fraction(0)
 
@@ -128,3 +129,67 @@ def test_column_solver_sets_free_coordinates_to_zero():
     one = Fraction(1)
     solver = linalg.ColumnSolver([{0: one}, {0: one}, {1: one}], 2)
     assert solver.solve({0: Fraction(2), 1: Fraction(3)}) == [2, 0, 3]
+
+
+# int entries, and Fractions over large pairwise coprime denominators
+entries = st.one_of(
+    st.integers(-(10**6), 10**6).filter(bool),
+    st.builds(Fraction, st.integers(-(10**6), 10**6).filter(bool), st.sampled_from(DENOMINATORS)),
+)
+
+
+@st.composite
+def sparse_matrices(draw):
+    """(ncols, rows): sparse rows, some empty, some combinations of others."""
+    ncols = draw(st.integers(1, 8))
+    row = st.dictionaries(st.integers(0, ncols - 1), entries, max_size=ncols)
+    rows = draw(st.lists(row, max_size=8))
+    for _ in range(draw(st.integers(0, 3)) if rows else 0):
+        u, v = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+        a, b = draw(entries), draw(entries)
+        combo = {j: x for j in sorted(u.keys() | v.keys())
+                 if (x := a * u.get(j, 0) + b * v.get(j, 0))}
+        rows.insert(draw(st.integers(0, len(rows))), combo)
+    return ncols, rows
+
+
+def extend_loop(rows):
+    basis = {}
+    for row in rows:
+        linalg.extend(basis, row)
+    return basis
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(sparse_matrices())
+def test_integer_echelon_is_the_reduced_basis_of_extend(matrix):
+    ncols, rows = matrix
+    reference = extend_loop(rows)
+    basis = linalg.echelon(rows)
+    assert basis == reference and list(basis) == list(reference)
+    assert all(type(x) is Fraction for row in basis.values() for x in row.values())
+    assert linalg.integer_echelon(rows).keys() == reference.keys()
+
+    # the kernel of the matrix: the reduced form of the oracle's kernel basis
+    dense_rows = [[Fraction(row.get(j, 0)) for j in range(ncols)] for row in rows]
+    kernel = extend_loop(linalg.sparse(v) for v in _nullspace(dense_rows, ncols))
+    assert linalg.nullspace(columns_of(dense_rows, ncols), len(rows)) == [
+        kernel[c] for c in sorted(kernel)
+    ]
+
+    # the transpose as a column matrix: solved iff the oracle's rank stays
+    solver = linalg.ColumnSolver(rows, ncols)
+    dense_cols = [[row.get(i, 0) for i in range(ncols)] for row in rows]
+    rank = _forward_rank(dense_cols, ncols)
+    assert solver.rank == rank
+    probes = [dict(row) for row in rows] + [{i: Fraction(1)} for i in range(ncols)]
+    probes.append({i: sum(Fraction(k + 1) * row.get(i, 0) for k, row in enumerate(rows))
+                   for i in range(ncols)})
+    for b in probes:
+        b = {i: x for i, x in b.items() if x}
+        x = solver.solve(b)
+        dense_b = [b.get(i, 0) for i in range(ncols)]
+        assert (x is None) == (_forward_rank(dense_cols + [dense_b], ncols) > rank)
+        if x is not None:
+            image = [sum(c * row.get(i, 0) for c, row in zip(x, rows)) for i in range(ncols)]
+            assert image == dense_b
