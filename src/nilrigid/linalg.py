@@ -1,25 +1,27 @@
 """Exact Gaussian elimination over the rationals.
 
 A span is held as an echelon basis of sparse rows, ``{column: value}``
-dicts with nonzero entries only, keyed by pivot column.  ``echelon`` is the
-one elimination of a whole set of rows: ``integer_echelon`` reduces them
-fraction-free on Python ints (Bareiss; the exact integer strategy of Dumas,
-Saunders & Villard), and ``to_rref`` turns that basis into the reduced row
-echelon basis, with ``Fraction`` entries.  The reduced form of a span is
-unique, so every result (rref, nullspace, solved coordinates) is
-deterministic for a given input, and equals what ``extend``, the one-row
-step on a reduced basis, builds row by row.  A rank or a pivot set needs
+dicts with nonzero entries only, keyed by pivot column.  ``integer_extend``
+is the one-row step on Python ints: it scales a row to a primitive integer
+row and reduces it fraction-free (Bareiss; the exact integer strategy of
+Dumas, Saunders & Villard) against an unreduced integer echelon basis.
+``integer_echelon`` is a loop over it, and ``echelon``, the one elimination
+of a whole set of rows, is ``to_rref(integer_echelon(rows))``: the unique
+reduced row echelon basis, with ``Fraction`` entries.  So every result
+(rref, nullspace, solved coordinates) is deterministic for a given input,
+and equals what ``extend``, the one-row step on a reduced basis, builds row
+by row.  A rank, a pivot set or a test of whether a row grows a span needs
 only the integer basis.
 
 Library code calls the sparse routines: ``echelon``, ``integer_echelon``
-and ``to_rref``; ``extend`` and ``reduce`` (a membership test) for spans
-grown one row at a time; and ``nullspace`` and ``ColumnSolver``, which
-take a matrix as a list of sparse columns, the form in which the cochain
-complexes and changes of basis are built.  The dense views ``rref``,
-``rank``, ``in_rowspan``, ``invert`` and ``identity`` take matrices as lists
-of rows of Fraction; they serve tests and the benchmark's input generation,
-plus the small dense rank checks in ``morphisms`` and the dense basis that
-``Cohomology.decomposable_subspace`` returns.
+and ``to_rref``; ``integer_extend``, ``extend`` and ``reduce`` (a membership
+test) for spans grown one row at a time; and ``nullspace`` and
+``ColumnSolver``, which take a matrix as a list of sparse columns, the form
+in which the cochain complexes and changes of basis are built.  The dense
+views ``rref``, ``rank``, ``in_rowspan``, ``invert`` and ``identity`` take
+matrices as lists of rows of Fraction; they serve tests and the benchmark's
+input generation, plus the small dense rank checks in ``morphisms`` and the
+dense basis that ``Cohomology.decomposable_subspace`` returns.
 """
 
 from __future__ import annotations
@@ -85,7 +87,8 @@ def extend(basis: dict[int, Vec], row: Vec) -> bool:
 
 def _primitive(row: dict[int, Fraction | int]) -> dict[int, int]:
     """``row`` times the one positive rational that makes it an integer row
-    whose entries have no common factor, as a new dict."""
+    whose entries have no common factor, as a new dict.  Entries may be int
+    or Fraction: an int is its own numerator, over 1."""
     den = 1
     for x in row.values():
         den = lcm(den, x.denominator)
@@ -112,50 +115,58 @@ def _remove_content(r: dict[int, int]) -> None:
             r[j] //= g
 
 
-def integer_echelon(rows: Iterable[dict[int, Fraction | int]]) -> dict[int, dict[int, int]]:
-    """Echelon basis of the span of sparse rows, pivot -> primitive integer row.
+def integer_extend(basis: dict[int, dict[int, int]], row: dict[int, Fraction | int]) -> bool:
+    """Add ``row`` to an integer echelon basis in place; True iff the span grew.
 
-    Each row is scaled to a primitive integer row and reduced fraction-free
-    (Bareiss) against the basis, pivot by pivot in increasing order from a
-    heap: r <- (a/g) r - (f/g) prow, where a is the pivot entry of prow, f
-    the entry of r there and g = gcd(a, f), then r is divided by its content.
-    A row that does not reduce to zero joins the basis at its leading
-    column.  The rows are not reduced above their pivots, so this is not
-    the unique reduced form, but its pivot set, that of the span, is unique;
-    ``to_rref`` gives the reduced form.  Entries may be int or Fraction.
+    The integer counterpart of ``extend``: ``row`` (int or Fraction entries,
+    not modified) is scaled to a primitive integer row and reduced
+    fraction-free (Bareiss) against the basis, pivot by pivot in increasing
+    order from a heap: r <- (a/g) r - (f/g) prow, where a is the pivot entry
+    of prow, f the entry of r there and g = gcd(a, f), then r is divided by
+    its content.  A row that does not reduce to zero joins the basis at its
+    leading column; the basis rows are not changed.
     """
+    if not row:
+        return False
+    r = _primitive(row)
+    heap = [c for c in r if c in basis]
+    heapify(heap)
+    while heap:
+        c = heappop(heap)
+        f = r.get(c)
+        if f is None:  # cleared by an earlier step, or pushed twice
+            continue
+        prow = basis[c]
+        a = prow[c]
+        g = gcd(a, f)
+        if g != a:
+            _scale(r, a // g)
+        f //= g
+        for j, x in prow.items():
+            v = r.get(j)
+            w = f * x
+            if v is None:
+                r[j] = -w
+                if j in basis:
+                    heappush(heap, j)
+            elif v == w:
+                del r[j]
+            else:
+                r[j] = v - w
+        _remove_content(r)
+    if not r:
+        return False
+    basis[min(r)] = r
+    return True
+
+
+def integer_echelon(rows: Iterable[dict[int, Fraction | int]]) -> dict[int, dict[int, int]]:
+    """Echelon basis of the span of sparse rows, pivot -> primitive integer
+    row, one ``integer_extend`` per row.  Its pivot set is that of the span;
+    ``to_rref`` gives the unique reduced form."""
     basis: dict[int, dict[int, int]] = {}
     for row in rows:
-        if not row:
-            continue
-        r = _primitive(row)
-        heap = [c for c in r if c in basis]
-        heapify(heap)
-        while heap:
-            c = heappop(heap)
-            f = r.get(c)
-            if f is None:  # cleared by an earlier step, or pushed twice
-                continue
-            prow = basis[c]
-            a = prow[c]
-            g = gcd(a, f)
-            if g != a:
-                _scale(r, a // g)
-            f //= g
-            for j, x in prow.items():
-                v = r.get(j)
-                w = f * x
-                if v is None:
-                    r[j] = -w
-                    if j in basis:
-                        heappush(heap, j)
-                elif v == w:
-                    del r[j]
-                else:
-                    r[j] = v - w
-            _remove_content(r)
-        if r:
-            basis[min(r)] = r
+        integer_extend(basis, row)
     return basis
 
 

@@ -3,10 +3,12 @@
 import json
 import random
 from fractions import Fraction
+from itertools import combinations
 from math import comb
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from nilrigid import (
     Cohomology,
@@ -24,7 +26,6 @@ from nilrigid import (
     theorem2_family,
     theorem4_example,
     trivial_basis,
-    wedge,
 )
 from nilrigid import cohomology, forms, linalg
 from nilrigid.fileformat import form_to_str
@@ -205,13 +206,19 @@ def test_indecomposables_check_that_products_are_closed(monkeypatch):
     loose = {}  # per degree, a monomial with nonzero differential
     for p in range(1, A.dimension + 1):
         for mono in monomial_basis(A, p):
-            f = A.form({mono: 1})
-            if not apply_differential(A, f).is_zero():
-                loose[p] = f
+            if not apply_differential(A, A.form({mono: 1})).is_zero():
+                loose[p] = mono
                 break
-    monkeypatch.setattr(
-        cohomology, "wedge", lambda a, b: wedge(a, b) + loose[a.degree() + b.degree()]
-    )
+    multiply = cohomology._multiply
+
+    def loose_product(a, b, index):
+        # a . b plus one monomial that is not closed
+        out = multiply(a, b, index)
+        j = index[loose[len(a[0][0]) + len(b[0][0])]]
+        out[j] = out.get(j, 0) + 1
+        return {i: c for i, c in out.items() if c}
+
+    monkeypatch.setattr(cohomology, "_multiply", loose_product)
     with pytest.raises(NotClosedError):
         Cohomology(A).indecomposables(3)
 
@@ -219,7 +226,8 @@ def test_indecomposables_check_that_products_are_closed(monkeypatch):
 def test_fingerprint_stops_forming_products_at_a_full_span(monkeypatch):
     # once B^p and the products span Z^p, no further product is formed
     calls = []
-    monkeypatch.setattr(cohomology, "wedge", lambda a, b: calls.append(1) or wedge(a, b))
+    multiply = cohomology._multiply
+    monkeypatch.setattr(cohomology, "_multiply", lambda *args: calls.append(1) or multiply(*args))
     fingerprint(lie_from_model(theorem4_example()))
     assert 0 < len(calls) <= 6825
 
@@ -282,6 +290,44 @@ def test_cup_product_graded_commutative_in_cohomology():
     assert H.cup(u, v).coordinates == tuple(-c for c in H.cup(v, u).coordinates)
     w = H.unit_class(2, 3)
     assert H.cup(u, w) == H.cup(w, u)
+
+
+# int coefficients, and Fractions with other denominators
+coefficients = st.one_of(
+    st.integers(-(10**6), 10**6).filter(bool),
+    st.builds(Fraction, st.integers(-(10**6), 10**6).filter(bool), st.integers(1, 10**6)),
+)
+
+
+@st.composite
+def factor_pairs(draw):
+    """(n, a, b, p): two homogeneous forms on n generators as term dicts, of
+    degrees summing to p; the empty monomial is degree 0."""
+    n = draw(st.integers(1, 6))
+    pa = draw(st.integers(0, n))
+    pb = draw(st.integers(0, n - pa))
+    a, b = (
+        draw(st.dictionaries(st.sampled_from(list(combinations(range(n), q))), coefficients,
+                             max_size=6))
+        for q in (pa, pb)
+    )
+    return n, a, b, pa + pb
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(factor_pairs())
+@example((3, {(): 2}, {(0, 2): Fraction(-1, 2), (1, 2): 3}, 2))  # the unit form
+@example((3, {(0,): 1, (2,): 1}, {(0,): 1, (1,): Fraction(2, 3)}, 2))  # a repeated index
+@example((3, {(1, 2): 5}, {(0,): -1}, 3))  # x1 x2 . x0 = x0 x1 x2: an even sign
+@example((4, {(0, 2): 1}, {(1, 3): 1}, 4))  # x0 x2 . x1 x3 = -x0 x1 x2 x3
+def test_product_kernel_is_wedge_on_monomial_indices(pair):
+    n, a, b, p = pair
+    gens = tuple(forms.Generator(f"x{i}", i) for i in range(n))
+    index = {m: i for i, m in enumerate(combinations(range(n), p))}
+    product = cohomology._multiply(list(a.items()), list(b.items()), index)
+    expected = forms.wedge(forms.Form(gens, a), forms.Form(gens, b)).terms
+    assert product == {index[m]: c for m, c in expected.items()}
+    assert all(product.values())
 
 
 def test_indecomposables_abelian():

@@ -1,10 +1,14 @@
 """Grammar parsing, canonical emission, round trips, error positions."""
 
+import contextlib
+import io
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from nilrigid import ParseError, lie_from_model, theorem1_family, theorem2_family
+from nilrigid import ParseError, cli, lie_from_model, theorem1_family, theorem2_family
 from nilrigid.fileformat import (
     build_form,
     emit_algebra,
@@ -15,6 +19,7 @@ from nilrigid.fileformat import (
     parse_source,
 )
 from helpers import form_of
+from oracle import random_nilpotent
 
 
 def test_parse_generators_with_and_without_weights():
@@ -134,3 +139,64 @@ def test_map_class_vector_lines():
     assert af.maps[0][0] == "a"
     assert af.classes[0][0] and af.classes[0][1]
     assert af.vectors[0][0] == [Fraction(1), Fraction(0), Fraction(-2, 3)]
+
+
+@pytest.mark.parametrize(
+    "text, line, column",
+    [
+        ("generators a b\nbracket [a,b] = 1/" + "7" * 5000 + " a\n", 2, 17),
+        ("generators a b\nbracket [a,b] = " + "7" * 5000 + " a\n", 2, 17),
+        ("generators a:" + "9" * 5000 + "\n", 1, 14),
+        ("generators a b\nvector 1 " + "1" * 5000 + "\n", 2, 10),
+    ],
+    ids=["denominator", "numerator", "weight", "vector"],
+)
+def test_overlong_number_is_a_parse_error(text, line, column):
+    # more digits than int() converts: a ParseError at the literal, not a ValueError
+    with pytest.raises(ParseError, match="digits is too long") as info:
+        parse_source(text)
+    assert (info.value.line, info.value.column) == (line, column)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(st.integers(0, 2**32), st.booleans())
+def test_emit_parse_round_trips_random_nilpotent_algebras(seed, weighted):
+    rng = random.Random(seed)
+    L = random_nilpotent(rng)
+    weights = tuple(rng.randrange(4) for _ in range(L.dimension)) if weighted else None
+    assert lie_algebra(parse_source(emit_algebra(L, weights=weights))) == (L, weights)
+
+
+# pieces of the grammar, so that drawn text also gets past the tokenizer
+PIECES = ["generators", "bracket", "form", "map", "class", "vector", "x", "y", "z", "x1", "_",
+          "[", "]", ",", "=", "+", "-", "^", ":", "->", "/", "#", "0", "1", "2", "1/2", "3/0",
+          "00", "12345678901234567890", " ", "\n", "\t", "\r", "\u2028", "\u0663"]
+texts = st.one_of(
+    st.text(),
+    st.lists(st.sampled_from(PIECES), max_size=40).map("".join),
+    st.lists(st.sampled_from(PIECES), max_size=40).map(lambda p: "generators x y z\n" + "".join(p)),
+)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(texts)
+def test_arbitrary_text_parses_or_raises_parse_error(text):
+    with contextlib.suppress(ParseError):
+        parse_source(text)
+
+
+@pytest.fixture(scope="module")
+def alg_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("drawn") / "drawn.alg"
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(texts)
+def test_check_on_arbitrary_text_exits_0_1_or_2_without_traceback(alg_path, text):
+    alg_path.write_text(text, encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(["check", str(alg_path)])
+    assert code in (0, 1, 2)
+    assert "Traceback (most recent call last)" not in out.getvalue() + err.getvalue()
+    assert "error: internal" not in err.getvalue()

@@ -1,5 +1,6 @@
 """The sparse eliminator and its views, checked against the oracle's elimination."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -193,3 +194,18 @@ def test_integer_echelon_is_the_reduced_basis_of_extend(matrix):
         if x is not None:
             image = [sum(c * row.get(i, 0) for c, row in zip(x, rows)) for i in range(ncols)]
             assert image == dense_b
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(sparse_matrices())
+def test_integer_extend_grows_the_span_that_extend_grows(matrix):
+    ncols, rows = matrix
+    copies = [dict(row) for row in rows]
+    integer, reduced = {}, {}
+    for row in rows:
+        assert linalg.integer_extend(integer, row) == linalg.extend(reduced, row)
+        assert integer.keys() == reduced.keys()
+    assert rows == copies
+    assert integer.keys() == linalg.integer_echelon(rows).keys()
+    assert all(type(x) is int and x for row in integer.values() for x in row.values())
+    assert all(math.gcd(*row.values()) == 1 and min(row) == c for c, row in integer.items())
