@@ -50,19 +50,17 @@ class ClassVector:
         return not any(self.coordinates)
 
 
-def cochain_matrix(A: SullivanModel, p: int) -> list[dict[int, Fraction]]:
-    """Sparse columns of d: Lambda^p -> Lambda^(p+1).
+def cochain_matrix(A: SullivanModel, p: int) -> list[dict[int, int]]:
+    """Sparse integer columns of D * d: Lambda^p -> Lambda^(p+1), D = A.scale.
 
-    Column j is d of the j-th lexicographic monomial of degree p, as
-    {row: coefficient} over the lexicographic monomials of degree p + 1.
-    Each column is one call of the integer kernel ``forms._derive``, which
-    gives D * d(mono) for D = A.scale, divided by D; no Form is built.
+    Column j is D * d of the j-th lexicographic monomial of degree p, as
+    {row: int} over the lexicographic monomials of degree p + 1: one call of
+    the integer kernel ``forms._derive``, with nothing divided and no Form
+    built.  D != 0, so these columns have the kernel and the span of d's.
     """
     index = {m: i for i, m in enumerate(monomial_basis(A, p + 1))}
-    scale = A.scale
     return [
-        {index[m]: Fraction(v, scale) for m, v in _derive(A, mono).items() if v}
-        for mono in monomial_basis(A, p)
+        {index[m]: v for m, v in _derive(A, mono).items() if v} for mono in monomial_basis(A, p)
     ]
 
 
@@ -84,24 +82,24 @@ def _multiply(a: Terms, b: Terms, index: dict[Monomial, int]) -> dict[int, Fract
 
 
 class _Classes:
-    """Representatives of one degree; the solver and the primitive integer
-    term lists of the representatives are built on first use."""
+    """Representatives of one degree as reduced cocycle vectors; the solver
+    and their primitive integer term lists are built on first use."""
 
-    __slots__ = ("index", "vectors", "forms", "solver", "terms")
+    __slots__ = ("index", "vectors", "solver", "terms")
 
 
 class Cohomology:
     """Cohomology ring of a valid Sullivan model, computed degree by degree.
 
-    Each d_p is built once.  Its column span, the coboundaries B^(p+1), is
-    eliminated once into an integer echelon basis: Betti numbers are pivot
-    counts of it, and so is the weight refinement, weight by weight.  The
-    reduced basis of B^(p+1) is built from that same integer basis, which it
-    replaces, only when representatives, products or solves need its rows.
-    The kernel of d_p gives the cocycles of degree p.  Classes are solved as
-    cochain vectors against the representatives and B^p, which span Z^p:
+    Each d_p is built once, on ints as D * d.  Its column span, the
+    coboundaries B^(p+1), is eliminated once into an integer echelon basis,
+    the only basis of B^(p+1) kept: Betti numbers are pivot counts of it,
+    and so is the weight refinement, weight by weight.  The kernel of d_p
+    gives the cocycles of degree p.  Classes are solved as cochain vectors
+    against the representatives and the rows of B^p, a basis of Z^p:
     membership is closedness.  The decomposables of degree p are one integer
     cochain span, B^p extended by products of classes until it is all of Z^p.
+    A ``Form`` is built only where a caller reads one.
     """
 
     def __init__(self, model: SullivanModel):
@@ -110,35 +108,23 @@ class Cohomology:
             names = ", ".join(g.name for g, _ in defects)
             raise ModelError(f"d^2 != 0 on {names}", defects=defects)
         self.model = model
-        self._d: dict[int, list[dict[int, Fraction]]] = {}
+        self._d: dict[int, list[dict[int, int]]] = {}
         self._echelons: dict[int, dict[int, dict[int, int]]] = {}
-        self._images: dict[int, dict[int, dict[int, Fraction]]] = {}
         self._data: dict[int, _Classes] = {}
         self._dec: dict[int, tuple[list[list[Fraction]], tuple[int, tuple], list[int]]] = {}
 
     # -- internal ----------------------------------------------------------
 
-    def _differential(self, p: int) -> list[dict[int, Fraction]]:
+    def _differential(self, p: int) -> list[dict[int, int]]:
         if p not in self._d:
             self._d[p] = cochain_matrix(self.model, p)
         return self._d[p]
 
-    def _pivots(self, p: int) -> dict[int, dict]:
-        """The pivot columns of B^p = d(Lambda^(p-1)), as the keys of its
-        integer echelon basis, or of the reduced basis once that is built."""
-        if p in self._images:
-            return self._images[p]
+    def _pivots(self, p: int) -> dict[int, dict[int, int]]:
+        """The integer echelon basis of B^p = d(Lambda^(p-1)), by pivot."""
         if p not in self._echelons:
             self._echelons[p] = linalg.integer_echelon(self._differential(p - 1)) if p > 0 else {}
         return self._echelons[p]
-
-    def _coboundaries(self, p: int) -> dict[int, dict[int, Fraction]]:
-        """Reduced echelon basis of B^p, keyed by pivot, built from the
-        integer echelon basis, which it replaces."""
-        if p not in self._images:
-            self._pivots(p)
-            self._images[p] = linalg.to_rref(self._echelons.pop(p))
-        return self._images[p]
 
     def _degree(self, p: int) -> _Classes:
         if p in self._data:
@@ -152,10 +138,6 @@ class Cohomology:
         # representatives: reduced echelon cocycle rows whose pivot is not a
         # coboundary pivot; deterministic by construction
         data.vectors = [v for v in cocycles if min(v) not in coboundaries]
-        data.forms = [
-            Form(A.generators, {monos[i]: c for i, c in v.items()})
-            for v in data.vectors
-        ]
         data.solver = data.terms = None
         self._data[p] = data
         return data
@@ -164,7 +146,7 @@ class Cohomology:
         """Class of the cochain v of degree p, by monomial index; refused unless closed."""
         data = self._degree(p)
         if data.solver is None:
-            columns = data.vectors + list(self._coboundaries(p).values())
+            columns = data.vectors + list(self._pivots(p).values())
             data.solver = linalg.ColumnSolver(columns, len(data.index))
         x = data.solver.solve(v)
         if x is None:
@@ -191,9 +173,10 @@ class Cohomology:
         generate H^+, so it is spanned by products g_1 ... g_r, r >= 2, of
         them, and by graded commutativity the factor of least degree, at
         most p / 2, can go first up to sign, the rest being a class of the
-        complementary degree.  Each product is one ``_multiply`` of integer
-        term lists, and ``linalg.integer_extend`` adds it to the span, which
-        stops once it is full, with len(B^p) + b_p rows, all of Z^p.  Only
+        complementary degree.  The span starts as a copy of the integer
+        basis of B^p.  Each product is one ``_multiply`` of integer term
+        lists, and ``linalg.integer_extend`` adds it to the span, which stops
+        once it is full, with len(B^p) + b_p rows, all of Z^p.  Only
         its rows with a pivot outside B^p get class coordinates.  With B^p
         they span it, so a product that is not closed makes one of their
         solves fail.  The unit classes whose cocycles extend the span, in
@@ -204,8 +187,8 @@ class Cohomology:
             rows, units = [], []
             if p > 0:
                 data = self._degree(p)
-                coboundaries = self._coboundaries(p)
-                span = linalg.integer_echelon(coboundaries.values())
+                coboundaries = self._pivots(p)
+                span = dict(coboundaries)
                 full = len(coboundaries) + self.betti(p)
                 factors = ((g, h) for i in range(1, p // 2 + 1) if self.betti(p - i)
                            for g in self._indecomposable_terms(i) for h in self._terms(p - i))
@@ -245,7 +228,7 @@ class Cohomology:
         """Closed representative forms mapping to a basis of H^p."""
         if p < 0 or p > self.model.dimension:
             return []
-        return list(self._degree(p).forms)
+        return [self.form_of(self.unit_class(p, i)) for i in range(self.betti(p))]
 
     def class_coordinates(self, f: Form, p: int | None = None) -> ClassVector:
         """Coordinates of a closed form in the representative basis of H^p."""
@@ -262,11 +245,18 @@ class Cohomology:
         return self._coordinates({index[m]: c for m, c in f.terms.items()}, p)
 
     def form_of(self, v: ClassVector) -> Form:
-        out = Form.zero(self.model.generators)
-        for c, rep in zip(v.coordinates, self._degree(v.degree).forms):
+        """The closed form sum_i v_i rep_i; v needs b_p coordinates."""
+        data = self._degree(v.degree)
+        if len(v.coordinates) != len(data.vectors):
+            raise ValueError(f"a class of degree {v.degree} has {len(data.vectors)} "
+                             f"coordinates, not {len(v.coordinates)}")
+        out: dict[int, Fraction] = {}
+        for c, vec in zip(v.coordinates, data.vectors):
             if c:
-                out = out + rep.scale(c)
-        return out
+                for j, x in vec.items():
+                    out[j] = out.get(j, 0) + c * x
+        monos = list(data.index)
+        return Form(self.model.generators, {monos[j]: x for j, x in out.items()})
 
     def cup(self, u: ClassVector, v: ClassVector) -> ClassVector:
         """Product of classes, reduced into the representative basis."""
@@ -276,6 +266,8 @@ class Cohomology:
 
     def unit_class(self, p: int, i: int) -> ClassVector:
         b = self.betti(p)
+        if not 0 <= i < b:
+            raise IndexError(f"class {i} of degree {p}: b_{p} = {b}")
         return ClassVector(p, tuple(_ONE if j == i else _ZERO for j in range(b)))
 
     def decomposable_subspace(self, p: int) -> list[list[Fraction]]:

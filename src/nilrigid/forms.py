@@ -8,8 +8,8 @@ basis is enumerated, which keeps every downstream matrix deterministic.
 A SullivanModel also keeps d as an integer term table: ``scale`` is the lcm
 D of all denominators in the d v_i (1 for d = 0) and ``table[i]`` holds the
 terms (a, b, D * coefficient) of d v_i as ints.  The one derivation kernel,
-``_derive``, returns D * d(mono) as {monomial: int}; apply_differential,
-check_d_squared and cohomology.cochain_matrix divide by D only at the end.
+``_derive``, returns D * d(mono) as {monomial: int}; apply_differential
+and check_d_squared divide by D only at the end, cochain_matrix never.
 """
 
 from __future__ import annotations

@@ -11,11 +11,12 @@ reduced row echelon basis, with ``Fraction`` entries.  So every result
 (rref, nullspace, solved coordinates) is deterministic for a given input,
 and equals what ``extend``, the one-row step on a reduced basis, builds row
 by row.  A rank, a pivot set or a test of whether a row grows a span needs
-only the integer basis.
+only the integer basis, and ``Cohomology`` keeps no other basis of a
+coboundary space: it never calls ``to_rref``.
 
-Library code calls the sparse routines: ``echelon``, ``integer_echelon``
-and ``to_rref``; ``integer_extend``, ``extend`` and ``reduce`` (a membership
-test) for spans grown one row at a time; and ``nullspace`` and
+Library code calls the sparse routines: ``echelon`` and
+``integer_echelon``; ``integer_extend``, ``extend`` and ``reduce`` (a
+membership test) for spans grown one row at a time; and ``nullspace`` and
 ``ColumnSolver``, which take a matrix as a list of sparse columns, the form
 in which the cochain complexes and changes of basis are built.  The dense
 views ``rref``, ``rank``, ``in_rowspan``, ``invert`` and ``identity`` take

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from nilrigid import (
+    ClassVector,
     Cohomology,
     DomainMismatchError,
     LieAlgebra,
@@ -165,12 +166,14 @@ def test_each_differential_is_built_once(monkeypatch):
         H.basis(p)
         H.indecomposables(p)
     assert sorted(built) == list(range(A.dimension + 1))
-    # representatives and products reduce the same integer bases: every d_p
-    # is eliminated once, besides the kernels
+    # representatives, solves and products read the same integer bases:
+    # every d_p is eliminated once, besides the kernels
     d = [rows for rows in eliminated if any(rows is d_p for d_p in H._d.values())]
     assert len(d) == len({id(rows) for rows in d}) == A.dimension + 1
-    # a reduced basis replaces the integer one it was built from
-    assert reduced and not H._echelons.keys() & H._images.keys()
+    # the integer basis is the only basis of each B^p, p = 0..n+1, and it is
+    # kept: kernels and solvers reduce their own bases, none of B^p's
+    assert sorted(H._echelons) == list(range(A.dimension + 2))
+    assert reduced and not any(b is e for b in reduced for e in H._echelons.values())
     # every monomial of the exterior algebra is differentiated exactly once,
     # by the integer kernel and never through a Form
     assert len(derived) == len(set(derived)) == 2 ** A.dimension
@@ -239,6 +242,25 @@ def test_class_coordinates_round_trip():
         for i in range(H.betti(p)):
             v = H.unit_class(p, i)
             assert H.class_coordinates(H.form_of(v), p) == v
+
+
+@pytest.mark.parametrize("i", [10, 99, -1])
+def test_unit_class_rejects_an_index_outside_the_betti_range(i):
+    H = Cohomology(theorem1_family(2))
+    assert H.betti(2) == 10
+    with pytest.raises(IndexError):
+        H.unit_class(2, i)
+
+
+@pytest.mark.parametrize("length", [1, 9, 11, 40])
+def test_form_of_and_cup_reject_a_vector_of_the_wrong_length(length):
+    # a vector is not read as its first b_2 classes, nor padded with zeros
+    H = Cohomology(theorem1_family(2))
+    v = ClassVector(2, (Fraction(1),) * length)
+    with pytest.raises(ValueError, match=f"degree 2 has 10 coordinates, not {length}"):
+        H.form_of(v)
+    with pytest.raises(ValueError, match=f"has 10 coordinates, not {length}"):
+        H.cup(H.unit_class(1, 0), v)
 
 
 def sl2_model():
