@@ -47,6 +47,7 @@ from .lie import (
     ce_model,
     change_basis,
     check_triangularity,
+    generated_basis,
     is_carnot_homogeneous,
     jacobi_defect,
     lie_from_model,

@@ -10,6 +10,7 @@ also an internal error, reported on one line without a traceback.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 
@@ -19,6 +20,7 @@ from .errors import (
     FamilyShapeError,
     ModelError,
     NilrigidError,
+    NotNilpotentError,
     ParseError,
 )
 from .families import (
@@ -41,6 +43,7 @@ from .lie import (
     adapted_basis,
     carnot,
     ce_model,
+    generated_basis,
     lie_from_model,
     lower_central_series,
     jacobi_defect,
@@ -144,8 +147,15 @@ def _cmd_model(args, report):
 
 
 def _cmd_betti(args, report):
-    A = _model(args.file)
-    H = Cohomology(A)
+    # Betti numbers are basis-free: use the generated basis, where d is sparse, unless each
+    # bracket of two file basis vectors is one term (then it is the file's, up to scale and
+    # order); input not nilpotent or failing d^2 = 0 keeps the file's answer or error text
+    af = _parse(args.file)
+    L, H = lie_algebra(af)[0], None
+    if any(len(vec) > 1 for vec in L.brackets.values()):
+        with contextlib.suppress(ModelError, NotNilpotentError):
+            H = Cohomology(ce_model(L, generated_basis(L)))
+    H = H or Cohomology(model(af))
     b = H.betti_vector()
     report["betti"] = list(b)
     report["euler"] = sum((-1) ** p * bp for p, bp in enumerate(b))

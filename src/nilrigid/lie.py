@@ -3,10 +3,14 @@
 Conventions: structure constants are stored for index pairs l < k with the
 skew extension implied, and the differential of the model is
 d v_i = -sum c^i_{l,k} v_l v_k, so a bracket [x, y] = -n gives d n = x y.
+Brackets are summed in Python ints over ``LieAlgebra.table``: the structure
+constants, skew-extended, times ``scale``, the lcm of their denominators.
+``generated_basis`` is made of brackets; basis-free answers are computed in it.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations
@@ -26,7 +30,7 @@ _ONE = Fraction(1)
 class LieAlgebra:
     """A finite-dimensional Lie algebra given by rational structure constants."""
 
-    __slots__ = ("names", "brackets")
+    __slots__ = ("names", "brackets", "scale", "table")
 
     def __init__(self, names, brackets):
         """brackets maps index pairs (l, k) with l < k to {i: coefficient}."""
@@ -49,6 +53,11 @@ class LieAlgebra:
                 clean[(l, k)] = entries
         self.names = names
         self.brackets = clean
+        self.scale = scale = lcm(*(c.denominator for vec in clean.values() for c in vec.values()))
+        self.table: dict[tuple[int, int], list[tuple[int, int]]] = {}
+        for (l, k), vec in clean.items():
+            row = [(i, c.numerator * (scale // c.denominator)) for i, c in vec.items()]
+            self.table[l, k], self.table[k, l] = row, [(i, -v) for i, v in row]
 
     @property
     def dimension(self) -> int:
@@ -56,25 +65,24 @@ class LieAlgebra:
 
     def bracket_basis(self, l: int, k: int) -> dict[int, Fraction]:
         """[X_l, X_k] as a sparse coordinate map (skew-extended)."""
-        if l == k:
-            return {}
-        if l < k:
-            return dict(self.brackets.get((l, k), {}))
-        return {i: -c for i, c in self.brackets.get((k, l), {}).items()}
+        return self.bracket({l: _ONE}, {k: _ONE})
 
     def bracket(self, u: Vec, v: Vec) -> Vec:
-        """Bilinear extension of the structure constants to sparse vectors."""
-        out: Vec = {}
-        for l, a in u.items():
-            for k, b in v.items():
-                if l == k:
-                    continue
-                vec = self.brackets.get((l, k) if l < k else (k, l))
-                if vec:
-                    f = a * b if l < k else -a * b
-                    for i, c in vec.items():
-                        out[i] = out.get(i, _ZERO) + f * c
-        return {i: c for i, c in out.items() if c}
+        """Bilinear extension of the structure constants to sparse vectors:
+        summed in ints over the pairs ``table`` holds, one Fraction per entry."""
+        hits = [(l, k, terms) for l in u for k in v if (terms := self.table.get((l, k)))]
+        if not hits:
+            return {}
+        du, dv = (functools.reduce(lcm, (x.denominator for x in w.values()), 1) for w in (u, v))
+        iu = {l: a.numerator * (du // a.denominator) for l, a in u.items()}
+        iv = {k: b.numerator * (dv // b.denominator) for k, b in v.items()}
+        out: dict[int, int] = {}
+        for l, k, terms in hits:
+            f = iu[l] * iv[k]
+            for i, c in terms:
+                out[i] = out.get(i, 0) + f * c
+        den = self.scale * du * dv
+        return {i: Fraction(x, den) for i, x in out.items() if x}
 
     def __eq__(self, other):
         return (
@@ -118,25 +126,19 @@ def jacobi_defect(L: LieAlgebra) -> list[tuple[int, int, int, Vector]]:
     """Triples (i, j, k) where the Jacobi identity fails, with the defect
     [[X_i, X_j], X_k] + [[X_j, X_k], X_i] + [[X_k, X_i], X_j] as a dense vector.
 
-    The structure constants, scaled by the lcm D of their denominators, form
-    a skew int table; defects are summed in ints and divided by D^2.  Only
-    L.brackets is read, so this stays independent of check_d_squared.
+    Defects are summed in ints over L.table and divided by L.scale^2.  Only
+    L's own table is read, so this stays independent of check_d_squared.
     """
     n = L.dimension
-    scale = lcm(*(c.denominator for vec in L.brackets.values() for c in vec.values()))
-    table: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    for (l, k), vec in L.brackets.items():
-        table[l, k] = [(i, c.numerator * (scale // c.denominator)) for i, c in vec.items()]
-        table[k, l] = [(i, -v) for i, v in table[l, k]]
     defects = []
     for i, j, k in combinations(range(n), 3):
         defect = [0] * n
         for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-            for x, u in table.get((a, b), ()):
-                for y, v in table.get((x, c), ()):
+            for x, u in L.table.get((a, b), ()):
+                for y, v in L.table.get((x, c), ()):
                     defect[y] += u * v
         if any(defect):
-            defects.append((i, j, k, [Fraction(v, scale * scale) for v in defect]))
+            defects.append((i, j, k, [Fraction(v, L.scale**2) for v in defect]))
     return defects
 
 
@@ -168,6 +170,30 @@ def lower_central_series(L: LieAlgebra) -> SubspaceChain:
     return SubspaceChain(subspaces, nilpotent=nilpotent)
 
 
+def _complete(L: LieAlgebra, candidates=lambda w, picked: ()):
+    """The greedy loop of ``adapted_basis``, trying first at each weight w the
+    vectors of ``candidates(w, picked)``, picked the (vector, weight) pairs
+    kept so far.  Returns the kept vectors, their weights and their names."""
+    stages, nilpotent = _series(L)
+    if not nilpotent:
+        raise NotNilpotentError("lower central series stabilizes at a nonzero subspace")
+    n = L.dimension
+    columns, weights, raw = [], [], []
+    for w, (stage, below) in enumerate(zip(stages, stages[1:])):
+        span = {c: dict(row) for c, row in below.items()}
+        standard = (({j: _ONE}, L.names[j]) for j in range(n)
+                    if not linalg.reduce({j: _ONE}, stage))
+        rows = ((stage[c], None) for c in sorted(stage))
+        for v, name in chain(candidates(w, list(zip(columns, weights))), standard, rows):
+            if len(span) == len(stage):
+                break
+            if linalg.extend(span, v):
+                raw.append(f"v{len(columns)}" if name is None else name)
+                columns.append(v)
+                weights.append(w)
+    return columns, weights, raw
+
+
 def adapted_basis(L: LieAlgebra) -> AdaptedBasis:
     """Basis adapted to the lower central series.
 
@@ -178,24 +204,7 @@ def adapted_basis(L: LieAlgebra) -> AdaptedBasis:
     already given in adapted coordinates keeps the identity basis.  A name
     that is taken gets the first free suffix ``_2``, ``_3``, ... in order.
     """
-    stages, nilpotent = _series(L)
-    if not nilpotent:
-        raise NotNilpotentError("lower central series stabilizes at a nonzero subspace")
-    n = L.dimension
-    columns: list[Vec] = []
-    weights: list[int] = []
-    raw: list[str] = []
-    for w, (stage, below) in enumerate(zip(stages, stages[1:])):
-        span = {c: dict(row) for c, row in below.items()}
-        standard = (({j: _ONE}, L.names[j]) for j in range(n)
-                    if not linalg.reduce({j: _ONE}, stage))
-        for v, name in chain(standard, ((stage[c], None) for c in sorted(stage))):
-            if len(span) == len(stage):
-                break
-            if linalg.extend(span, v):
-                raw.append(f"v{len(columns)}" if name is None else name)
-                columns.append(v)
-                weights.append(w)
+    columns, weights, raw = _complete(L)
     names: list[str] = []
     for name in raw:
         base, idx = name, 1
@@ -204,10 +213,32 @@ def adapted_basis(L: LieAlgebra) -> AdaptedBasis:
             name = f"{base}_{idx}"
         names.append(name)
     return AdaptedBasis(
-        columns=tuple(tuple(linalg.dense(c, n)) for c in columns),
+        columns=tuple(tuple(linalg.dense(c, L.dimension)) for c in columns),
         weights=tuple(weights),
         names=tuple(names),
     )
+
+
+def generated_basis(L: LieAlgebra) -> AdaptedBasis:
+    """Basis generated by brackets of a complement of [g,g] (de Graaf, 2000).
+
+    Weight 0 is ``adapted_basis``'s; weight w >= 1 takes the brackets [x, y],
+    x of weight 0 and y of weight w - 1, in order, that grow the span modulo
+    g^(w+1), so the weights are ``adapted_basis``'s.  A multiple of one e_j is
+    taken as e_j; if all columns are such they go in index order, so L's own
+    basis up to scale and order is the identity.  Names are L's."""
+
+    def brackets(w, picked):
+        for x in [x for x, u in picked if u == 0]:
+            for y in [y for y, u in picked if u == w - 1]:
+                b = L.bracket(x, y)
+                yield ({j: _ONE for j in b} if len(b) == 1 else b), None
+
+    columns, weights, _ = _complete(L, brackets)
+    if all(list(c.values()) == [1] for c in columns):
+        columns, weights = zip(*sorted(zip(columns, weights), key=lambda cw: min(cw[0])))
+    columns = tuple(tuple(linalg.dense(c, L.dimension)) for c in columns)
+    return AdaptedBasis(columns, tuple(weights), L.names)
 
 
 def trivial_basis(L: LieAlgebra, weights=None) -> AdaptedBasis:

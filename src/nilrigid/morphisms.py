@@ -13,9 +13,9 @@ from fractions import Fraction
 
 from . import linalg
 from .cohomology import Cohomology
-from .errors import FamilyShapeError
+from .errors import FamilyShapeError, ModelError
 from .forms import Form, SullivanModel, apply_differential, product, wedge
-from .lie import LieAlgebra, adapted_basis, ce_model
+from .lie import LieAlgebra, adapted_basis, ce_model, generated_basis
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -215,11 +215,14 @@ class Fingerprint:
 
 
 def fingerprint(L: LieAlgebra, max_indec_degree: int | None = None) -> Fingerprint:
-    """Invariant tuple of a validated nilpotent Lie algebra."""
-    # an adapted basis has dim g^(w) / g^(w+1) vectors of weight w
-    basis = adapted_basis(L)
+    """Invariant tuple of a validated nilpotent Lie algebra, computed in its
+    generated basis, where d is sparse; the weights give the LCS quotients."""
+    basis = generated_basis(L)
     quotients = tuple(basis.weights.count(w) for w in range(max(basis.weights) + 1))
-    H = Cohomology(ce_model(L, basis))
+    try:
+        H = Cohomology(ce_model(L, basis))
+    except ModelError:  # d^2 != 0 in every basis; name it in the adapted one, as ever
+        H = Cohomology(ce_model(L, adapted_basis(L)))
     n = L.dimension
     top = n if max_indec_degree is None else min(n, max_indec_degree)
     indec = tuple(H.indecomposables(p)[0] for p in range(1, top + 1))

@@ -3,11 +3,13 @@
 The oracle is written independently of the library pipeline: it builds the
 Chevalley-Eilenberg differential straight from the structure constants with
 its own sign bookkeeping and ranks the dense matrices with its own forward
-elimination; its Jacobiator brackets dense basis vectors in Fractions.
+elimination; its bracket, and the Jacobiator built on it, take dense vectors
+of Fractions.
 Agreement with the library is therefore meaningful evidence.
 """
 
 from fractions import Fraction
+from functools import partial
 from itertools import combinations
 from math import comb
 import random
@@ -100,18 +102,20 @@ def oracle_d_squared(L):
     return out
 
 
+def oracle_bracket(L, u, v):
+    """[u, v] of dense Fraction vectors, straight from the structure constants."""
+    out = [Fraction(0)] * L.dimension
+    for (l, k), vec in L.brackets.items():
+        f = u[l] * v[k] - u[k] * v[l]
+        for i, c in vec.items():
+            out[i] += f * c
+    return out
+
+
 def jacobiator(L):
     """Jacobi defects computed straight from the structure constants."""
     n = L.dimension
-
-    def bracket(u, v):
-        out = [Fraction(0)] * n
-        for (l, k), vec in L.brackets.items():
-            f = u[l] * v[k] - u[k] * v[l]
-            for i, c in vec.items():
-                out[i] += f * c
-        return out
-
+    bracket = partial(oracle_bracket, L)
     e = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
     defects = []
     for i in range(n):

@@ -1,8 +1,9 @@
 """The integer engines against the Fraction-only oracle.
 
 cochain_matrix and check_d_squared derive through the model's integer term
-table, jacobi_defect through its own integer bracket table; the oracle builds
-d and the Jacobiator from the rational structure constants directly.
+table, LieAlgebra.bracket and jacobi_defect through the algebra's integer
+bracket table; the oracle builds d, brackets and the Jacobiator from the
+rational structure constants directly.
 cochain_matrix gives D * d on ints, D the model's scale, so it is compared
 with the oracle's columns times D.  Betti numbers and indecomposables come
 from integer elimination of primitive rows, which the oracle's dense
@@ -16,14 +17,16 @@ from fractions import Fraction
 from hypothesis import assume, given, settings, strategies as st
 
 from nilrigid import Cohomology, LieAlgebra, ce_model, check_d_squared, cochain_matrix
-from nilrigid import change_basis, jacobi_defect, monomial_basis, trivial_basis
-from nilrigid.linalg import rank
+from nilrigid import adapted_basis, change_basis, generated_basis, jacobi_defect
+from nilrigid import monomial_basis, trivial_basis
+from nilrigid.linalg import dense, rank
 from oracle import (
     DENOMINATORS,
     base_algebras,
     corrupt,
     jacobiator,
     oracle_betti,
+    oracle_bracket,
     oracle_columns,
     oracle_d_squared,
     oracle_indecomposables,
@@ -84,6 +87,27 @@ def test_random_structure_constants_match_the_oracle(L):
     assert_engine_matches_oracle(L)
 
 
+@st.composite
+def bracket_arguments(draw):
+    """An algebra and two sparse vectors; the second may share indices with the first."""
+    L = draw(structure_constants())
+    indices = st.integers(0, L.dimension - 1)
+    u = draw(st.dictionaries(indices, coefficients, max_size=4))
+    v = draw(st.dictionaries(indices, coefficients, max_size=4))
+    return L, u, v, {**v, **{j: 2 * c for j, c in u.items()}}
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(bracket_arguments())
+def test_int_bracket_matches_the_dense_bracket(args):
+    L, u, v, w = args
+    n = L.dimension
+    for x, y in ((u, v), (v, u), (u, w), (w, u), (u, {}), ({}, v), (u, u)):
+        got = L.bracket(x, y)
+        assert all(type(c) is Fraction and c for c in got.values())
+        assert dense(got, n) == oracle_bracket(L, dense(x, n), dense(y, n))
+
+
 def test_large_denominator_conjugates_match_the_oracle():
     # the entries of the integer rows grow with the common denominator
     rng = random.Random(43)
@@ -124,3 +148,38 @@ def test_drawn_conjugates_match_the_oracle(L):
         for i in range(H.betti(p)):
             v = H.unit_class(p, i)
             assert H.class_coordinates(H.form_of(v), p) == v
+
+
+def assert_generated_basis_is_adapted_and_bracket_generated(L):
+    basis, adapted = generated_basis(L), adapted_basis(L)
+    change_basis(L, basis)  # raises unless the columns are a basis
+    # an all-standard basis is listed in index order, which may reorder the weights
+    assert (sorted(basis.weights) if basis.is_identity() else list(basis.weights)) == list(
+        adapted.weights
+    )
+    columns = [{j: c for j, c in enumerate(col) if c} for col in basis.columns]
+    for col, w in zip(columns, basis.weights):
+        if w == 0:
+            continue
+        brackets = [
+            L.bracket(x, y)
+            for x, u in zip(columns, basis.weights) if u == 0
+            for y, t in zip(columns, basis.weights) if t == w - 1
+        ]
+        assert any(
+            b.keys() == col.keys() and len({c / b[j] for j, c in col.items()}) == 1
+            for b in brackets
+        ), (L.names, w)
+    assert Cohomology(ce_model(L, basis)).betti_vector() == oracle_betti(L)
+
+
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(st.integers(0, 10**6))
+def test_generated_basis_on_random_nilpotent_algebras(seed):
+    assert_generated_basis_is_adapted_and_bracket_generated(random_nilpotent(random.Random(seed)))
+
+
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(drawn_conjugates())
+def test_generated_basis_on_drawn_conjugates(L):
+    assert_generated_basis_is_adapted_and_bracket_generated(L)

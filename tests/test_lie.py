@@ -15,6 +15,8 @@ from nilrigid import (
     ce_model,
     change_basis,
     check_triangularity,
+    free_nilpotent_lie,
+    generated_basis,
     is_carnot_homogeneous,
     jacobi_defect,
     lie_from_model,
@@ -49,6 +51,17 @@ def test_non_nilpotent_detected():
     assert not chain.nilpotent
     with pytest.raises(NotNilpotentError):
         adapted_basis(L)
+    with pytest.raises(NotNilpotentError):
+        generated_basis(L)
+
+
+def test_generated_basis_is_the_identity_on_the_families():
+    models = [theorem1_family(2), theorem1_family(3), theorem2_family(2), theorem2_family(3),
+              theorem4_example(), *section3_pair()]
+    for L in [lie_from_model(A) for A in models] + [free_nilpotent_lie(2, 4).algebra]:
+        basis = generated_basis(L)
+        assert basis.is_identity() and basis.names == L.names, L.names
+        assert basis.weights == adapted_basis(L).weights
 
 
 def test_jacobi_defect_empty_on_families():
