@@ -37,7 +37,7 @@ from .fileformat import (
     model,
     parse_source,
 )
-from .forms import Form
+from .forms import Form, check_d_squared
 from .free_nilpotent import free_nilpotent_lie, theorem3_family
 from .lie import (
     adapted_basis,
@@ -99,8 +99,6 @@ def _cmd_check(args, report):
     jd = jacobi_defect(L)
     # weights are irrelevant for the d^2 test, so a trivial basis always works
     A = ce_model(L, trivial_basis(L))
-    from .forms import check_d_squared
-
     d2 = check_d_squared(A)
     report["jacobi_defects"] = [
         {"triple": [L.names[i], L.names[j], L.names[k]], "defect": _vec(v)}
@@ -485,47 +483,43 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, **kwargs):
-        p = sub.add_parser(name, **kwargs)
-        return p
-
-    p = add("check", help="verify the Jacobi identity / d^2 = 0")
+    p = sub.add_parser("check", help="verify the Jacobi identity / d^2 = 0")
     p.add_argument("file")
-    p = add("lcs", help="lower central series dimensions")
+    p = sub.add_parser("lcs", help="lower central series dimensions")
     p.add_argument("file")
-    p = add("carnot", help="associated Carnot-graded algebra")
+    p = sub.add_parser("carnot", help="associated Carnot-graded algebra")
     p.add_argument("file")
-    p = add("model", help="Sullivan model generators and differential")
+    p = sub.add_parser("model", help="Sullivan model generators and differential")
     p.add_argument("file")
-    p = add("betti", help="Betti numbers")
+    p = sub.add_parser("betti", help="Betti numbers")
     p.add_argument("file")
-    p = add("cohomology", help="cohomology of one degree")
+    p = sub.add_parser("cohomology", help="cohomology of one degree")
     p.add_argument("file")
     p.add_argument("--degree", type=int, required=True)
     p.add_argument("--by-weight", action="store_true")
-    p = add("generators", help="indecomposable cohomology generators")
+    p = sub.add_parser("generators", help="indecomposable cohomology generators")
     p.add_argument("file")
     p.add_argument("--degree", type=int, required=True)
-    p = add("fingerprint", help="invariant fingerprint")
+    p = sub.add_parser("fingerprint", help="invariant fingerprint")
     p.add_argument("file")
     p.add_argument("--max-degree", type=int, default=None)
-    p = add("compare", help="compare two fingerprints")
+    p = sub.add_parser("compare", help="compare two fingerprints")
     p.add_argument("first")
     p.add_argument("second")
     p.add_argument("--max-degree", type=int, default=None)
-    p = add("verify-iso", help="verify a CDGA morphism given by map lines")
+    p = sub.add_parser("verify-iso", help="verify a CDGA morphism given by map lines")
     p.add_argument("src")
     p.add_argument("dst")
     p.add_argument("map")
-    p = add("verify-ring-iso", help="verify a cohomology ring isomorphism")
+    p = sub.add_parser("verify-ring-iso", help="verify a cohomology ring isomorphism")
     p.add_argument("src")
     p.add_argument("dst")
     p.add_argument("map")
-    p = add("normalize", help="absorb the quadratic perturbation of d m")
+    p = sub.add_parser("normalize", help="absorb the quadratic perturbation of d m")
     p.add_argument("src")
-    p = add("decomposable", help="2-form decomposability with certificates")
+    p = sub.add_parser("decomposable", help="2-form decomposability with certificates")
     p.add_argument("file")
-    p = add("family", help="emit a named example family as an algebra file")
+    p = sub.add_parser("family", help="emit a named example family as an algebra file")
     p.add_argument(
         "name",
         choices=("theorem1", "theorem2", "theorem4", "section3", "free", "theorem3"),

@@ -238,12 +238,12 @@ def theorem3_family(l: int, k: int, subspace, max_dim: int = 64) -> LieAlgebra:
     for vec in svecs:
         if len(vec) != width:
             raise ValueError(f"subspace vectors must have {width} coordinates")
-    span: dict[int, linalg.Vec] = {}
+    span: dict[int, dict[int, int]] = {}
     for vec in svecs:
-        if not linalg.extend(span, linalg.sparse(vec)):
+        if not linalg.integer_extend(span, linalg.sparse(vec)):
             raise ValueError("subspace vectors are linearly dependent")
     # complete S to the top component by standard coordinates
-    comp = [j for j in range(width) if linalg.extend(span, {j: _ONE})]
+    comp = [j for j in range(width) if linalg.integer_extend(span, {j: 1})]
 
     names = list(free.words[:base])
     used = set(names)

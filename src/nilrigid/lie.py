@@ -180,14 +180,14 @@ def _complete(L: LieAlgebra, candidates=lambda w, picked: ()):
     n = L.dimension
     columns, weights, raw = [], [], []
     for w, (stage, below) in enumerate(zip(stages, stages[1:])):
-        span = {c: dict(row) for c, row in below.items()}
-        standard = (({j: _ONE}, L.names[j]) for j in range(n)
-                    if not linalg.reduce({j: _ONE}, stage))
+        span = linalg.integer_echelon(below.values())
+        # e_j lies in g^(w) iff it is the reduced row of g^(w) at pivot j
+        standard = (({j: _ONE}, L.names[j]) for j in range(n) if stage.get(j) == {j: 1})
         rows = ((stage[c], None) for c in sorted(stage))
         for v, name in chain(candidates(w, list(zip(columns, weights))), standard, rows):
             if len(span) == len(stage):
                 break
-            if linalg.extend(span, v):
+            if linalg.integer_extend(span, v):
                 raw.append(f"v{len(columns)}" if name is None else name)
                 columns.append(v)
                 weights.append(w)

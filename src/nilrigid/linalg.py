@@ -1,25 +1,24 @@
-"""Exact Gaussian elimination over the rationals.
+"""Exact Gaussian elimination over the rationals, on Python ints.
 
 A span is held as an echelon basis of sparse rows, ``{column: value}``
-dicts with nonzero entries only, keyed by pivot column.  ``integer_extend``
-is the one-row step on Python ints: it scales a row to a primitive integer
-row and reduces it fraction-free (Bareiss; the exact integer strategy of
-Dumas, Saunders & Villard) against an unreduced integer echelon basis.
-``integer_echelon`` is a loop over it, and ``echelon``, the one elimination
-of a whole set of rows, is ``to_rref(integer_echelon(rows))``: the unique
-reduced row echelon basis, with ``Fraction`` entries.  So every result
-(rref, nullspace, solved coordinates) is deterministic for a given input,
-and equals what ``extend``, the one-row step on a reduced basis, builds row
-by row.  A rank, a pivot set or a test of whether a row grows a span needs
-only the integer basis, and ``Cohomology`` keeps no other basis of a
-coboundary space: it never calls ``to_rref``.
+dicts with nonzero entries only, keyed by pivot column.  Two integer steps
+do all the elimination: ``integer_extend`` scales a row to a primitive
+integer row and reduces it fraction-free (Bareiss; the exact integer
+strategy of Dumas, Saunders & Villard) against an unreduced integer echelon
+basis, and ``_clear`` back-substitutes an integer row against a reduced
+integer basis, dividing nothing.  ``integer_echelon`` loops over the first;
+``to_rref`` runs the second over a whole basis and then divides each row by
+its pivot entry, and ``echelon``, the one elimination of a set of rows, is
+``to_rref(integer_echelon(rows))``, the unique reduced row echelon basis.
+A ``Fraction`` is built only by that division and by ``ColumnSolver.solve``
+for its result.  A rank, a pivot set or a test of whether a row grows a
+span needs only the integer basis; ``Cohomology`` never calls ``to_rref``.
 
-Library code calls the sparse routines: ``echelon`` and
-``integer_echelon``; ``integer_extend``, ``extend`` and ``reduce`` (a
-membership test) for spans grown one row at a time; and ``nullspace`` and
-``ColumnSolver``, which take a matrix as a list of sparse columns, the form
-in which the cochain complexes and changes of basis are built.  The dense
-views ``rref``, ``rank``, ``in_rowspan``, ``invert`` and ``identity`` take
+Library code calls ``echelon``, ``integer_echelon``, ``integer_extend``
+(spans grown one row at a time), and ``nullspace`` and ``ColumnSolver``,
+which take a matrix as a list of sparse columns, the form in which the
+cochain complexes and changes of basis are built.  The dense views
+``rref``, ``rank``, ``in_rowspan``, ``invert`` and ``identity`` take
 matrices as lists of rows of Fraction; they serve tests and the benchmark's
 input generation, plus the small dense rank checks in ``morphisms`` and the
 dense basis that ``Cohomology.decomposable_subspace`` returns.
@@ -39,8 +38,8 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
-def _subtract(target: Vec, f: Fraction, row: Vec) -> None:
-    """target -= f * row, in place, keeping only nonzero entries."""
+def _subtract(target: dict[int, int], f: int, row: dict[int, int]) -> None:
+    """target -= f * row on integer rows, in place, keeping only nonzero entries."""
     for j, x in row.items():
         if j in target:
             v = target[j] - f * x
@@ -52,48 +51,19 @@ def _subtract(target: Vec, f: Fraction, row: Vec) -> None:
             target[j] = -f * x
 
 
-def reduce(row: Vec, basis: dict[int, Vec]) -> Vec:
-    """``row`` cleared at every pivot of a reduced echelon basis, as a new
-    dict; empty iff ``row`` lies in the span.
-
-    A basis row is zero at every other pivot, so one pass over the pivots
-    present in ``row`` suffices.
-    """
-    r = dict(row)
-    for c in [c for c in r if c in basis]:
-        _subtract(r, r[c], basis[c])
-    return r
-
-
-def extend(basis: dict[int, Vec], row: Vec) -> bool:
-    """Add ``row`` to a reduced echelon basis in place; True iff the span grew.
-
-    The basis maps each pivot column to its row, which is 1 at the pivot and
-    0 at every other pivot column.  ``row`` itself is not modified.
-    """
-    r = reduce(row, basis)
-    if not r:
-        return False
-    lead = min(r)
-    inv = _ONE / r[lead]
-    if inv != 1:
-        r = {j: x * inv for j, x in r.items()}
-    for prow in basis.values():
-        f = prow.get(lead)
-        if f:
-            _subtract(prow, f, r)
-    basis[lead] = r
-    return True
+def _integer(row: dict[int, Fraction | int]) -> tuple[dict[int, int], int]:
+    """(den * row as a new dict, den), den the lcm of the denominators of the
+    entries, which may be int (its own numerator, over 1) or Fraction."""
+    den = 1
+    for x in row.values():
+        den = lcm(den, x.denominator)
+    return {j: x.numerator * (den // x.denominator) for j, x in row.items()}, den
 
 
 def _primitive(row: dict[int, Fraction | int]) -> dict[int, int]:
     """``row`` times the one positive rational that makes it an integer row
-    whose entries have no common factor, as a new dict.  Entries may be int
-    or Fraction: an int is its own numerator, over 1."""
-    den = 1
-    for x in row.values():
-        den = lcm(den, x.denominator)
-    r = {j: x.numerator * (den // x.denominator) for j, x in row.items()}
+    whose entries have no common factor, as a new dict."""
+    r = _integer(row)[0]
     _remove_content(r)
     return r
 
@@ -119,12 +89,11 @@ def _remove_content(r: dict[int, int]) -> None:
 def integer_extend(basis: dict[int, dict[int, int]], row: dict[int, Fraction | int]) -> bool:
     """Add ``row`` to an integer echelon basis in place; True iff the span grew.
 
-    The integer counterpart of ``extend``: ``row`` (int or Fraction entries,
-    not modified) is scaled to a primitive integer row and reduced
-    fraction-free (Bareiss) against the basis, pivot by pivot in increasing
-    order from a heap: r <- (a/g) r - (f/g) prow, where a is the pivot entry
-    of prow, f the entry of r there and g = gcd(a, f), then r is divided by
-    its content.  A row that does not reduce to zero joins the basis at its
+    ``row`` (int or Fraction entries, not modified) is scaled to a primitive
+    integer row and reduced fraction-free (Bareiss) against the basis, pivot
+    by pivot in increasing order from a heap: r <- (a/g) r - (f/g) prow,
+    where a is the pivot entry of prow, f the entry of r there and
+    g = gcd(a, f), then r is divided by its content.  A row that does not reduce to zero joins the basis at its
     leading column; the basis rows are not changed.
     """
     if not row:
@@ -171,30 +140,42 @@ def integer_echelon(rows: Iterable[dict[int, Fraction | int]]) -> dict[int, dict
     return basis
 
 
-def to_rref(basis: dict[int, dict[int, int]]) -> dict[int, Vec]:
-    """The reduced row echelon basis of the span of an ``integer_echelon``
-    basis, which it turns into that basis in place and returns.
+def _clear(r: dict[int, int], pivots: list[int], basis: dict[int, dict[int, int]]) -> int:
+    """Clear the integer row ``r`` in place at ``pivots``, pivots of ``basis``
+    whose rows are 0 at every other pivot: r <- m r - sum_j (m r_j / a_j) row_j
+    in one pass, with m, returned, the lcm of the pivot entries a_j there."""
+    m = 1
+    for j in pivots:
+        m = lcm(m, basis[j][j])
+    if m != 1:
+        _scale(r, m)
+    for j in pivots:
+        _subtract(r, r[j] // basis[j][j], basis[j])
+    return m
 
-    One integer back-substitution in decreasing pivot order clears each row
-    at the later pivots it holds: the rows there are already reduced, so
-    none of them brings back another pivot, and with m the lcm of their
-    pivot entries a_j, r <- m r - sum_j (m r_j / a_j) row_j in one pass.
-    Each row is then divided by its pivot entry, into ``Fraction`` entries
-    that share one object per value.  Rows and keys keep their order.
-    """
+
+def _back_substitute(basis: dict[int, dict[int, int]]) -> dict[int, dict[int, int]]:
+    """Turn an ``integer_echelon`` basis in place into the integer reduced
+    basis of its span, each row its reduced row times its pivot entry, and
+    return it.  In decreasing pivot order each row is cleared at the later
+    pivots it holds, whose rows are already reduced, then made primitive."""
     for c in sorted(basis, reverse=True):
         r = basis[c]
         later = [j for j in r if j != c and j in basis]
         if later:
-            m = 1
-            for j in later:
-                m = lcm(m, basis[j][j])
-            _scale(r, m)
-            for j in later:
-                _subtract(r, r[j] // basis[j][j], basis[j])
+            _clear(r, later, basis)
             _remove_content(r)
+    return basis
+
+
+def to_rref(basis: dict[int, dict[int, int]]) -> dict[int, Vec]:
+    """The reduced row echelon basis of the span of an ``integer_echelon``
+    basis, which it turns into that basis in place and returns: each row of
+    ``_back_substitute`` divided by its pivot entry, into ``Fraction``
+    entries that share one object per value.  Rows and keys keep their order.
+    """
     quotients: dict[tuple[int, int], Fraction] = {}
-    for c, r in basis.items():
+    for c, r in _back_substitute(basis).items():
         a = r[c]
         for j, x in r.items():
             q = quotients.get((x, a))
@@ -206,11 +187,8 @@ def to_rref(basis: dict[int, dict[int, int]]) -> dict[int, Vec]:
 
 def echelon(rows: Iterable[dict[int, Fraction | int]]) -> dict[int, Vec]:
     """Reduced row echelon basis of the span of sparse rows, pivot -> row.
-
-    The elimination runs on Python ints (``integer_echelon``) and only the
-    result becomes ``Fraction``: the reduced form is unique, so it equals
-    the basis that ``extend`` builds one row at a time.
-    """
+    It is unique, so neither the order of the rows nor the arithmetic that
+    builds it can change it."""
     return to_rref(integer_echelon(rows))
 
 
@@ -244,23 +222,33 @@ def rank(rows: list[Row], ncols: int | None = None) -> int:
     return len(rref(rows, ncols)[0])
 
 
+def _within(vec: dict, nrows: int) -> dict:
+    """``vec``, a column or right-hand side of a matrix with ``nrows`` rows,
+    after checking that every index is one of its rows."""
+    if vec and (min(vec) < 0 or max(vec) >= nrows):
+        bad = next(i for i in vec if not 0 <= i < nrows)
+        raise ValueError(f"row index {bad} outside a matrix of {nrows} rows")
+    return vec
+
+
 def nullspace(columns: list[Vec], nrows: int) -> list[Vec]:
     """Reduced echelon basis of {x : sum_j x_j columns[j] = 0}, by pivot.
 
     Eliminates the rows (c_j | e_j), with e_j placed after the ``nrows``
     matrix coordinates: the rows whose pivot lies in the e part are zero in
-    the c part and carry the relations.
+    the c part and carry the relations, so only they are back-substituted.
+    Raises ValueError for a row index outside 0..nrows-1.
     """
-    basis = echelon({**col, nrows + j: _ONE} for j, col in enumerate(columns))
-    return [
-        {j - nrows: x for j, x in basis[c].items()} for c in sorted(basis) if c >= nrows
-    ]
+    basis = integer_echelon(
+        {**_within(col, nrows), nrows + j: 1} for j, col in enumerate(columns))
+    relations = to_rref({c: r for c, r in basis.items() if c >= nrows})
+    return [{j - nrows: x for j, x in relations[c].items()} for c in sorted(relations)]
 
 
 def in_rowspan(red: list[Row], pivots: list[int], v: Row) -> bool:
     """Membership test against a precomputed rref basis."""
-    basis = {pc: sparse(prow) for prow, pc in zip(red, pivots)}
-    return not reduce(sparse(v), basis)
+    basis = {pc: _primitive(sparse(prow)) for prow, pc in zip(red, pivots)}
+    return not integer_extend(basis, sparse(v))
 
 
 def identity(n: int) -> list[Row]:
@@ -280,32 +268,37 @@ def invert(rows: list[Row]) -> list[Row] | None:
 class ColumnSolver:
     """Factor a column matrix once, then solve M x = b for many b.
 
-    The factorisation is the reduced echelon basis of the rows (c_j | e_j),
-    with e_j placed after the ``nrows`` matrix coordinates in reverse column
-    order.  A row with its pivot among the matrix coordinates writes a basis
-    vector of the column span as a combination of columns; relations among
-    the columns get their pivot at their last column, so those combinations
-    avoid every column that depends on earlier ones.  ``rank`` is the rank
-    of the column matrix.
+    The factorisation is the integer reduced basis (``_back_substitute``) of
+    the rows (c_j | e_j), e_j placed after the ``nrows`` matrix coordinates
+    in reverse column order, kept where the pivot is a matrix coordinate:
+    each row writes a multiple of a basis vector of the column span as a
+    combination of columns.  Relations get their pivot at their last column,
+    so those combinations avoid every column that depends on earlier ones.
+    ``rank`` is the rank of the column matrix.  A row index outside
+    0..nrows-1, in a column or in b, raises ValueError.
     """
 
     def __init__(self, columns: list[Vec], nrows: int):
         self.ncols = len(columns)
         self.nrows = nrows
         self._last = nrows + self.ncols - 1
-        basis = echelon({**col, self._last - j: _ONE} for j, col in enumerate(columns))
+        basis = _back_substitute(integer_echelon(
+            {**_within(col, nrows), self._last - j: 1} for j, col in enumerate(columns)))
         self._basis = {c: row for c, row in basis.items() if c < nrows}
         self.rank = len(self._basis)
 
     def solve(self, b: Vec) -> Row | None:
         """Coordinates x with M x = b, free coordinates set to 0.
 
-        Returns None when b is outside the column span.
+        Returns None when b is outside the column span.  den b, on ints, is
+        cleared at the pivots it holds with multiplier m (``_clear``), which
+        leaves -den m x in the e part.
         """
-        rest = reduce(b, self._basis)
+        r, den = _integer(_within(b, self.nrows))
+        m = _clear(r, [j for j in r if j in self._basis], self._basis)
         x = [_ZERO] * self.ncols
-        for j, v in rest.items():
+        for j, v in r.items():
             if j < self.nrows:
                 return None
-            x[self._last - j] = -v
+            x[self._last - j] = Fraction(-v, den * m)
         return x

@@ -148,6 +148,30 @@ def oracle_betti(L) -> tuple:
     return tuple(out)
 
 
+def oracle_extend(basis, row):
+    """Gauss-Jordan step on Fractions: add the sparse row ``row`` ({column:
+    value}, not modified) to the reduced echelon basis ``basis`` ({pivot:
+    row}, each row 1 at its pivot and 0 at every other pivot) in place.
+    Returns True iff the span grew."""
+    r = {j: Fraction(x) for j, x in row.items() if x}
+    for c, prow in basis.items():
+        f = r.get(c)
+        if f:
+            r = {j: v for j in r.keys() | prow.keys()
+                 if (v := r.get(j, ZERO) - f * prow.get(j, ZERO))}
+    if not r:
+        return False
+    lead = min(r)
+    r = {j: x / r[lead] for j, x in r.items()}
+    for c, prow in basis.items():
+        f = prow.get(lead)
+        if f:
+            basis[c] = {j: v for j in prow.keys() | r.keys()
+                        if (v := prow.get(j, ZERO) - f * r.get(j, ZERO))}
+    basis[lead] = r
+    return True
+
+
 def _nullspace(rows, width):
     """Basis of {v : rows . v = 0}, read off a reduced row echelon form."""
     mat = [list(r) for r in rows]

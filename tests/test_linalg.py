@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nilrigid import linalg
-from oracle import DENOMINATORS, _forward_rank, _nullspace
+from oracle import DENOMINATORS, _forward_rank, _nullspace, oracle_extend
 
 ZERO = Fraction(0)
 
@@ -64,7 +64,7 @@ def test_rref_is_canonical(rows):
     # one row at a time: the span grows exactly when the oracle's rank does
     basis = {}
     for i, row in enumerate(rows):
-        grew = linalg.extend(basis, linalg.sparse(row))
+        grew = oracle_extend(basis, linalg.sparse(row))
         assert grew == (_forward_rank(rows[: i + 1], ncols) > _forward_rank(rows[:i], ncols))
     assert [linalg.dense(basis[c], ncols) for c in sorted(basis)] == red
 
@@ -132,6 +132,26 @@ def test_column_solver_sets_free_coordinates_to_zero():
     assert solver.solve({0: Fraction(2), 1: Fraction(3)}) == [2, 0, 3]
 
 
+def test_column_solver_rejects_a_column_row_index_outside_the_matrix():
+    with pytest.raises(ValueError, match="row index 2 outside a matrix of 2 rows"):
+        linalg.ColumnSolver([{0: 1}, {2: 1}], 2)
+
+
+def test_column_solver_rejects_a_right_hand_side_outside_the_matrix():
+    # an entry at row 2 would land on the identity block and "solve" to [0, -5]
+    solver = linalg.ColumnSolver([{0: 1}, {1: 1}], 2)
+    with pytest.raises(ValueError, match="row index 2 outside"):
+        solver.solve({2: 5})
+    with pytest.raises(ValueError, match="row index -1 outside"):
+        solver.solve({-1: 1})
+
+
+def test_nullspace_rejects_a_row_index_outside_the_matrix():
+    # {2: 1} would collide with the identity block and give the kernel [{0: 1}]
+    with pytest.raises(ValueError, match="row index 2 outside a matrix of 2 rows"):
+        linalg.nullspace([{2: 1}], 2)
+
+
 # int entries, and Fractions over large pairwise coprime denominators
 entries = st.one_of(
     st.integers(-(10**6), 10**6).filter(bool),
@@ -157,7 +177,7 @@ def sparse_matrices(draw):
 def extend_loop(rows):
     basis = {}
     for row in rows:
-        linalg.extend(basis, row)
+        oracle_extend(basis, row)
     return basis
 
 
@@ -178,11 +198,15 @@ def test_integer_echelon_is_the_reduced_basis_of_extend(matrix):
         kernel[c] for c in sorted(kernel)
     ]
 
-    # the transpose as a column matrix: solved iff the oracle's rank stays
+    # the transpose as a column matrix: solved iff the oracle's rank stays,
+    # with the coordinates of columns in the span of earlier ones set to 0
     solver = linalg.ColumnSolver(rows, ncols)
     dense_cols = [[row.get(i, 0) for i in range(ncols)] for row in rows]
     rank = _forward_rank(dense_cols, ncols)
     assert solver.rank == rank
+    free = [j for j in range(len(rows))
+            if _forward_rank(dense_cols[: j + 1], ncols) == _forward_rank(dense_cols[:j], ncols)]
+    red, pivots = linalg.rref(dense_rows, ncols)
     probes = [dict(row) for row in rows] + [{i: Fraction(1)} for i in range(ncols)]
     probes.append({i: sum(Fraction(k + 1) * row.get(i, 0) for k, row in enumerate(rows))
                    for i in range(ncols)})
@@ -190,10 +214,12 @@ def test_integer_echelon_is_the_reduced_basis_of_extend(matrix):
         b = {i: x for i, x in b.items() if x}
         x = solver.solve(b)
         dense_b = [b.get(i, 0) for i in range(ncols)]
-        assert (x is None) == (_forward_rank(dense_cols + [dense_b], ncols) > rank)
+        inside = _forward_rank(dense_cols + [dense_b], ncols) == rank
+        assert (x is not None) == inside == linalg.in_rowspan(red, pivots, dense_b)
         if x is not None:
             image = [sum(c * row.get(i, 0) for c, row in zip(x, rows)) for i in range(ncols)]
             assert image == dense_b
+            assert all(x[j] == 0 for j in free)
 
 
 @settings(derandomize=True, max_examples=150, deadline=None)
@@ -203,7 +229,7 @@ def test_integer_extend_grows_the_span_that_extend_grows(matrix):
     copies = [dict(row) for row in rows]
     integer, reduced = {}, {}
     for row in rows:
-        assert linalg.integer_extend(integer, row) == linalg.extend(reduced, row)
+        assert linalg.integer_extend(integer, row) == oracle_extend(reduced, row)
         assert integer.keys() == reduced.keys()
     assert rows == copies
     assert integer.keys() == linalg.integer_echelon(rows).keys()
