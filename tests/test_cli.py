@@ -170,6 +170,19 @@ def test_text_reports_are_pinned(run, tmp_path, case):
     assert got == (want["code"], want["stdout"], want["stderr"])
 
 
+HELP_TEXTS = json.loads((Path(__file__).parent / "data" / "help_texts.json").read_text())
+
+
+@pytest.mark.parametrize("argv", sorted(HELP_TEXTS))
+def test_help_texts_are_pinned(capsys, monkeypatch, argv):
+    # the top-level help, each command's help and the version, at 80 columns
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main(argv.split())
+    assert exc.value.code == 0
+    assert tuple(capsys.readouterr()) == (HELP_TEXTS[argv], "")
+
+
 def test_carnot_computes_the_central_series_once(run, monkeypatch, tmp_path):
     from nilrigid import lie
 
