@@ -1,10 +1,14 @@
 """Command line interface: subcommands over algebra files, deterministic reports.
 
-Reports are emitted as text (default) or JSON; the JSON envelope carries
-``"schema": "nilrigid-report/1"`` and validates against
-``schemas/report.schema.json``.  Exit codes: 0 success, 1 mathematical
-refutation (the report carries the witness), 2 usage or parse errors, and
-also an internal error, reported on one line without a traceback.
+Each subcommand is declared once, as a ``Command`` in ``_COMMANDS``: its help
+text, its arguments, a handler that fills the report and returns the verdict
+``ok``, and a renderer of the report as text.  The parser is built from that
+table once, at import.  Reports are emitted as text (default) or JSON; the
+JSON envelope carries ``"schema": "nilrigid-report/1"`` and validates against
+``schemas/report.schema.json``.  The exit code is read off the report's
+``ok``: 0 when it is true, 1 when it is false (a mathematical refutation; the
+report carries the witness).  Usage and parse errors exit 2, and so does an
+internal error, reported on one line without a traceback.
 """
 
 from __future__ import annotations
@@ -13,30 +17,13 @@ import argparse
 import contextlib
 import json
 import sys
+from typing import Callable, NamedTuple
 
 from . import __version__
 from .cohomology import Cohomology
-from .errors import (
-    FamilyShapeError,
-    ModelError,
-    NilrigidError,
-    NotNilpotentError,
-    ParseError,
-)
-from .families import (
-    section3_pair,
-    theorem1_family,
-    theorem2_family,
-    theorem4_example,
-)
-from .fileformat import (
-    build_form,
-    emit_algebra,
-    form_to_str,
-    lie_algebra,
-    model,
-    parse_source,
-)
+from .errors import FamilyShapeError, ModelError, NilrigidError, NotNilpotentError, ParseError
+from .families import section3_pair, theorem1_family, theorem2_family, theorem4_example
+from .fileformat import build_form, emit_algebra, form_to_str, lie_algebra, model, parse_source
 from .forms import Form, check_d_squared
 from .free_nilpotent import free_nilpotent_lie, theorem3_family
 from .lie import (
@@ -91,7 +78,11 @@ def _vec(v) -> list:
     return [str(c) for c in v]
 
 
-# -- subcommand implementations ---------------------------------------------
+def _joined(values) -> str:
+    return " ".join(map(str, values))
+
+
+# -- subcommands: a handler returns the verdict ok, a renderer gives text lines
 
 
 def _cmd_check(args, report):
@@ -104,22 +95,34 @@ def _cmd_check(args, report):
         {"triple": [L.names[i], L.names[j], L.names[k]], "defect": _vec(v)}
         for i, j, k, v in jd
     ]
-    report["d2_defects"] = [
-        {"generator": g.name, "defect": form_to_str(f)} for g, f in d2
-    ]
-    report["ok"] = not jd and not d2
-    return EXIT_OK if report["ok"] else EXIT_REFUTED
+    report["d2_defects"] = [{"generator": g.name, "defect": form_to_str(f)} for g, f in d2]
+    return not jd and not d2
+
+
+def _text_check(report):
+    if report["ok"]:
+        return ["ok: Jacobi identity holds and d^2 = 0"]
+    return [
+        f"jacobi defect at [{', '.join(item['triple'])}]: {' '.join(item['defect'])}"
+        for item in report["jacobi_defects"]
+    ] + [f"d^2 {item['generator']} = {item['defect']}" for item in report["d2_defects"]]
 
 
 def _cmd_lcs(args, report):
-    L = _lie(args.file)
-    chain = lower_central_series(L)
+    chain = lower_central_series(_lie(args.file))
     dims = chain.dimensions()
     report["dimensions"] = list(dims)
     report["quotients"] = [dims[i] - dims[i + 1] for i in range(len(dims) - 1)]
     report["nilpotent"] = chain.nilpotent
-    report["ok"] = chain.nilpotent
-    return EXIT_OK if chain.nilpotent else EXIT_REFUTED
+    return chain.nilpotent
+
+
+def _text_lcs(report):
+    return [
+        "dimensions: " + _joined(report["dimensions"]),
+        "quotients:  " + _joined(report["quotients"]),
+        "nilpotent:  " + ("yes" if report["nilpotent"] else "no"),
+    ]
 
 
 def _cmd_carnot(args, report):
@@ -128,20 +131,28 @@ def _cmd_carnot(args, report):
     graded = carnot(L, basis)
     report["weights"] = list(basis.weights)
     report["algebra_file"] = emit_algebra(graded, weights=basis.weights)
-    report["ok"] = True
-    return EXIT_OK
+    return True
+
+
+def _text_files(report):
+    """The emitted algebra file, or a pair of them under ``# first``/``# second``."""
+    if "algebra_file" in report:
+        return [report["algebra_file"].rstrip("\n")]
+    return ["# first", report["first"].rstrip("\n"), "# second", report["second"].rstrip("\n")]
 
 
 def _cmd_model(args, report):
     A = _model(args.file)
-    report["generators"] = [
-        {"name": g.name, "weight": g.weight} for g in A.generators
+    report["generators"] = [{"name": g.name, "weight": g.weight} for g in A.generators]
+    report["differential"] = {g.name: form_to_str(d) for g, d in zip(A.generators, A.differential)}
+    return True
+
+
+def _text_model(report):
+    return [
+        f"{g['name']}:{g['weight']}  d {g['name']} = {report['differential'][g['name']]}"
+        for g in report["generators"]
     ]
-    report["differential"] = {
-        g.name: form_to_str(df) for g, df in zip(A.generators, A.differential)
-    }
-    report["ok"] = True
-    return EXIT_OK
 
 
 def _cmd_betti(args, report):
@@ -157,13 +168,15 @@ def _cmd_betti(args, report):
     b = H.betti_vector()
     report["betti"] = list(b)
     report["euler"] = sum((-1) ** p * bp for p, bp in enumerate(b))
-    report["ok"] = True
-    return EXIT_OK
+    return True
+
+
+def _text_betti(report):
+    return ["betti: " + _joined(report["betti"]), f"euler: {report['euler']}"]
 
 
 def _cmd_cohomology(args, report):
-    A = _model(args.file)
-    H = Cohomology(A)
+    H = Cohomology(_model(args.file))
     p = args.degree
     report["degree"] = p
     if args.by_weight:
@@ -176,13 +189,18 @@ def _cmd_cohomology(args, report):
     else:
         report["betti"] = H.betti(p)
         report["representatives"] = [form_to_str(f) for f in H.basis(p)]
-    report["ok"] = True
-    return EXIT_OK
+    return True
+
+
+def _text_cohomology(report):
+    head = [f"b_{report['degree']} = {report['betti']}"]
+    if "by_weight" in report:
+        return head + [f"  weight {w}: {dim}" for w, dim in report["by_weight"].items()]
+    return head + [f"  [{f}]" for f in report["representatives"]]
 
 
 def _cmd_generators(args, report):
-    A = _model(args.file)
-    H = Cohomology(A)
+    H = Cohomology(_model(args.file))
     p = args.degree
     count, reps = H.indecomposables(p)
     report["degree"] = p
@@ -192,8 +210,15 @@ def _cmd_generators(args, report):
         {"coordinates": _vec(r.coordinates), "form": form_to_str(H.form_of(r))}
         for r in reps
     ]
-    report["ok"] = True
-    return EXIT_OK
+    return True
+
+
+def _text_generators(report):
+    return [
+        f"degree {report['degree']}: betti {report['betti']}, "
+        f"indecomposable {report['indecomposable_count']}",
+        *(f"  [{rep['form']}]" for rep in report["representatives"]),
+    ]
 
 
 def _fingerprint_dict(fp) -> dict:
@@ -209,32 +234,51 @@ def _cmd_fingerprint(args, report):
     L = _lie(args.file)
     fp = fingerprint(L, max_indec_degree=args.max_degree)
     report["fingerprint"] = _fingerprint_dict(fp)
-    report["ok"] = True
-    return EXIT_OK
+    return True
+
+
+def _text_fingerprint(report):
+    fp = report["fingerprint"]
+    return [
+        f"dimension: {fp['dimension']}",
+        "lcs quotients: " + _joined(fp["lcs_quotients"]),
+        "betti: " + _joined(fp["betti"]),
+        "indecomposables: " + _joined(fp["indecomposables"]),
+    ]
 
 
 def _cmd_compare(args, report):
-    L1 = _lie(args.first)
-    L2 = _lie(args.second)
-    fp1 = fingerprint(L1, max_indec_degree=args.max_degree)
-    fp2 = fingerprint(L2, max_indec_degree=args.max_degree)
-    report["first"] = _fingerprint_dict(fp1)
-    report["second"] = _fingerprint_dict(fp2)
-    difference = None
-    for field in ("dimension", "lcs_quotients", "betti", "indecomposables"):
-        if getattr(fp1, field) != getattr(fp2, field):
-            difference = field
-            break
+    # both files are read before either fingerprint is computed
+    first, second = [
+        _fingerprint_dict(fingerprint(L, max_indec_degree=args.max_degree))
+        for L in (_lie(args.first), _lie(args.second))
+    ]
+    report["first"], report["second"] = first, second
+    # the first field, in fingerprint order, where the two differ
+    difference = next((key for key in first if first[key] != second[key]), None)
     report["equal"] = difference is None
     report["difference"] = difference
-    report["ok"] = difference is None
-    return EXIT_OK if report["ok"] else EXIT_REFUTED
+    return difference is None
+
+
+def _text_compare(report):
+    if report["equal"]:
+        return ["equal fingerprints"]
+    return [
+        f"fingerprints differ at: {report['difference']}",
+        f"first:  {report['first']}",
+        f"second: {report['second']}",
+    ]
 
 
 def _generator_map(af, src, dst) -> GeneratorMap:
     """Images from ``map`` lines; unmapped generators go to their namesakes."""
+    mapped = {}
+    for name, terms, lineno in af.maps:
+        if name in mapped:
+            raise ParseError(f"map line for generator {name!r} declared twice", lineno)
+        mapped[name] = (terms, lineno)
     images = []
-    mapped = {name: (terms, lineno) for name, terms, lineno in af.maps}
     for g in src.generators:
         if g.name in mapped:
             terms, lineno = mapped.pop(g.name)
@@ -246,7 +290,8 @@ def _generator_map(af, src, dst) -> GeneratorMap:
                 raise ParseError(
                     f"no image given for generator {g.name!r} and the target has no namesake"
                 )
-    for name, (_, lineno) in mapped.items():
+    if mapped:
+        name, (_, lineno) = next(iter(mapped.items()))
         raise ParseError(f"map line for unknown generator {name!r}", lineno)
     return GeneratorMap(tuple(images))
 
@@ -254,14 +299,11 @@ def _generator_map(af, src, dst) -> GeneratorMap:
 def _cmd_verify_iso(args, report):
     src = _model(args.src)
     dst = _model(args.dst)
-    af = _parse(args.map)
-    phi = _generator_map(af, src, dst)
-    result = verify_cdga_morphism(src, dst, phi)
+    result = verify_cdga_morphism(src, dst, _generator_map(_parse(args.map), src, dst))
     report["stage"] = result.stage
     report["generator"] = result.generator
     report["witness"] = form_to_str(result.witness) if result.witness else None
-    report["ok"] = result.ok
-    return EXIT_OK if result.ok else EXIT_REFUTED
+    return result.ok
 
 
 def _cmd_verify_ring_iso(args, report):
@@ -278,8 +320,18 @@ def _cmd_verify_ring_iso(args, report):
     report["stage"] = result.stage
     report["degree"] = result.degree
     report["detail"] = result.detail
-    report["ok"] = result.ok
-    return EXIT_OK if result.ok else EXIT_REFUTED
+    return result.ok
+
+
+def _text_verdict(report):
+    if report["ok"]:
+        return ["ok"]
+    detail = [
+        f"{key}={report[key]}"
+        for key in ("generator", "degree", "detail", "witness")
+        if report.get(key) is not None
+    ]
+    return [f"refuted at stage {report['stage']}" + (f" ({', '.join(detail)})" if detail else "")]
 
 
 def _cmd_normalize(args, report):
@@ -288,18 +340,23 @@ def _cmd_normalize(args, report):
         norm = normalize_perturbation(A)
     except FamilyShapeError as exc:
         raise ParseError(str(exc))
-    changed = {}
-    for g, img in zip(A.generators, norm.map.images):
-        if img != Form.generator(A.generators, g.index):
-            changed[g.name] = form_to_str(img)
     top = [g for g in A.generators if g.weight == 2][0]
     report["residual"] = str(norm.residual)
-    report["map"] = changed
-    report["normalized_differential"] = form_to_str(
-        norm.normalized.differential[top.index]
-    )
-    report["ok"] = True
-    return EXIT_OK
+    report["map"] = {
+        g.name: form_to_str(img)
+        for g, img in zip(A.generators, norm.map.images)
+        if img != Form.generator(A.generators, g.index)
+    }
+    report["normalized_differential"] = form_to_str(norm.normalized.differential[top.index])
+    return True
+
+
+def _text_normalize(report):
+    return [
+        f"residual: {report['residual']}",
+        f"normalized d m = {report['normalized_differential']}",
+        *(f"map {name} = {img}" for name, img in report["map"].items()),
+    ]
 
 
 def _cmd_decomposable(args, report):
@@ -307,26 +364,27 @@ def _cmd_decomposable(args, report):
     A = model(af)
     if not af.forms:
         raise ParseError("file declares no form lines")
-    results = []
-    all_ok = True
+    report["forms"] = results = []
     for terms, lineno in af.forms:
         f = build_form(terms, A, lineno)
         d = is_decomposable_2form(f)
-        entry = {
+        results.append({
             "form": form_to_str(f),
             "decomposable": d.decomposable,
             "rank": d.rank,
             "square": form_to_str(d.square),
-        }
-        if d.witness is not None:
-            entry["witness"] = [form_to_str(d.witness[0]), form_to_str(d.witness[1])]
-        else:
-            entry["witness"] = None
-        results.append(entry)
-        all_ok = all_ok and d.decomposable
-    report["forms"] = results
-    report["ok"] = all_ok
-    return EXIT_OK if all_ok else EXIT_REFUTED
+            "witness": None if d.witness is None else [form_to_str(w) for w in d.witness],
+        })
+    return all(entry["decomposable"] for entry in results)
+
+
+def _text_decomposable(report):
+    return [
+        f"{e['form']}: decomposable, ({e['witness'][0]}) ^ ({e['witness'][1]})"
+        if e["decomposable"]
+        else f"{e['form']}: not decomposable (rank {e['rank']}), square = {e['square']}"
+        for e in report["forms"]
+    ]
 
 
 def _emit_model_file(A) -> str:
@@ -335,14 +393,11 @@ def _emit_model_file(A) -> str:
 
 def _cmd_family(args, report):
     name = args.name
-    if name == "theorem1":
+    if name in ("theorem1", "theorem2"):
         if args.k is None:
-            raise ParseError("family theorem1 needs --k")
-        report["algebra_file"] = _emit_model_file(theorem1_family(args.k))
-    elif name == "theorem2":
-        if args.k is None:
-            raise ParseError("family theorem2 needs --k")
-        report["algebra_file"] = _emit_model_file(theorem2_family(args.k))
+            raise ParseError(f"family {name} needs --k")
+        family = theorem1_family if name == "theorem1" else theorem2_family
+        report["algebra_file"] = _emit_model_file(family(args.k))
     elif name == "theorem4":
         report["algebra_file"] = _emit_model_file(theorem4_example())
     elif name == "section3":
@@ -362,114 +417,62 @@ def _cmd_family(args, report):
         if not vectors:
             raise ParseError("subspace file declares no vector lines")
         L = theorem3_family(args.gens, args.k, vectors)
+        # weights are declared only when the file's own basis is adapted
         basis = adapted_basis(L)
-        if basis.is_identity():
-            report["algebra_file"] = emit_algebra(L, weights=basis.weights)
-        else:
-            report["algebra_file"] = emit_algebra(L)
-    report["ok"] = True
-    return EXIT_OK
+        report["algebra_file"] = emit_algebra(L, basis.weights if basis.is_identity() else None)
+    return True
 
 
-# -- rendering ---------------------------------------------------------------
+# -- the command table and the parser built from it --------------------------
 
 
-def _render_text(report) -> str:
-    cmd = report["command"]
-    lines = []
-    if cmd == "check":
-        if report["ok"]:
-            lines.append("ok: Jacobi identity holds and d^2 = 0")
-        else:
-            for item in report["jacobi_defects"]:
-                lines.append(
-                    "jacobi defect at [%s]: %s"
-                    % (", ".join(item["triple"]), " ".join(item["defect"]))
-                )
-            for item in report["d2_defects"]:
-                lines.append(f"d^2 {item['generator']} = {item['defect']}")
-    elif cmd == "lcs":
-        lines.append("dimensions: " + " ".join(map(str, report["dimensions"])))
-        lines.append("quotients:  " + " ".join(map(str, report["quotients"])))
-        lines.append("nilpotent:  " + ("yes" if report["nilpotent"] else "no"))
-    elif cmd in ("carnot", "family"):
-        if "algebra_file" in report:
-            lines.append(report["algebra_file"].rstrip("\n"))
-        else:
-            lines.append("# first")
-            lines.append(report["first"].rstrip("\n"))
-            lines.append("# second")
-            lines.append(report["second"].rstrip("\n"))
-    elif cmd == "model":
-        for g in report["generators"]:
-            name = g["name"]
-            lines.append(
-                f"{name}:{g['weight']}  d {name} = {report['differential'][name]}"
-            )
-    elif cmd == "betti":
-        lines.append("betti: " + " ".join(map(str, report["betti"])))
-        lines.append(f"euler: {report['euler']}")
-    elif cmd == "cohomology":
-        p = report["degree"]
-        lines.append(f"b_{p} = {report['betti']}")
-        if "by_weight" in report:
-            for w, dim in report["by_weight"].items():
-                lines.append(f"  weight {w}: {dim}")
-        else:
-            for f in report["representatives"]:
-                lines.append(f"  [{f}]")
-    elif cmd == "generators":
-        p = report["degree"]
-        lines.append(
-            f"degree {p}: betti {report['betti']}, "
-            f"indecomposable {report['indecomposable_count']}"
-        )
-        for rep in report["representatives"]:
-            lines.append(f"  [{rep['form']}]")
-    elif cmd == "fingerprint":
-        fp = report["fingerprint"]
-        lines.append(f"dimension: {fp['dimension']}")
-        lines.append("lcs quotients: " + " ".join(map(str, fp["lcs_quotients"])))
-        lines.append("betti: " + " ".join(map(str, fp["betti"])))
-        lines.append("indecomposables: " + " ".join(map(str, fp["indecomposables"])))
-    elif cmd == "compare":
-        if report["equal"]:
-            lines.append("equal fingerprints")
-        else:
-            lines.append(f"fingerprints differ at: {report['difference']}")
-            lines.append(f"first:  {report['first']}")
-            lines.append(f"second: {report['second']}")
-    elif cmd in ("verify-iso", "verify-ring-iso"):
-        if report["ok"]:
-            lines.append("ok")
-        else:
-            detail = []
-            for key in ("generator", "degree", "detail", "witness"):
-                if report.get(key) is not None:
-                    detail.append(f"{key}={report[key]}")
-            lines.append(f"refuted at stage {report['stage']}"
-                         + (f" ({', '.join(detail)})" if detail else ""))
-    elif cmd == "normalize":
-        lines.append(f"residual: {report['residual']}")
-        lines.append(f"normalized d m = {report['normalized_differential']}")
-        for name, img in report["map"].items():
-            lines.append(f"map {name} = {img}")
-    elif cmd == "decomposable":
-        for entry in report["forms"]:
-            if entry["decomposable"]:
-                u, v = entry["witness"]
-                lines.append(f"{entry['form']}: decomposable, ({u}) ^ ({v})")
-            else:
-                lines.append(
-                    f"{entry['form']}: not decomposable "
-                    f"(rank {entry['rank']}), square = {entry['square']}"
-                )
-    else:  # pragma: no cover - every command is handled above
-        lines.append(json.dumps(report, sort_keys=True))
-    return "\n".join(lines) + "\n"
+class Command(NamedTuple):
+    """One subcommand.  ``args`` holds (name, add_argument keywords) pairs;
+    ``run(args, report)`` fills the report and returns its verdict ``ok``;
+    ``render(report)`` gives the text report's lines from the report alone."""
+
+    help: str
+    args: tuple
+    run: Callable[[argparse.Namespace, dict], bool]
+    render: Callable[[dict], list]
 
 
-# -- argument parsing --------------------------------------------------------
+_FILE = ("file", {})
+_MAP_FILES = (("src", {}), ("dst", {}), ("map", {}))
+_DEGREE = ("--degree", {"type": int, "required": True})
+_INT = {"type": int}
+_MAX_DEGREE = ("--max-degree", _INT)
+_FAMILIES = ("theorem1", "theorem2", "theorem4", "section3", "free", "theorem3")
+
+_COMMANDS = {
+    "check": Command("verify the Jacobi identity / d^2 = 0", (_FILE,), _cmd_check, _text_check),
+    "lcs": Command("lower central series dimensions", (_FILE,), _cmd_lcs, _text_lcs),
+    "carnot": Command("associated Carnot-graded algebra", (_FILE,), _cmd_carnot, _text_files),
+    "model": Command("Sullivan model generators and differential", (_FILE,), _cmd_model,
+                     _text_model),
+    "betti": Command("Betti numbers", (_FILE,), _cmd_betti, _text_betti),
+    "cohomology": Command("cohomology of one degree",
+                          (_FILE, _DEGREE, ("--by-weight", {"action": "store_true"})),
+                          _cmd_cohomology, _text_cohomology),
+    "generators": Command("indecomposable cohomology generators", (_FILE, _DEGREE),
+                          _cmd_generators, _text_generators),
+    "fingerprint": Command("invariant fingerprint", (_FILE, _MAX_DEGREE), _cmd_fingerprint,
+                           _text_fingerprint),
+    "compare": Command("compare two fingerprints", (("first", {}), ("second", {}), _MAX_DEGREE),
+                       _cmd_compare, _text_compare),
+    "verify-iso": Command("verify a CDGA morphism given by map lines", _MAP_FILES,
+                          _cmd_verify_iso, _text_verdict),
+    "verify-ring-iso": Command("verify a cohomology ring isomorphism", _MAP_FILES,
+                               _cmd_verify_ring_iso, _text_verdict),
+    "normalize": Command("absorb the quadratic perturbation of d m", (("src", {}),),
+                         _cmd_normalize, _text_normalize),
+    "decomposable": Command("2-form decomposability with certificates", (_FILE,),
+                            _cmd_decomposable, _text_decomposable),
+    "family": Command("emit a named example family as an algebra file", (
+        ("name", {"choices": _FAMILIES}), ("--k", _INT), ("--gens", _INT),
+        ("--class", {"dest": "nilpotency_class", "type": int}), ("--subspace", {}),
+    ), _cmd_family, _text_files),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -482,79 +485,22 @@ def _build_parser() -> argparse.ArgumentParser:
         "--format", choices=("text", "json"), default="text", help="report format"
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("check", help="verify the Jacobi identity / d^2 = 0")
-    p.add_argument("file")
-    p = sub.add_parser("lcs", help="lower central series dimensions")
-    p.add_argument("file")
-    p = sub.add_parser("carnot", help="associated Carnot-graded algebra")
-    p.add_argument("file")
-    p = sub.add_parser("model", help="Sullivan model generators and differential")
-    p.add_argument("file")
-    p = sub.add_parser("betti", help="Betti numbers")
-    p.add_argument("file")
-    p = sub.add_parser("cohomology", help="cohomology of one degree")
-    p.add_argument("file")
-    p.add_argument("--degree", type=int, required=True)
-    p.add_argument("--by-weight", action="store_true")
-    p = sub.add_parser("generators", help="indecomposable cohomology generators")
-    p.add_argument("file")
-    p.add_argument("--degree", type=int, required=True)
-    p = sub.add_parser("fingerprint", help="invariant fingerprint")
-    p.add_argument("file")
-    p.add_argument("--max-degree", type=int, default=None)
-    p = sub.add_parser("compare", help="compare two fingerprints")
-    p.add_argument("first")
-    p.add_argument("second")
-    p.add_argument("--max-degree", type=int, default=None)
-    p = sub.add_parser("verify-iso", help="verify a CDGA morphism given by map lines")
-    p.add_argument("src")
-    p.add_argument("dst")
-    p.add_argument("map")
-    p = sub.add_parser("verify-ring-iso", help="verify a cohomology ring isomorphism")
-    p.add_argument("src")
-    p.add_argument("dst")
-    p.add_argument("map")
-    p = sub.add_parser("normalize", help="absorb the quadratic perturbation of d m")
-    p.add_argument("src")
-    p = sub.add_parser("decomposable", help="2-form decomposability with certificates")
-    p.add_argument("file")
-    p = sub.add_parser("family", help="emit a named example family as an algebra file")
-    p.add_argument(
-        "name",
-        choices=("theorem1", "theorem2", "theorem4", "section3", "free", "theorem3"),
-    )
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument("--gens", type=int, default=None)
-    p.add_argument("--class", dest="nilpotency_class", type=int, default=None)
-    p.add_argument("--subspace", default=None)
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        for arg, keywords in command.args:
+            p.add_argument(arg, **keywords)
     return parser
 
 
-_COMMANDS = {
-    "check": _cmd_check,
-    "lcs": _cmd_lcs,
-    "carnot": _cmd_carnot,
-    "model": _cmd_model,
-    "betti": _cmd_betti,
-    "cohomology": _cmd_cohomology,
-    "generators": _cmd_generators,
-    "fingerprint": _cmd_fingerprint,
-    "compare": _cmd_compare,
-    "verify-iso": _cmd_verify_iso,
-    "verify-ring-iso": _cmd_verify_ring_iso,
-    "normalize": _cmd_normalize,
-    "decomposable": _cmd_decomposable,
-    "family": _cmd_family,
-}
+_PARSER = _build_parser()
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    report = {"schema": SCHEMA_VERSION, "command": args.command, "ok": False}
+    args = _PARSER.parse_args(argv)
+    command = _COMMANDS[args.command]
+    report = {"schema": SCHEMA_VERSION, "command": args.command}
     try:
-        code = _COMMANDS[args.command](args, report)
+        report["ok"] = command.run(args, report)
     except (NilrigidError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -565,8 +511,8 @@ def main(argv=None) -> int:
     if args.format == "json":
         sys.stdout.write(json.dumps(report, sort_keys=True, indent=2) + "\n")
     else:
-        sys.stdout.write(_render_text(report))
-    return code
+        sys.stdout.write("\n".join(command.render(report)) + "\n")
+    return EXIT_OK if report["ok"] else EXIT_REFUTED
 
 
 if __name__ == "__main__":  # pragma: no cover

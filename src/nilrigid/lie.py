@@ -10,7 +10,6 @@ constants, skew-extended, times ``scale``, the lcm of their denominators.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations
@@ -18,7 +17,7 @@ from math import lcm
 
 from . import linalg
 from .errors import ModelError, NotNilpotentError
-from .forms import Form, Generator, SullivanModel, monomial_weight
+from .forms import Form, Generator, SullivanModel, check_d_squared, monomial_weight
 
 Vector = list[Fraction]
 Vec = linalg.Vec
@@ -73,9 +72,7 @@ class LieAlgebra:
         hits = [(l, k, terms) for l in u for k in v if (terms := self.table.get((l, k)))]
         if not hits:
             return {}
-        du, dv = (functools.reduce(lcm, (x.denominator for x in w.values()), 1) for w in (u, v))
-        iu = {l: a.numerator * (du // a.denominator) for l, a in u.items()}
-        iv = {k: b.numerator * (dv // b.denominator) for k, b in v.items()}
+        (iu, du), (iv, dv) = linalg._integer(u), linalg._integer(v)
         out: dict[int, int] = {}
         for l, k, terms in hits:
             f = iu[l] * iv[k]
@@ -295,21 +292,17 @@ def ce_model(L: LieAlgebra, basis: AdaptedBasis | None = None) -> SullivanModel:
         Generator(name, idx, weight)
         for idx, (name, weight) in enumerate(zip(basis.names, basis.weights))
     )
-    differential = []
-    for i in range(len(gens)):
-        terms = {}
-        for (l, k), vec in Lb.brackets.items():
-            c = vec.get(i)
+    # d e^i has the term -c e^l e^k for each c e_i in [e_l, e_k], in bracket order
+    terms = [{} for _ in gens]
+    for (l, k), vec in Lb.brackets.items():
+        for i, c in vec.items():
             if c:
-                terms[(l, k)] = -c
-        differential.append(Form(gens, terms))
-    return SullivanModel(gens, differential)
+                terms[i][(l, k)] = -c
+    return SullivanModel(gens, [Form(gens, t) for t in terms])
 
 
 def lie_from_model(A: SullivanModel) -> LieAlgebra:
     """Inverse of ce_model with the same sign convention."""
-    from .forms import check_d_squared
-
     defects = check_d_squared(A)
     if defects:
         names = ", ".join(g.name for g, _ in defects)

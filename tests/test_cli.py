@@ -156,15 +156,21 @@ def test_degree_edges_exit_without_traceback(tmp_path, argv, code):
 TEXT_REPORTS = json.loads((Path(__file__).parent / "data" / "text_reports.json").read_text())
 
 
+def pinned_inputs(tmp_path) -> dict:
+    """Write the pinned reports' input files; their paths by input name."""
+    paths = {}
+    for name, text in TEXT_REPORTS["inputs"].items():
+        paths[name] = tmp_path / f"{name}.alg"
+        paths[name].write_text(text)
+    return paths
+
+
 @pytest.mark.parametrize("case", sorted(TEXT_REPORTS["cases"]))
 def test_text_reports_are_pinned(run, tmp_path, case):
     # every subcommand in the default text format; `conj` is theorem1(1) in
     # another basis whose names include v0, so that its adapted basis is not
     # the identity and renames a clashing vector to v3_2
-    paths = {}
-    for name, text in TEXT_REPORTS["inputs"].items():
-        paths[name] = tmp_path / f"{name}.alg"
-        paths[name].write_text(text)
+    paths = pinned_inputs(tmp_path)
     want = TEXT_REPORTS["cases"][case]
     got = run(*(arg.format(**paths) for arg in want["argv"]))
     assert got == (want["code"], want["stdout"], want["stderr"])
@@ -278,7 +284,8 @@ def test_betti_matches_library(run, t1_file):
     assert report["euler"] == 0
 
 
-def test_json_reports_validate_and_are_deterministic(run, t1_file, schema):
+def test_json_reports_validate_and_are_deterministic(run, t1_file, tmp_path, schema):
+    assert schema["properties"]["command"]["enum"] == list(cli._COMMANDS)
     outputs = []
     for argv in (
         ("--format", "json", "check", t1_file),
@@ -297,6 +304,19 @@ def test_json_reports_validate_and_are_deterministic(run, t1_file, schema):
         code2, out2, _ = run(*argv)
         assert (code2, out2) == (code, out)  # byte-identical reruns
     assert len(set(outputs)) == len(outputs)
+    # every pinned case as JSON: exit 0 exactly when ok, 1 exactly when not, and 2 with no report
+    paths, commands = pinned_inputs(tmp_path), set()
+    for case, want in TEXT_REPORTS["cases"].items():
+        code, out, _ = run("--format", "json", *(arg.format(**paths) for arg in want["argv"]))
+        assert code == want["code"], case
+        if code == 2:
+            assert out == "", case
+            continue
+        report = json.loads(out)
+        jsonschema.validate(report, schema)
+        assert report["ok"] is (code == 0), case
+        commands.add(report["command"])
+    assert commands == set(cli._COMMANDS)
 
 
 def test_family_pipes_into_betti(run, tmp_path):
@@ -388,6 +408,19 @@ def test_normalize_theorem2(run, tmp_path):
     assert json.loads(out)["residual"] == "1"
 
 
+@pytest.mark.parametrize(
+    "lines", [("n1 = n1 + 5 x2", "n1 = n1"), ("n1 = n1", "n1 = n1 + 5 x2")],
+    ids=["perturbed-first", "identity-first"],
+)
+def test_verify_iso_rejects_a_generator_mapped_twice(run, t1_file, tmp_path, lines):
+    # either line alone decides the verdict, so neither may silently replace the other
+    mapfile = tmp_path / "twice.map"
+    mapfile.write_text("generators x1 x2 n1 m\n" + "".join(f"map {line}\n" for line in lines))
+    code, out, err = run("verify-iso", t1_file, t1_file, str(mapfile))
+    assert (code, out) == (2, "")
+    assert err == "error: line 3: map line for generator 'n1' declared twice\n"
+
+
 def test_decomposable_exit_codes(run, tmp_path):
     good = tmp_path / "good.alg"
     good.write_text("generators a1 a2 b c d\nform a1^c\n")
@@ -404,7 +437,7 @@ def test_internal_error_exits_2_on_one_line(run, monkeypatch, t1_file, fault):
     def broken(args, report):
         raise fault
 
-    monkeypatch.setitem(cli._COMMANDS, "betti", broken)
+    monkeypatch.setitem(cli._COMMANDS, "betti", cli._COMMANDS["betti"]._replace(run=broken))
     code, out, err = run("betti", t1_file)
     assert code == 2 and out == ""
     assert err == f"error: internal: {type(fault).__name__}: {' '.join(str(fault).split())}\n"
@@ -415,6 +448,6 @@ def test_interrupt_and_exit_pass_through(monkeypatch, t1_file, interrupt):
     def stopped(args, report):
         raise interrupt()
 
-    monkeypatch.setitem(cli._COMMANDS, "betti", stopped)
+    monkeypatch.setitem(cli._COMMANDS, "betti", cli._COMMANDS["betti"]._replace(run=stopped))
     with pytest.raises(interrupt):
         main(["betti", t1_file])
