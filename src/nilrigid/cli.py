@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import sys
 from typing import Callable, NamedTuple
@@ -476,9 +477,12 @@ _COMMANDS = {
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    # help wraps at the width argparse derives from COLUMNS=80, whatever COLUMNS says
+    formatter = functools.partial(argparse.HelpFormatter, width=78)
     parser = argparse.ArgumentParser(
         prog="nilrigid",
         description="Exact rational models and cohomology of nilpotent Lie algebras.",
+        formatter_class=formatter,
     )
     parser.add_argument("--version", action="version", version=__version__)
     parser.add_argument(
@@ -486,7 +490,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, command in _COMMANDS.items():
-        p = sub.add_parser(name, help=command.help)
+        p = sub.add_parser(name, help=command.help, formatter_class=formatter)
         for arg, keywords in command.args:
             p.add_argument(arg, **keywords)
     return parser

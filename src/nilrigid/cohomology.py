@@ -3,11 +3,12 @@
 Betti numbers, deterministic representative bases, cup products,
 indecomposable (algebra generator) counts and the weight refinement for
 Carnot-homogeneous differentials.  All elimination is exact, fraction-free
-on integers with rational results, so every reported number is exact.  Each
-degree is eliminated once: Betti numbers and the weight refinement count
-pivots of the cached coboundary bases, and the decomposables of a degree
-are one integer span of cochains.  Every cup product, in that span and in
-``Cohomology.cup``, is one call of the product kernel ``_multiply``.
+on integers with rational results, so every reported number is exact.
+Each d_p is built once and its column span eliminated once: Betti numbers
+and the weight refinement count pivots of those coboundary bases, and
+``linalg.nullspace`` eliminates d_p again for the cocycle representatives.
+Indecomposables come from integer cochain spans, with no class coordinates.
+Every cup product is one call of the product kernel ``_multiply``.
 """
 
 from __future__ import annotations
@@ -97,8 +98,8 @@ class Cohomology:
     and so is the weight refinement, weight by weight.  The kernel of d_p
     gives the cocycles of degree p.  Classes are solved as cochain vectors
     against the representatives and the rows of B^p, a basis of Z^p:
-    membership is closedness.  The decomposables of degree p are one integer
-    cochain span, B^p extended by products of classes until it is all of Z^p.
+    membership is closedness.  Indecomposables need no solve: they are the
+    representatives that extend B^p and the products of classes.
     A ``Form`` is built only where a caller reads one.
     """
 
@@ -111,7 +112,7 @@ class Cohomology:
         self._d: dict[int, list[dict[int, int]]] = {}
         self._echelons: dict[int, dict[int, dict[int, int]]] = {}
         self._data: dict[int, _Classes] = {}
-        self._dec: dict[int, tuple[list[list[Fraction]], tuple[int, tuple], list[int]]] = {}
+        self._units: dict[int, list[int]] = {}
 
     # -- internal ----------------------------------------------------------
 
@@ -163,9 +164,8 @@ class Cohomology:
                           for v in data.vectors]
         return data.terms
 
-    def _products(self, p: int):
-        """rref basis of H^+ . H^+ in H^p coordinates, the indecomposables,
-        and the positions of their representatives.
+    def _products(self, p: int) -> list[int]:
+        """Positions of the indecomposables of degree p among its unit classes.
 
         One integer echelon span of cochains holds B^p and the products
         g . h of indecomposables g of degree i <= p // 2 with classes h of
@@ -175,41 +175,36 @@ class Cohomology:
         most p / 2, can go first up to sign, the rest being a class of the
         complementary degree.  The span starts as a copy of the integer
         basis of B^p.  Each product is one ``_multiply`` of integer term
-        lists, and ``linalg.integer_extend`` adds it to the span, which stops
-        once it is full, with len(B^p) + b_p rows, all of Z^p.  Only
-        its rows with a pivot outside B^p get class coordinates.  With B^p
-        they span it, so a product that is not closed makes one of their
-        solves fail.  The unit classes whose cocycles extend the span, in
-        order, represent H^p / (H^+ . H^+).  None of this depends on the
+        lists, and ``linalg.integer_extend`` adds it to the span until it
+        has len(B^p) + b_p = dim Z^p rows.  The unit classes whose cocycles
+        extend it, in order, represent H^p / (H^+ . H^+), and it ends as
+        Z^p, with dim Z^p rows, exactly when every product in it is closed;
+        otherwise NotClosedError is raised.  None of this depends on the
         echelon basis that holds the span, only on the span.
         """
-        if p not in self._dec:
-            rows, units = [], []
-            if p > 0:
-                data = self._degree(p)
-                coboundaries = self._pivots(p)
-                span = dict(coboundaries)
-                full = len(coboundaries) + self.betti(p)
-                factors = ((g, h) for i in range(1, p // 2 + 1) if self.betti(p - i)
-                           for g in self._indecomposable_terms(i) for h in self._terms(p - i))
-                for g, h in factors:
-                    if len(span) == full:
-                        break
-                    linalg.integer_extend(span, _multiply(g, h, data.index))
-                rows = [list(self._coordinates(row, p).coordinates)
-                        for c, row in span.items() if c not in coboundaries]
-                units = [j for j, v in enumerate(data.vectors) if linalg.integer_extend(span, v)]
-                assert len(units) == self.betti(p) - len(rows)
-            reps = tuple(self.unit_class(p, j) for j in units)
-            self._dec[p] = linalg.rref(rows, self.betti(p))[0], (len(reps), reps), units
-        return self._dec[p]
+        if p in self._units:
+            return self._units[p]
+        data = self._degree(p)
+        span = dict(self._pivots(p))
+        full = len(span) + self.betti(p)
+        factors = ((g, h) for i in range(1, p // 2 + 1) if self.betti(p - i)
+                   for g in self._indecomposable_terms(i) for h in self._terms(p - i))
+        for g, h in factors:
+            if len(span) == full:
+                break
+            linalg.integer_extend(span, _multiply(g, h, data.index))
+        units = [j for j, v in enumerate(data.vectors) if linalg.integer_extend(span, v)]
+        if len(span) != full:
+            raise NotClosedError(f"a product of classes in degree {p} is not closed")
+        self._units[p] = units
+        return units
 
     def _indecomposable_terms(self, i: int) -> list[Terms]:
         """The ``_terms`` of the indecomposables of degree i, unit classes."""
         if not self.betti(i):
             return []
         terms = self._terms(i)
-        return [terms[j] for j in self._products(i)[2]]
+        return [terms[j] for j in self._products(i)]
 
     # -- public api --------------------------------------------------------
 
@@ -271,12 +266,18 @@ class Cohomology:
         return ClassVector(p, tuple(_ONE if j == i else _ZERO for j in range(b)))
 
     def decomposable_subspace(self, p: int) -> list[list[Fraction]]:
-        """rref basis of the image of H^+ . H^+ inside H^p coordinates."""
-        return [list(row) for row in self._products(p)[0]]
+        """rref basis of the image of H^+ . H^+ inside H^p coordinates: the
+        ``cup`` products of the indecomposables of degree i <= p // 2 with
+        the unit classes of degree p - i, which span it (see ``_products``)."""
+        rows = [list(self.cup(g, self.unit_class(p - i, j)).coordinates)
+                for i in range(1, p // 2 + 1) for g in self.indecomposables(i)[1]
+                for j in range(self.betti(p - i))]
+        return linalg.rref(rows, self.betti(p))[0]
 
     def indecomposables(self, p: int) -> tuple[int, tuple[ClassVector, ...]]:
         """Count and representatives of H^p / (H^+ . H^+)."""
-        return self._products(p)[1] if self.betti(p) else (0, ())
+        units = self._products(p) if p > 0 and self.betti(p) else []
+        return len(units), tuple(self.unit_class(p, j) for j in units)
 
     def betti_by_weight(self, p: int) -> dict[int, int]:
         """H^p split by total lower degree; requires a Carnot-homogeneous d.

@@ -107,14 +107,12 @@ def _fraction(tk: _Tokens) -> Fraction:
     return Fraction(_int(num, tk.lineno, col), q)
 
 
-def _parse_terms(tk: _Tokens, stop: set[str] = frozenset()) -> list[RawTerm]:
+def _parse_terms(tk: _Tokens) -> list[RawTerm]:
     """Sum of terms: [sign] [coefficient] name(^name)*, or a bare number."""
     terms: list[RawTerm] = []
     first = True
     while not tk.done():
         kind, text, col = tk.peek()
-        if kind == "sym" and text in stop:
-            break
         if kind == "arrow":
             break
         sign = Fraction(1)

@@ -38,30 +38,16 @@ class Generator:
 def merge_monomials(a: Monomial, b: Monomial) -> tuple[Monomial | None, int]:
     """Merge two increasing index tuples, counting inversions.
 
-    Returns (merged tuple, sign) or (None, 0) when an index repeats.
+    Each x of a passes the bisect(b, x) entries of b below it.  Returns
+    (merged tuple, sign) or (None, 0) when an index repeats.
     """
-    if not a:
-        return b, 1
-    if not b:
-        return a, 1
-    out = []
-    i = j = 0
     inversions = 0
-    la, lb = len(a), len(b)
-    while i < la and j < lb:
-        x, y = a[i], b[j]
-        if x == y:
+    for x in a:
+        k = bisect(b, x)
+        if k and b[k - 1] == x:
             return None, 0
-        if x < y:
-            out.append(x)
-            i += 1
-        else:
-            out.append(y)
-            j += 1
-            inversions += la - i
-    out.extend(a[i:])
-    out.extend(b[j:])
-    return tuple(out), (-1) ** (inversions & 1)
+        inversions += k
+    return tuple(sorted(a + b)), -1 if inversions & 1 else 1
 
 
 class Form:
