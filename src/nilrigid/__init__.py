@@ -30,7 +30,6 @@ from .forms import (
 )
 from .free_nilpotent import (
     FreeNilpotentAlgebra,
-    bracket_to_basis,
     free_nilpotent_lie,
     lyndon_words,
     standard_factorization,
@@ -46,14 +45,12 @@ from .lie import (
     carnot,
     ce_model,
     change_basis,
-    check_triangularity,
     generated_basis,
     is_carnot_homogeneous,
     jacobi_defect,
     lie_from_model,
     lower_central_series,
     trivial_basis,
-    truncate,
 )
 from .morphisms import (
     Decomposability,

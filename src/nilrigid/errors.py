@@ -12,7 +12,7 @@ class DomainMismatchError(NilrigidError):
 
 
 class MixedDegreeError(NilrigidError):
-    """A homogeneous degree or weight was requested of a mixed form."""
+    """A homogeneous degree was requested of a form of mixed degrees."""
 
 
 class NotClosedError(NilrigidError):

@@ -25,7 +25,7 @@ from .lie import LieAlgebra, adapted_basis, ce_model, trivial_basis
 
 _TOKEN = re.compile(
     r"\s*(?:(?P<number>\d+(?:/\d+)?)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)"
-    r"|(?P<arrow>->)|(?P<sym>[\^\+\-=\[\],:]))"
+    r"|(?P<arrow>->)|(?P<sym>[\^\+\-=\[\],:])|(?P<bad>\S))"
 )
 
 # a form as parsed: list of (coefficient, [generator names]); names in source order
@@ -47,18 +47,12 @@ class AlgebraFile:
 class _Tokens:
     def __init__(self, text: str, lineno: int):
         self.items = []
-        pos = 0
-        while pos < len(text):
-            m = _TOKEN.match(text, pos)
-            if not m or m.end() == pos:
-                stripped = text[pos:].lstrip()
-                if not stripped:
-                    break
-                col = pos + (len(text[pos:]) - len(stripped)) + 1
-                raise ParseError(f"unexpected character {stripped[0]!r}", lineno, col)
+        for m in _TOKEN.finditer(text):
             kind = m.lastgroup
-            self.items.append((kind, m.group(kind), m.start(kind) + 1))
-            pos = m.end()
+            col = m.start(kind) + 1
+            if kind == "bad":
+                raise ParseError(f"unexpected character {m.group(kind)!r}", lineno, col)
+            self.items.append((kind, m.group(kind), col))
         self.pos = 0
         self.lineno = lineno
 
@@ -279,6 +273,16 @@ def build_form(terms: list[RawTerm], target: SullivanModel, lineno: int | None =
     return out
 
 
+def _signed_sum(terms) -> str:
+    """Join nonzero (coefficient, unsigned piece) pairs as 'x + y - z'; a
+    negative first term is written '- x'."""
+    parts = []
+    for c, piece in terms:
+        sign = "- " if c < 0 else "+ " if parts else ""
+        parts.append(sign + piece)
+    return " ".join(parts)
+
+
 def form_to_str(f: Form) -> str:
     """Canonical rendering, re-parseable by the form grammar."""
     if f.is_zero():
@@ -295,11 +299,8 @@ def form_to_str(f: Form) -> str:
             piece = f"{mag} {body}"
         else:
             piece = str(mag)
-        if not parts:
-            parts.append(piece if c > 0 else f"- {piece}")
-        else:
-            parts.append(("+ " if c > 0 else "- ") + piece)
-    return " ".join(parts)
+        parts.append((c, piece))
+    return _signed_sum(parts)
 
 
 def emit_algebra(L: LieAlgebra, weights=None) -> str:
@@ -313,15 +314,7 @@ def emit_algebra(L: LieAlgebra, weights=None) -> str:
         )
     for (l, k) in sorted(L.brackets):
         vec = L.brackets[(l, k)]
-        parts = []
-        for i in sorted(vec):
-            c = vec[i]
-            piece = f"{abs(c)} {L.names[i]}"
-            if not parts:
-                parts.append(piece if c > 0 else f"- {piece}")
-            else:
-                parts.append(("+ " if c > 0 else "- ") + piece)
-        rhs = " ".join(parts)
+        rhs = _signed_sum((vec[i], f"{abs(vec[i])} {L.names[i]}") for i in sorted(vec))
         lines.append(f"bracket [{L.names[l]},{L.names[k]}] = {rhs}")
     return "\n".join(lines) + "\n"
 

@@ -102,15 +102,6 @@ class Form:
             raise MixedDegreeError(f"form has mixed degrees {sorted(degrees)}")
         return degrees.pop()
 
-    def weight(self) -> int | None:
-        """Common total weight of the monomials, None for the zero form."""
-        weights = {monomial_weight(self.gens, m) for m in self.terms}
-        if not weights:
-            return None
-        if len(weights) > 1:
-            raise MixedDegreeError(f"form has mixed weights {sorted(weights)}")
-        return weights.pop()
-
     # -- arithmetic --------------------------------------------------------
 
     def _require_same_gens(self, other: "Form"):
@@ -329,15 +320,12 @@ def check_d_squared(model: SullivanModel) -> list[tuple[Generator, Form]]:
     ]
 
 
-def monomial_basis(model: SullivanModel, p: int, weight: int | None = None) -> list[Monomial]:
+def monomial_basis(model: SullivanModel, p: int) -> list[Monomial]:
     """Lexicographically ordered monomials of exterior degree p.
 
-    With a weight filter only monomials of that total weight are kept.
     Lambda^p = 0 for p < 0 and for p > n, so there the list is empty.
     """
-    if not 0 <= p <= len(model.generators):
+    n = len(model.generators)
+    if not 0 <= p <= n:
         return []
-    monos = combinations(range(len(model.generators)), p)
-    if weight is None:
-        return [tuple(m) for m in monos]
-    return [tuple(m) for m in monos if monomial_weight(model.generators, m) == weight]
+    return list(combinations(range(n), p))

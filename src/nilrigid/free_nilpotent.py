@@ -20,7 +20,6 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 TensorPoly = dict[str, Fraction]
-BracketTree = str | tuple  # a letter, or a pair of trees
 
 
 def is_lyndon(w: str) -> bool:
@@ -59,14 +58,6 @@ def standard_factorization(w: str) -> tuple[str, str]:
         if is_lyndon(w[i:]):
             return w[:i], w[i:]
     raise ValueError(f"{w!r} is not a Lyndon word")
-
-
-def standard_bracketing(w: str) -> BracketTree:
-    """Iterated standard factorization of a Lyndon word as a bracket tree."""
-    if len(w) == 1:
-        return w
-    u, v = standard_factorization(w)
-    return (standard_bracketing(u), standard_bracketing(v))
 
 
 def witt_dimension(l: int, n: int) -> int:
@@ -162,22 +153,6 @@ class LyndonBasis:
             coords[w] = c
             poly = _poly_add(poly, self.expansion(w), scale=-c)
         return coords
-
-    def tree_expansion(self, tree: BracketTree) -> TensorPoly:
-        if isinstance(tree, str):
-            if len(tree) != 1 or tree not in ascii_lowercase[: self.l]:
-                raise ValueError(f"unknown generator {tree!r}")
-            return {tree: Fraction(1)}
-        left, right = tree
-        return _poly_commutator(
-            self.tree_expansion(left), self.tree_expansion(right), self.c
-        )
-
-
-def bracket_to_basis(tree: BracketTree, l: int, c: int) -> dict[str, Fraction]:
-    """Expand a binary bracket tree in the Lyndon basis, truncating depth > c."""
-    basis = LyndonBasis(l, c)
-    return basis.to_coordinates(basis.tree_expansion(tree))
 
 
 @dataclass(frozen=True)

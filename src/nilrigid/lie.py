@@ -324,16 +324,6 @@ def is_carnot_homogeneous(A: SullivanModel) -> bool:
     return True
 
 
-def check_triangularity(A: SullivanModel) -> list[tuple[Generator, tuple[int, ...]]]:
-    """Monomials of d v with weight >= weight(v), violating nilpotence."""
-    bad = []
-    for g, df in zip(A.generators, A.differential):
-        for mono in df.terms:
-            if monomial_weight(A.generators, mono) >= g.weight:
-                bad.append((g, mono))
-    return bad
-
-
 def associated_graded_model(A: SullivanModel) -> SullivanModel:
     """Keep only the weight-homogeneous part of weight(v) - 1 in each d v."""
     gens = A.generators
@@ -344,30 +334,5 @@ def associated_graded_model(A: SullivanModel) -> SullivanModel:
             for mono, c in df.terms.items()
             if monomial_weight(gens, mono) == g.weight - 1
         }
-        differential.append(Form(gens, terms))
-    return SullivanModel(gens, differential)
-
-
-def truncate(A: SullivanModel, s: int) -> SullivanModel:
-    """Sub-CDGA on the generators of weight <= s.
-
-    Triangularity makes the restriction closed under d.
-    """
-    keep = [g.index for g in A.generators if g.weight <= s]
-    remap = {old: new for new, old in enumerate(keep)}
-    gens = tuple(
-        Generator(A.generators[old].name, new, A.generators[old].weight)
-        for new, old in enumerate(keep)
-    )
-    differential = []
-    for old in keep:
-        terms = {}
-        for mono, c in A.differential[old].terms.items():
-            if all(i in remap for i in mono):
-                terms[tuple(remap[i] for i in mono)] = c
-            else:
-                raise ModelError(
-                    f"differential of {A.generators[old].name} leaves the truncation"
-                )
         differential.append(Form(gens, terms))
     return SullivanModel(gens, differential)

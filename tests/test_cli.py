@@ -367,6 +367,16 @@ def test_compare_equal_and_different(run, tmp_path, t1_file):
     assert code == 1 and "differ" in out
 
 
+@pytest.mark.parametrize("command", ["fingerprint", "compare"])
+def test_negative_max_degree_exits_2(run, t1_file, command):
+    files = (t1_file,) if command == "fingerprint" else (t1_file, t1_file)
+    code, out, err = run(command, *files, "--max-degree", "-1")
+    assert (code, out) == (2, "")
+    assert err == "error: max_indec_degree must be >= 0, got -1\n"
+    code, out, err = run(command, *files, "--max-degree", "0")
+    assert code == 0 and err == ""
+
+
 def test_verify_iso_identity(run, t1_file, tmp_path):
     mapfile = tmp_path / "id.map"
     mapfile.write_text("generators x1 x2 n1 m\nmap x1 = x1\n")

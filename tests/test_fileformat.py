@@ -80,6 +80,27 @@ def test_parse_errors_carry_positions():
         parse_source("generators a a\n")
 
 
+@pytest.mark.parametrize(
+    "text, message, line, column",
+    [
+        ("generators a\t$\n", "unexpected character '$'", 1, 14),
+        ("generators a \t \u00a0\u3000 b\t\t?", "unexpected character '?'", 1, 22),
+        ("generators a\u2028 \t@\n", "unexpected character '@'", 2, 3),
+        ("generators a b\nbracket [a,b] = 1/ a\n", "unexpected character '/'", 2, 18),
+        ("generators a b\nform 1/2/3 a\n", "unexpected character '/'", 2, 9),
+        ("generators a @ b\n", "unexpected character '@'", 1, 14),
+        ("@\n", "unexpected character '@'", 1, 1),
+    ],
+    ids=["after-tab", "after-unicode-spaces", "after-line-separator", "dangling-slash",
+         "second-slash", "at-sign", "first-column"],
+)
+def test_unexpected_character_message_and_column(text, message, line, column):
+    with pytest.raises(ParseError) as err:
+        parse_source(text)
+    assert str(err.value) == f"line {line}, column {column}: {message}"
+    assert (err.value.line, err.value.column) == (line, column)
+
+
 def test_name_resolution_errors():
     with pytest.raises(ParseError) as err:
         lie_algebra(parse_source("generators a b\nbracket [a,a] = b\n"))

@@ -73,8 +73,6 @@ def test_degree_and_weight_accessors():
     gens = (Generator("x", 0, 0), Generator("n", 1, 1))
     f = Form(gens, {(0,): 1, (1,): 2})
     assert f.degree() == 1
-    with pytest.raises(MixedDegreeError):
-        f.weight()
     mixed = Form(gens, {(0,): 1, (0, 1): 1})
     with pytest.raises(MixedDegreeError):
         mixed.degree()
@@ -144,9 +142,6 @@ def test_monomial_basis_counts_and_order():
     assert monomial_basis(model, -1) == []
     assert monomial_basis(model, 5) == []
     assert monomial_basis(model, 10**20) == []
-    weighted = monomial_basis(model, 2, weight=1)
-    # pairs of one weight-0 x and the weight-1 generator n1
-    assert weighted == [(0, 2), (1, 2)]
 
 
 def test_product_wedges_from_the_unit_and_stops_at_zero():

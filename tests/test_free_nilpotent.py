@@ -6,7 +6,6 @@ import pytest
 
 from nilrigid import (
     SizeCapError,
-    bracket_to_basis,
     ce_model,
     check_d_squared,
     free_nilpotent_lie,
@@ -18,7 +17,7 @@ from nilrigid import (
     trivial_basis,
     witt_dimension,
 )
-from nilrigid.free_nilpotent import is_lyndon, standard_bracketing
+from nilrigid.free_nilpotent import is_lyndon
 
 
 def test_lyndon_words_small():
@@ -54,20 +53,25 @@ def test_standard_factorization():
         standard_factorization("a")
 
 
-def test_standard_bracketing():
-    assert standard_bracketing("aab") == ("a", ("a", "b"))
-    assert standard_bracketing("abb") == (("a", "b"), "b")
-
-
 def test_bracket_to_basis_jacobi_combination():
-    # [[a,b],b] is the basis word abb itself
-    assert bracket_to_basis((("a", "b"), "b"), 2, 3) == {"abb": Fraction(1)}
-    # [b,[a,b]] is its negative
-    assert bracket_to_basis(("b", ("a", "b")), 2, 3) == {"abb": Fraction(-1)}
-    # antisymmetry in a composite: [[a,b],[a,[a,b]]] at class 5
-    left = bracket_to_basis((("a", "b"), ("a", ("a", "b"))), 2, 5)
-    right = bracket_to_basis((("a", ("a", "b")), ("a", "b")), 2, 5)
-    assert left == {w: -c for w, c in right.items()}
+    def bracket(c, u, v):
+        free = free_nilpotent_lie(2, c)
+        index = free.words.index
+        vec = free.algebra.bracket_basis(index(u), index(v))
+        return {free.words[i]: x for i, x in vec.items()}
+
+    one = Fraction(1)
+    for c in (3, 5):
+        # [[a,b],b] is the basis word abb itself, [b,[a,b]] its negative
+        assert bracket(c, "ab", "b") == {"abb": one}
+        assert bracket(c, "b", "ab") == {"abb": -one}
+    # [aab,ab] is the standard bracketing of aabab; antisymmetry gives the other order
+    assert bracket(5, "aab", "ab") == {"aabab": one}
+    assert bracket(5, "ab", "aab") == {"aabab": -one}
+    # by Jacobi [[a,ab],b] = [a,abb] + [ab,ab] = aabb, so [b,aab] = -aabb
+    assert bracket(5, "b", "aab") == {"aabb": -one}
+    # [[a,abb],b] = [a,[abb,b]] + [[a,b],abb] = aabbb + ababb
+    assert bracket(5, "aabb", "b") == {"aabbb": one, "ababb": one}
 
 
 def test_free_nilpotent_algebra_valid():
