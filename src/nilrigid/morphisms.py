@@ -219,7 +219,7 @@ def fingerprint(L: LieAlgebra, max_indec_degree: int | None = None) -> Fingerpri
     generated basis, where d is sparse; the weights give the LCS quotients.
     Indecomposables are counted in degrees 1..max_indec_degree (all when None)."""
     if max_indec_degree is not None and max_indec_degree < 0:
-        raise ValueError(f"max_indec_degree must be >= 0, got {max_indec_degree}")
+        raise ValueError(f"the indecomposable degree bound must be >= 0, got {max_indec_degree}")
     basis = generated_basis(L)
     quotients = tuple(basis.weights.count(w) for w in range(max(basis.weights) + 1))
     try:

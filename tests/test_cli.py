@@ -372,7 +372,7 @@ def test_negative_max_degree_exits_2(run, t1_file, command):
     files = (t1_file,) if command == "fingerprint" else (t1_file, t1_file)
     code, out, err = run(command, *files, "--max-degree", "-1")
     assert (code, out) == (2, "")
-    assert err == "error: max_indec_degree must be >= 0, got -1\n"
+    assert err == "error: the indecomposable degree bound must be >= 0, got -1\n"
     code, out, err = run(command, *files, "--max-degree", "0")
     assert code == 0 and err == ""
 
