@@ -14,7 +14,6 @@ internal error, reported on one line without a traceback.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import functools
 import json
 import sys
@@ -22,7 +21,7 @@ from typing import Callable, NamedTuple
 
 from . import __version__
 from .cohomology import Cohomology
-from .errors import FamilyShapeError, ModelError, NilrigidError, NotNilpotentError, ParseError
+from .errors import FamilyShapeError, ModelError, NilrigidError, ParseError
 from .families import section3_pair, theorem1_family, theorem2_family, theorem4_example
 from .fileformat import build_form, emit_algebra, form_to_str, lie_algebra, model, parse_source
 from .forms import Form, check_d_squared
@@ -31,7 +30,6 @@ from .lie import (
     adapted_basis,
     carnot,
     ce_model,
-    generated_basis,
     lie_from_model,
     lower_central_series,
     jacobi_defect,
@@ -157,16 +155,7 @@ def _text_model(report):
 
 
 def _cmd_betti(args, report):
-    # Betti numbers are basis-free: use the generated basis, where d is sparse, unless each
-    # bracket of two file basis vectors is one term (then it is the file's, up to scale and
-    # order); input not nilpotent or failing d^2 = 0 keeps the file's answer or error text
-    af = _parse(args.file)
-    L, H = lie_algebra(af)[0], None
-    if any(len(vec) > 1 for vec in L.brackets.values()):
-        with contextlib.suppress(ModelError, NotNilpotentError):
-            H = Cohomology(ce_model(L, generated_basis(L)))
-    H = H or Cohomology(model(af))
-    b = H.betti_vector()
+    b = Cohomology(_model(args.file)).betti_vector()
     report["betti"] = list(b)
     report["euler"] = sum((-1) ** p * bp for p, bp in enumerate(b))
     return True

@@ -4,22 +4,23 @@ Betti numbers, deterministic representative bases, cup products,
 indecomposable (algebra generator) counts and the weight refinement for
 Carnot-homogeneous differentials.  All elimination is exact, fraction-free
 on integers with rational results, so every reported number is exact.
-Each d_p is built once and its column span eliminated once: Betti numbers
-and the weight refinement count pivots of those coboundary bases, and
-``linalg.nullspace`` eliminates d_p again for the cocycle representatives.
+Each d_p is built once, in a basis where it is sparse (see ``Cohomology``),
+and its column span eliminated once: Betti numbers count pivots of those
+coboundary bases, and ``linalg.nullspace`` eliminates d_p again for cocycles.
 Indecomposables come from integer cochain spans, with no class coordinates.
 Every cup product is one call of the product kernel ``_multiply``.
 """
 
 from __future__ import annotations
 
+import contextlib
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 
 from . import linalg
-from .errors import DomainMismatchError, ModelError, NotClosedError
+from .errors import DomainMismatchError, ModelError, NotClosedError, NotNilpotentError
 from .forms import (
     Form,
     Monomial,
@@ -32,7 +33,7 @@ from .forms import (
     # not called here: perfbench/test_bench.py checks that its tracer rebinds cohomology.wedge
     wedge,  # noqa: F401
 )
-from .lie import is_carnot_homogeneous
+from .lie import AdaptedBasis, _lie_of, ce_model, generated_basis, is_carnot_homogeneous
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -65,6 +66,16 @@ def cochain_matrix(A: SullivanModel, p: int) -> list[dict[int, int]]:
     ]
 
 
+def _inverse_images(basis: AdaptedBasis) -> list[Terms]:
+    """The rows of D G^-1 as term lists, G the basis columns and D the lcm of
+    G^-1's denominators: row a is D phi(f^a), f^a a generator of ``ce_model(L, basis)``."""
+    n = len(basis.columns)
+    solver = linalg.ColumnSolver([linalg.sparse(c) for c in basis.columns], n)
+    inverse = [solver.solve({i: 1}) for i in range(n)]  # the columns of G^-1
+    D = lcm(*(x.denominator for column in inverse for x in column))
+    return [[((i,), int(inverse[i][a] * D)) for i in range(n) if inverse[i][a]] for a in range(n)]
+
+
 def _multiply(a: Terms, b: Terms, index: dict[Monomial, int]) -> dict[int, Fraction | int]:
     """The product of two forms given as (monomial, coefficient) term lists,
     as {row: coefficient} on ``index``, the monomial index of its degree.
@@ -92,23 +103,40 @@ class _Classes:
 class Cohomology:
     """Cohomology ring of a valid Sullivan model, computed degree by degree.
 
-    Each d_p is built once, on ints as D * d.  Its column span, the
-    coboundaries B^(p+1), is eliminated once into an integer echelon basis,
-    the only basis of B^(p+1) kept: Betti numbers are pivot counts of it,
-    and so is the weight refinement, weight by weight.  The kernel of d_p
-    gives the cocycles of degree p.  Classes are solved as cochain vectors
-    against the representatives and the rows of B^p, a basis of Z^p:
-    membership is closedness.  Indecomposables need no solve: they are the
-    representatives that extend B^p and the products of classes.
+    d is eliminated in the ``generated_basis`` of the model's algebra, where
+    it is sparse, unless each bracket of two basis vectors is one term, the
+    algebra is not nilpotent or that basis is the identity: then in the
+    model's own.  d^2 = 0 is checked there; the model's defects are computed
+    only to name them.  Each d_p is built once, on ints as D * d, and its
+    column span, B^(p+1), eliminated once into an integer echelon basis: Betti
+    numbers count its pivots.  The kernel of d_p is Z^p.  From the generated
+    basis, B^p and Z^p are pushed by phi, Lambda^p of the inverse change of
+    basis, and eliminated again: the reduced basis of Z^p is unique, so the
+    representatives are the model's own.  The weight refinement counts the
+    model's B^p pivots.  Classes are solved as cochain vectors against the
+    representatives and the rows of B^p, a basis of Z^p: membership is
+    closedness.  Indecomposables need no solve: they are the representatives
+    that extend B^p and the products of classes.
     A ``Form`` is built only where a caller reads one.
     """
 
     def __init__(self, model: SullivanModel):
-        defects = check_d_squared(model)
+        self.model = self._eliminated = model
+        self._ones: list[Terms] | None = None  # D phi(f^a) when the bases differ
+        pairs = [(a, b) for terms in model.table for a, b, _ in terms]
+        if len(set(pairs)) < len(pairs):  # a bracket of two basis vectors has two terms
+            L = _lie_of(model)
+            with contextlib.suppress(NotNilpotentError):
+                basis = generated_basis(L)
+                if not basis.is_identity():
+                    self._eliminated = ce_model(L, basis)
+                    self._ones = _inverse_images(basis)
+                    self._pushed: dict[int, dict[int, dict[int, int]]] = {}
+                    self._images: list[list[dict[int, int]]] = [[{0: 1}]]  # by degree
+        defects = check_d_squared(self._eliminated) and check_d_squared(model)
         if defects:
             names = ", ".join(g.name for g, _ in defects)
             raise ModelError(f"d^2 != 0 on {names}", defects=defects)
-        self.model = model
         self._d: dict[int, list[dict[int, int]]] = {}
         self._echelons: dict[int, dict[int, dict[int, int]]] = {}
         self._data: dict[int, _Classes] = {}
@@ -118,14 +146,40 @@ class Cohomology:
 
     def _differential(self, p: int) -> list[dict[int, int]]:
         if p not in self._d:
-            self._d[p] = cochain_matrix(self.model, p)
+            self._d[p] = cochain_matrix(self._eliminated, p)
         return self._d[p]
 
-    def _pivots(self, p: int) -> dict[int, dict[int, int]]:
+    def _boundaries(self, p: int) -> dict[int, dict[int, int]]:
         """The integer echelon basis of B^p = d(Lambda^(p-1)), by pivot."""
         if p not in self._echelons:
             self._echelons[p] = linalg.integer_echelon(self._differential(p - 1)) if p > 0 else {}
         return self._echelons[p]
+
+    def _pivots(self, p: int) -> dict[int, dict[int, int]]:
+        """An integer echelon basis of B^p in the model's basis, by pivot."""
+        if self._ones is None:
+            return self._boundaries(p)
+        if p not in self._pushed:
+            self._pushed[p] = linalg.integer_echelon(self._push(self._boundaries(p).values(), p))
+        return self._pushed[p]
+
+    def _push(self, rows, p: int):
+        """D^p phi(v) by monomial index for each cochain v of degree p of the
+        eliminated model in ``rows``, made a primitive integer row first.  The
+        image of each monomial m is built once: that of m without its last
+        index times that of its last generator, one ``_multiply``."""
+        for q in range(len(self._images), p + 1):
+            below = monomial_basis(self.model, q - 1)
+            head = {m: [(below[j], c) for j, c in image.items()]
+                    for m, image in zip(below, self._images[q - 1])}
+            index = {m: i for i, m in enumerate(monomial_basis(self.model, q))}
+            self._images.append([_multiply(head[m[:-1]], self._ones[m[-1]], index) for m in index])
+        for v in rows:
+            out: dict[int, int] = {}
+            for j, c in linalg._primitive(v).items():
+                for i, x in self._images[p][j].items():
+                    out[i] = out.get(i, 0) + c * x
+            yield {i: x for i, x in out.items() if x}
 
     def _degree(self, p: int) -> _Classes:
         if p in self._data:
@@ -133,6 +187,9 @@ class Cohomology:
         A = self.model
         monos = monomial_basis(A, p)
         cocycles = linalg.nullspace(self._differential(p), comb(A.dimension, p + 1))
+        if self._ones is not None:  # Z^p in the model's basis, reduced
+            reduced = linalg.echelon(self._push(cocycles, p))
+            cocycles = [reduced[c] for c in sorted(reduced)]
         coboundaries = self._pivots(p)
         data = _Classes()
         data.index = {m: i for i, m in enumerate(monos)}
@@ -214,7 +271,7 @@ class Cohomology:
         if p < 0 or p > self.model.dimension:
             return 0
         dim = len(self._differential(p))
-        return dim - len(self._pivots(p + 1)) - len(self._pivots(p))
+        return dim - len(self._boundaries(p + 1)) - len(self._boundaries(p))
 
     def betti_vector(self) -> tuple[int, ...]:
         return tuple(self.betti(p) for p in range(self.model.dimension + 1))

@@ -307,10 +307,14 @@ def lie_from_model(A: SullivanModel) -> LieAlgebra:
     if defects:
         names = ", ".join(g.name for g, _ in defects)
         raise ModelError(f"d^2 != 0 on {names}", defects=defects)
+    return _lie_of(A)
+
+
+def _lie_of(A: SullivanModel) -> LieAlgebra:
+    """The algebra of ``lie_from_model``, read off d whether or not d^2 = 0."""
     brackets = {}
     for i, df in enumerate(A.differential):
-        for mono, c in df.terms.items():
-            l, k = mono
+        for (l, k), c in df.terms.items():
             brackets.setdefault((l, k), {})[i] = -c
     return LieAlgebra(tuple(g.name for g in A.generators), brackets)
 

@@ -13,9 +13,17 @@ import jsonschema
 import pytest
 
 import nilrigid
-from nilrigid import AdaptedBasis, Cohomology, change_basis, free_nilpotent_lie, theorem1_family
-from nilrigid import cli, linalg
-from nilrigid.fileformat import emit_algebra
+from nilrigid import (
+    AdaptedBasis,
+    Cohomology,
+    ce_model,
+    change_basis,
+    free_nilpotent_lie,
+    generated_basis,
+    theorem1_family,
+)
+from nilrigid import cli, cohomology, linalg
+from nilrigid.fileformat import emit_algebra, lie_algebra, parse_source
 from nilrigid.cli import main
 
 THEOREM1_K1 = """\
@@ -202,32 +210,9 @@ def test_carnot_computes_the_central_series_once(run, monkeypatch, tmp_path):
     assert len(calls) == 1
 
 
-def test_betti_computes_no_series_on_single_term_inputs(run, monkeypatch, tmp_path):
-    # every bracket of two basis vectors of the graded families is a multiple of one
-    # basis vector, so betti keeps their model; `conj` is taken to a generated basis
-    from nilrigid import lie
-
-    texts = []
-    for argv in (("theorem1", "--k", "2"), ("theorem1", "--k", "3"), ("theorem2", "--k", "2"),
-                 ("theorem2", "--k", "3"), ("theorem4",), ("free", "--gens", "2", "--class", "4"),
-                 ("section3",)):
-        report = json.loads(run("--format", "json", "family", *argv)[1])
-        texts += [report[key] for key in ("algebra_file", "first", "second") if key in report]
-    texts.append(TEXT_REPORTS["inputs"]["conj"])
-    calls, series = [], lie._series
-    monkeypatch.setattr(lie, "_series", lambda L: calls.append(L) or series(L))
-    counts = []
-    for i, text in enumerate(texts):
-        path = tmp_path / f"{i}.alg"
-        path.write_text(text)
-        assert run("betti", str(path))[0] == 0
-        counts.append(len(calls))
-    assert counts == [0] * 8 + [1]
-
-
-def test_betti_on_a_dense_conjugate_of_free_3_3(run, tmp_path):
-    # free(3,3) in a fixed basis with entries in {-1, 0, 1}, every weight declared 0:
-    # d is dense in the file's basis and sparse in the generated one
+def dense_free_3_3(tmp_path):
+    """free(3,3) in a fixed basis with entries in {-1, 0, 1}, every weight declared 0:
+    d is dense in the file's basis and sparse in the generated one.  The file's path."""
     L = free_nilpotent_lie(3, 3).algebra
     n = L.dimension
     rng = random.Random("free(3,3)")
@@ -239,9 +224,33 @@ def test_betti_on_a_dense_conjugate_of_free_3_3(run, tmp_path):
     conj = change_basis(L, AdaptedBasis(tuple(map(tuple, cols)), (0,) * n, L.names))
     path = tmp_path / "c_free3c3.alg"
     path.write_text(emit_algebra(conj, weights=(0,) * n))
-    code, out, err = run("betti", str(path))
+    return str(path)
+
+
+def test_betti_on_a_dense_conjugate_of_free_3_3(run, tmp_path):
+    code, out, err = run("betti", dense_free_3_3(tmp_path))
     assert (code, err) == (0, "")
     assert out == "betti: 1 3 18 70 171 327 462 504 462 327 171 70 18 3 1\neuler: 0\n"
+
+
+def test_generators_on_a_dense_conjugate_of_free_3_3(run, monkeypatch, tmp_path):
+    # the engine builds d only in the generated basis, never in the file's dense one
+    path = dense_free_3_3(tmp_path)
+    L = lie_algebra(parse_source(Path(path).read_text()))[0]
+    sparse = sum(len(f.terms) for f in ce_model(L, generated_basis(L)).differential)
+    build = cohomology.cochain_matrix
+
+    def sparse_only(A, p):
+        terms = sum(len(f.terms) for f in A.differential)
+        assert terms <= sparse, f"d_{p} built on a model whose d has {terms} terms"
+        return build(A, p)
+
+    monkeypatch.setattr(cohomology, "cochain_matrix", sparse_only)
+    code, out, err = run("generators", path, "--degree", "3")
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert lines[0] == "degree 3: betti 70, indecomposable 64"
+    assert len(lines) == 65 and all(line.startswith("  [") for line in lines[1:])
 
 
 def test_repeated_generator_in_monomial_exits_2(run, tmp_path):

@@ -180,6 +180,38 @@ def test_each_differential_is_built_once(monkeypatch):
     assert differentiated == []
 
 
+def test_single_term_inputs_compute_no_series(monkeypatch, tmp_path, capsys):
+    # every bracket of two basis vectors of the graded families is a multiple of one
+    # basis vector, so the engine eliminates their own d and never computes a generated
+    # basis; `conj` is read in an adapted basis, one series, whose brackets are one term too
+    from nilrigid import lie
+    from nilrigid.cli import main
+
+    def run(*argv):
+        code = main(list(argv))
+        return code, capsys.readouterr().out
+
+    texts = []
+    for argv in (("theorem1", "--k", "2"), ("theorem1", "--k", "3"), ("theorem2", "--k", "2"),
+                 ("theorem2", "--k", "3"), ("theorem4",), ("free", "--gens", "2", "--class", "4"),
+                 ("section3",)):
+        report = json.loads(run("--format", "json", "family", *argv)[1])
+        texts += [report[key] for key in ("algebra_file", "first", "second") if key in report]
+    reports = json.loads((Path(__file__).parent / "data" / "text_reports.json").read_text())
+    texts.append(reports["inputs"]["conj"])
+    calls, series = [], lie._series
+    monkeypatch.setattr(lie, "_series", lambda L: calls.append(L) or series(L))
+    for command in (("betti",), ("generators", "--degree", "3"), ("cohomology", "--degree", "2")):
+        counts = []
+        for i, text in enumerate(texts):
+            path = tmp_path / f"{i}.alg"
+            path.write_text(text)
+            before = len(calls)
+            assert run(command[0], str(path), *command[1:])[0] == 0
+            counts.append(len(calls) - before)
+        assert counts == [0] * 8 + [1], command
+
+
 PINS = json.loads((Path(__file__).parent / "data" / "cohomology_pins.json").read_text())
 PINNED_MODELS = {"theorem4": theorem4_example, "theorem2(2)": lambda: theorem2_family(2)}
 
