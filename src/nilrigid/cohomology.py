@@ -13,7 +13,6 @@ Every cup product is one call of the product kernel ``_multiply``.
 
 from __future__ import annotations
 
-import contextlib
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -126,13 +125,15 @@ class Cohomology:
         pairs = [(a, b) for terms in model.table for a, b, _ in terms]
         if len(set(pairs)) < len(pairs):  # a bracket of two basis vectors has two terms
             L = _lie_of(model)
-            with contextlib.suppress(NotNilpotentError):
+            try:
                 basis = generated_basis(L)
-                if not basis.is_identity():
-                    self._eliminated = ce_model(L, basis)
-                    self._ones = _inverse_images(basis)
-                    self._pushed: dict[int, dict[int, dict[int, int]]] = {}
-                    self._images: list[list[dict[int, int]]] = [[{0: 1}]]  # by degree
+            except NotNilpotentError:  # eliminate the model's own d
+                basis = None
+            if basis is not None and not basis.is_identity():
+                self._eliminated = ce_model(L, basis)
+                self._ones = _inverse_images(basis)
+                self._pushed: dict[int, dict[int, dict[int, int]]] = {}
+                self._images: list[list[dict[int, int]]] = [[{0: 1}]]  # by degree
         defects = check_d_squared(self._eliminated) and check_d_squared(model)
         if defects:
             names = ", ".join(g.name for g, _ in defects)
