@@ -6,7 +6,9 @@ Carnot-homogeneous differentials.  All elimination is exact, fraction-free
 on integers with rational results, so every reported number is exact.
 Each d_p is built once, in a basis where it is sparse (see ``Cohomology``),
 and its column span eliminated once: Betti numbers count pivots of those
-coboundary bases, and ``linalg.nullspace`` eliminates d_p again for cocycles.
+coboundary bases, for p <= (n-1)/2 alone when d_(n-1) = 0 (then rank d_p =
+rank d_(n-1-p)) and in every degree otherwise, and ``linalg.nullspace``
+eliminates d_p again for cocycles.
 Indecomposables come from integer cochain spans, with no class coordinates.
 Every cup product is one call of the product kernel ``_multiply``.
 """
@@ -108,14 +110,15 @@ class Cohomology:
     model's own.  d^2 = 0 is checked there; the model's defects are computed
     only to name them.  Each d_p is built once, on ints as D * d, and its
     column span, B^(p+1), eliminated once into an integer echelon basis: Betti
-    numbers count its pivots.  The kernel of d_p is Z^p.  From the generated
-    basis, B^p and Z^p are pushed by phi, Lambda^p of the inverse change of
-    basis, and eliminated again: the reduced basis of Z^p is unique, so the
-    representatives are the model's own.  The weight refinement counts the
-    model's B^p pivots.  Classes are solved as cochain vectors against the
-    representatives and the rows of B^p, a basis of Z^p: membership is
-    closedness.  Indecomposables need no solve: they are the representatives
-    that extend B^p and the products of classes.
+    numbers count its pivots, for p <= (n-1)/2 alone when d_(n-1) = 0 and for
+    every p otherwise (see ``betti_vector``).  The kernel of d_p is Z^p.
+    From the generated basis, B^p and Z^p are pushed by phi, Lambda^p of the
+    inverse change of basis, and eliminated again: the reduced basis of Z^p is
+    unique, so the representatives are the model's own.  The weight
+    refinement counts the model's B^p pivots.  Classes are solved as cochain
+    vectors against the representatives and the rows of B^p, a basis of Z^p:
+    membership is closedness.  Indecomposables need no solve: they are the
+    representatives that extend B^p and the products of classes.
     A ``Form`` is built only where a caller reads one.
     """
 
@@ -275,7 +278,18 @@ class Cohomology:
         return dim - len(self._boundaries(p + 1)) - len(self._boundaries(p))
 
     def betti_vector(self) -> tuple[int, ...]:
-        return tuple(self.betti(p) for p in range(self.model.dimension + 1))
+        """b_0..b_n from the ranks of d_p.  d_(n-1) = 0 exactly when g is
+        unimodular; then d_(n-1-p) is d_p transposed up to a signed permutation
+        (Hazewinkel 1970): only p <= (n-1)/2 is eliminated, and a rank above
+        that whose B^(p+1) is not cached is read as rank d_(n-1-p)."""
+        n = self.model.dimension
+        mirror = n > 0 and not any(self._differential(n - 1))
+        ranks = [0]  # ranks[p + 1] = rank d_p, p = -1..n
+        for p in range(n):
+            mirrored = mirror and 2 * p > n - 1 and p + 1 not in self._echelons
+            ranks.append(ranks[n - p] if mirrored else len(self._boundaries(p + 1)))
+        ranks.append(0)
+        return tuple(comb(n, p) - ranks[p + 1] - ranks[p] for p in range(n + 1))
 
     def basis(self, p: int) -> list[Form]:
         """Closed representative forms mapping to a basis of H^p."""

@@ -133,7 +133,10 @@ def jacobiator(L):
 
 
 def oracle_betti(L) -> tuple:
-    """Betti numbers of the Chevalley-Eilenberg complex, brute force."""
+    """Betti numbers of the Chevalley-Eilenberg complex, brute force.
+
+    Every d_p is ranked, also where the library reads rank d_p off
+    rank d_(n-1-p) by duality: this is the independent check of that."""
     n = L.dimension
     ranks = []
     for p in range(n):
@@ -218,7 +221,9 @@ def _wedge(u, i, v, j, n):
 
 
 def _coboundaries(L, p):
-    """Rows spanning d(Lambda^(p-1)) inside Lambda^p."""
+    """Rows spanning d(Lambda^(p-1)) inside Lambda^p; none for B^0 = 0."""
+    if p == 0:
+        return []
     d_prev, _ = _differential_matrix(L, p - 1)
     return [list(col) for col in zip(*d_prev)]
 

@@ -21,8 +21,10 @@ from nilrigid import (
     ce_model,
     cochain_matrix,
     fingerprint,
+    free_nilpotent_lie,
     lie_from_model,
     monomial_basis,
+    section3_pair,
     theorem1_family,
     theorem2_family,
     theorem4_example,
@@ -75,6 +77,34 @@ def test_betti_invariants_on_families():
         assert b[0] == 1 and b[n] == 1
         assert all(b[p] == b[n - p] for p in range(n + 1))
         assert sum((-1) ** p * bp for p, bp in enumerate(b)) == 0
+
+
+def test_rank_duality_eliminating_both_halves():
+    # d_(n-1-p) is the transpose of d_p up to a signed permutation on unimodular g, so
+    # betti_vector eliminates only p <= (n-1)/2; here every d_p is eliminated, and the
+    # oracle, which ranks every degree, checks the Betti vector read from half of them
+    free = free_nilpotent_lie(2, 4)
+    models = [theorem1_family(2), theorem1_family(3), theorem2_family(2), theorem2_family(3),
+              theorem4_example(), model_of(free.algebra, free.weights), *section3_pair()]
+    rng = random.Random(53)
+    drawn = [random_nilpotent(rng) for _ in range(20)]
+    for L, A in [(lie_from_model(A), A) for A in models] + [(L, model_of(L)) for L in drawn]:
+        n = A.dimension
+        ranks = [len(linalg.integer_echelon(cochain_matrix(A, p))) for p in range(n)]
+        assert ranks == ranks[::-1], L.names
+        assert Cohomology(A).betti_vector() == oracle_betti(L), L.names
+
+
+def test_non_unimodular_input_eliminates_every_degree():
+    # d_(n-1) != 0 exactly when some ad x has nonzero trace; then no rank is mirrored,
+    # and the Betti vector is not palindromic
+    r2 = LieAlgebra(("x", "y"), {(0, 1): {1: Fraction(1)}})
+    sl2sum = LieAlgebra(("a", "b", "c"), {(0, 1): {1: Fraction(1), 2: Fraction(1)},
+                                          (0, 2): {1: Fraction(1)}})
+    for L, expected in ((r2, (1, 1, 0)), (sl2sum, (1, 1, 0, 0))):
+        b = Cohomology(model_of(L)).betti_vector()
+        assert b == oracle_betti(L) == expected
+        assert b != b[::-1]
 
 
 def test_theorem1_k4_betti_is_pinned():
@@ -178,6 +208,35 @@ def test_each_differential_is_built_once(monkeypatch):
     # by the integer kernel and never through a Form
     assert len(derived) == len(set(derived)) == 2 ** A.dimension
     assert differentiated == []
+
+
+def test_betti_vector_eliminates_half_the_complex(monkeypatch):
+    built = []
+    build = cohomology.cochain_matrix
+    monkeypatch.setattr(cohomology, "cochain_matrix", lambda A, p: built.append(p) or build(A, p))
+    A = theorem1_family(2)
+    n = A.dimension
+
+    def fresh(query, *args):
+        built.clear()
+        H = Cohomology(A)
+        getattr(H, query)(*args)
+        return sorted(built), sorted(H._echelons)
+
+    # n = 8: d_7 = 0 is the unimodularity test, and B^1..B^4 are the ranks of d_0..d_3
+    assert fresh("betti_vector") == ([0, 1, 2, 3, 7], [1, 2, 3, 4])
+    # a single degree mirrors nothing: betti(p) builds d_(p-1) and d_p, and
+    # indecomposables(p) the differentials of the degrees its products read
+    products = {0: [], 7: [0, 1, 5, 6, 7], 8: [0, 1, 6, 7, 8]}
+    for p in range(n + 1):
+        assert fresh("betti", p) == (list(range(max(p - 1, 0), p + 1)), [p, p + 1])
+        assert fresh("indecomposables", p)[0] == products.get(p, list(range(p + 1))), p
+    # after a single degree, the vector eliminates only the lower half it lacks
+    H = Cohomology(A)
+    H.betti(6)
+    built.clear()
+    assert H.betti_vector() == (1, 4, 10, 13, 12, 13, 10, 4, 1)
+    assert sorted(built) == [0, 1, 2, 3, 7] and sorted(H._echelons) == [1, 2, 3, 4, 6, 7]
 
 
 def test_single_term_inputs_compute_no_series(monkeypatch, tmp_path, capsys):
