@@ -229,12 +229,13 @@ def _cmd_fingerprint(args, report):
 
 def _text_fingerprint(report):
     fp = report["fingerprint"]
-    return [
+    lines = [
         f"dimension: {fp['dimension']}",
         "lcs quotients: " + _joined(fp["lcs_quotients"]),
         "betti: " + _joined(fp["betti"]),
         "indecomposables: " + _joined(fp["indecomposables"]),
     ]
+    return [line.rstrip() for line in lines]  # an empty list leaves no trailing blank
 
 
 def _cmd_compare(args, report):

@@ -9,8 +9,10 @@ and its column span eliminated once: Betti numbers count pivots of those
 coboundary bases, for p <= (n-1)/2 alone when d_(n-1) = 0 (then rank d_p =
 rank d_(n-1-p)) and in every degree otherwise, and ``linalg.nullspace``
 eliminates d_p again for cocycles.
-Indecomposables come from integer cochain spans, with no class coordinates.
-Every cup product is one call of the product kernel ``_multiply``.
+Indecomposables come from integer cochain spans, with no class coordinates,
+grown by products whose least factor is an indecomposable (see ``_factors``).
+Every cup product is one call of the product kernel ``_multiply``, on
+monomials as bitmasks.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ from .forms import (
     SullivanModel,
     _derive,
     check_d_squared,
-    merge_monomials,
     monomial_basis,
     monomial_weight,
     # not called here: perfbench/test_bench.py checks that its tracer rebinds cohomology.wedge
@@ -39,7 +40,7 @@ from .lie import AdaptedBasis, _lie_of, ce_model, generated_basis, is_carnot_hom
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
-Terms = list[tuple[Monomial, Fraction | int]]  # a form as (monomial, coefficient) pairs
+Terms = list[tuple[int, int, Fraction | int]]  # a form as ``_kernel_terms``
 
 
 @dataclass(frozen=True)
@@ -74,23 +75,47 @@ def _inverse_images(basis: AdaptedBasis) -> list[Terms]:
     solver = linalg.ColumnSolver([linalg.sparse(c) for c in basis.columns], n)
     inverse = [solver.solve({i: 1}) for i in range(n)]  # the columns of G^-1
     D = lcm(*(x.denominator for column in inverse for x in column))
-    return [[((i,), int(inverse[i][a] * D)) for i in range(n) if inverse[i][a]] for a in range(n)]
+    return [_kernel_terms(((i,), int(inverse[i][a] * D)) for i in range(n) if inverse[i][a])
+            for a in range(n)]
 
 
-def _multiply(a: Terms, b: Terms, index: dict[Monomial, int]) -> dict[int, Fraction | int]:
-    """The product of two forms given as (monomial, coefficient) term lists,
-    as {row: coefficient} on ``index``, the monomial index of its degree.
+def _kernel_terms(pairs) -> Terms:
+    """(monomial, coefficient) pairs as the kernel terms of ``_multiply``:
+    (mask, parity mask, coefficient).  Bit x of the mask is index x of the
+    monomial; bit y of the parity mask is set when an odd number of the
+    monomial's indices exceed y."""
+    out = []
+    for m, c in pairs:
+        mask = parity = 0
+        for x in m:
+            mask |= 1 << x
+            parity ^= (1 << x) - 1
+        out.append((mask, parity, c))
+    return out
 
-    The sign of each term is that of ``merge_monomials``; coefficients may
-    be int or Fraction, and entries that cancel are dropped.
+
+def _mask_index(monos: list[Monomial]) -> dict[int, int]:
+    """The monomial index of a degree keyed by mask, bit x for index x."""
+    return {sum(1 << x for x in m): i for i, m in enumerate(monos)}
+
+
+def _multiply(a: Terms, b: Terms, index: dict[int, int]) -> dict[int, Fraction | int]:
+    """The product of two forms given as kernel term lists, as
+    {row: coefficient} on ``index``, the ``_mask_index`` of its degree.
+
+    Monomials ma and mb overlap, and their product is zero, iff ma & mb.
+    Otherwise moving each index y of mb past the indices of ma above it
+    gives the sign: -1 iff the count of such pairs is odd, that is iff
+    mb & (parity mask of ma) has odd popcount.  Coefficients may be int or
+    Fraction, and entries that cancel are dropped.
     """
     out: dict[int, Fraction | int] = {}
-    for ma, ca in a:
-        for mb, cb in b:
-            merged, sign = merge_monomials(ma, mb)
-            if merged is not None:
-                j = index[merged]
-                out[j] = out.get(j, 0) + sign * ca * cb
+    for ma, pa, ca in a:
+        for mb, _, cb in b:
+            if not ma & mb:
+                j = index[ma | mb]
+                c = ca * cb
+                out[j] = out.get(j, 0) + (-c if (pa & mb).bit_count() & 1 else c)
     return {j: c for j, c in out.items() if c}
 
 
@@ -98,7 +123,7 @@ class _Classes:
     """Representatives of one degree as reduced cocycle vectors; the solver
     and their primitive integer term lists are built on first use."""
 
-    __slots__ = ("index", "vectors", "solver", "terms")
+    __slots__ = ("index", "vectors", "solver", "terms", "masks")
 
 
 class Cohomology:
@@ -174,10 +199,11 @@ class Cohomology:
         index times that of its last generator, one ``_multiply``."""
         for q in range(len(self._images), p + 1):
             below = monomial_basis(self.model, q - 1)
-            head = {m: [(below[j], c) for j, c in image.items()]
+            head = {m: _kernel_terms((below[j], c) for j, c in image.items())
                     for m, image in zip(below, self._images[q - 1])}
-            index = {m: i for i, m in enumerate(monomial_basis(self.model, q))}
-            self._images.append([_multiply(head[m[:-1]], self._ones[m[-1]], index) for m in index])
+            monos = monomial_basis(self.model, q)
+            index = _mask_index(monos)
+            self._images.append([_multiply(head[m[:-1]], self._ones[m[-1]], index) for m in monos])
         for v in rows:
             out: dict[int, int] = {}
             for j, c in linalg._primitive(v).items():
@@ -197,6 +223,7 @@ class Cohomology:
         coboundaries = self._pivots(p)
         data = _Classes()
         data.index = {m: i for i, m in enumerate(monos)}
+        data.masks = _mask_index(monos)  # the rows of products
         # representatives: reduced echelon cocycle rows whose pivot is not a
         # coboundary pivot; deterministic by construction
         data.vectors = [v for v in cocycles if min(v) not in coboundaries]
@@ -217,55 +244,67 @@ class Cohomology:
         return ClassVector(p, tuple(x[: len(data.vectors)]))
 
     def _terms(self, p: int) -> list[Terms]:
-        """The representatives of degree p as primitive integer term lists."""
+        """The representatives of degree p as primitive integer kernel terms."""
         data = self._degree(p)
         if data.terms is None:
             monos = list(data.index)
-            data.terms = [[(monos[j], c) for j, c in linalg._primitive(v).items()]
+            data.terms = [_kernel_terms((monos[j], c) for j, c in linalg._primitive(v).items())
                           for v in data.vectors]
         return data.terms
+
+    def _factors(self, p: int):
+        """(i, g, h): positions among the unit classes of an indecomposable g
+        of degree i <= p / 2 and a class h of degree p - i, indecomposable if
+        3i > p; their products g . h span H^+ . H^+ in degree p.  For the
+        indecomposables generate H^+, so it is spanned by their products
+        g_1 ... g_k, k >= 2, ordered by degree up to sign: deg g_1 = i <= p / k.
+        If k >= 3, i <= p / 3 and g_2 ... g_k is a class of degree p - i; if
+        3i > p, k = 2 and g_2 is an indecomposable of degree p - i."""
+        for i in range(1, p // 2 + 1):
+            seconds = range(self.betti(p - i)) if 3 * i <= p else self._products(p - i)
+            for g in self._products(i) if seconds else ():
+                for h in seconds:
+                    yield i, g, h
 
     def _products(self, p: int) -> list[int]:
         """Positions of the indecomposables of degree p among its unit classes.
 
-        One integer echelon span of cochains holds B^p and the products
-        g . h of indecomposables g of degree i <= p // 2 with classes h of
-        degree p - i.  These span H^+ . H^+ in degree p: the indecomposables
-        generate H^+, so it is spanned by products g_1 ... g_r, r >= 2, of
-        them, and by graded commutativity the factor of least degree, at
-        most p / 2, can go first up to sign, the rest being a class of the
-        complementary degree.  The span starts as a copy of the integer
-        basis of B^p.  Each product is one ``_multiply`` of integer term
-        lists, and ``linalg.integer_extend`` adds it to the span until it
-        has len(B^p) + b_p = dim Z^p rows.  The unit classes whose cocycles
-        extend it, in order, represent H^p / (H^+ . H^+), and it ends as
-        Z^p, with dim Z^p rows, exactly when every product in it is closed;
-        otherwise NotClosedError is raised.  None of this depends on the
-        echelon basis that holds the span, only on the span.
+        One integer echelon span of cochains starts as a copy of the integer
+        basis of B^p.  Each product of ``_factors(p)`` is one ``_multiply`` of
+        integer kernel terms, and ``linalg.integer_extend`` adds it to the span
+        until it has len(B^p) + b_p = dim Z^p rows.  A span only grows, so once
+        a product c . e_j of one term is offered to it, e_j stays in it: a
+        product whose terms all lie on such rows, zero included, is skipped.
+        The unit classes whose cocycles extend the span, in order, represent
+        H^p / (H^+ . H^+), and it ends as Z^p, with dim Z^p rows, exactly when
+        every product in it is closed; otherwise NotClosedError is raised.
+        None of this depends on the echelon basis that holds the span.
         """
         if p in self._units:
             return self._units[p]
+        if not self.betti(p):
+            return []
         data = self._degree(p)
         span = dict(self._pivots(p))
         full = len(span) + self.betti(p)
-        factors = ((g, h) for i in range(1, p // 2 + 1) if self.betti(p - i)
-                   for g in self._indecomposable_terms(i) for h in self._terms(p - i))
-        for g, h in factors:
+        terms: dict[int, tuple[list[Terms], list[Terms]]] = {}
+        known: set[int] = set()  # rows j with e_j in the span
+        for i, g, h in self._factors(p):
             if len(span) == full:
                 break
-            linalg.integer_extend(span, _multiply(g, h, data.index))
+            if i not in terms:
+                terms[i] = self._terms(i), self._terms(p - i)
+            v = _multiply(terms[i][0][g], terms[i][1][h], data.masks)
+            if known.issuperset(v):  # zero, or each e_j in the span
+                continue
+            if len(v) == 1:
+                known.update(v)
+            linalg.integer_extend(span, v)
         units = [j for j, v in enumerate(data.vectors) if linalg.integer_extend(span, v)]
         if len(span) != full:
             raise NotClosedError(f"a product of classes in degree {p} is not closed")
         self._units[p] = units
         return units
-
-    def _indecomposable_terms(self, i: int) -> list[Terms]:
-        """The ``_terms`` of the indecomposables of degree i, unit classes."""
-        if not self.betti(i):
-            return []
-        terms = self._terms(i)
-        return [terms[j] for j in self._products(i)]
 
     # -- public api --------------------------------------------------------
 
@@ -328,8 +367,8 @@ class Cohomology:
     def cup(self, u: ClassVector, v: ClassVector) -> ClassVector:
         """Product of classes, reduced into the representative basis."""
         p = u.degree + v.degree
-        a, b = (list(self.form_of(w).terms.items()) for w in (u, v))
-        return self._coordinates(_multiply(a, b, self._degree(p).index), p)
+        a, b = (_kernel_terms(self.form_of(w).terms.items()) for w in (u, v))
+        return self._coordinates(_multiply(a, b, self._degree(p).masks), p)
 
     def unit_class(self, p: int, i: int) -> ClassVector:
         b = self.betti(p)
@@ -339,16 +378,14 @@ class Cohomology:
 
     def decomposable_subspace(self, p: int) -> list[list[Fraction]]:
         """rref basis of the image of H^+ . H^+ inside H^p coordinates: the
-        ``cup`` products of the indecomposables of degree i <= p // 2 with
-        the unit classes of degree p - i, which span it (see ``_products``)."""
-        rows = [list(self.cup(g, self.unit_class(p - i, j)).coordinates)
-                for i in range(1, p // 2 + 1) for g in self.indecomposables(i)[1]
-                for j in range(self.betti(p - i))]
+        ``cup`` products of the unit classes paired by ``_factors(p)``."""
+        rows = [list(self.cup(self.unit_class(i, g), self.unit_class(p - i, h)).coordinates)
+                for i, g, h in self._factors(p)]
         return linalg.rref(rows, self.betti(p))[0]
 
     def indecomposables(self, p: int) -> tuple[int, tuple[ClassVector, ...]]:
         """Count and representatives of H^p / (H^+ . H^+)."""
-        units = self._products(p) if p > 0 and self.betti(p) else []
+        units = self._products(p) if p > 0 else []
         return len(units), tuple(self.unit_class(p, j) for j in units)
 
     def betti_by_weight(self, p: int) -> dict[int, int]:
