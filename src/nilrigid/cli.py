@@ -117,11 +117,12 @@ def _cmd_lcs(args, report):
 
 
 def _text_lcs(report):
-    return [
+    lines = [
         "dimensions: " + _joined(report["dimensions"]),
         "quotients:  " + _joined(report["quotients"]),
         "nilpotent:  " + ("yes" if report["nilpotent"] else "no"),
     ]
+    return [line.rstrip() for line in lines]  # an empty list leaves no trailing blanks
 
 
 def _cmd_carnot(args, report):

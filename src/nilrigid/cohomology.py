@@ -11,8 +11,10 @@ rank d_(n-1-p)) and in every degree otherwise, and ``linalg.nullspace``
 eliminates d_p again for cocycles.
 Indecomposables come from integer cochain spans, with no class coordinates,
 grown by products whose least factor is an indecomposable (see ``_factors``).
-Every cup product is one call of the product kernel ``_multiply``, on
-monomials as bitmasks.
+d and every cup product are computed by the exterior-algebra kernel of
+``forms``, on monomials as bitmasks: cochain rows and columns are indexed
+by ``_mask_index``, each column is one ``_derive`` and each product one
+``_multiply``.
 """
 
 from __future__ import annotations
@@ -26,9 +28,12 @@ from . import linalg
 from .errors import DomainMismatchError, ModelError, NotClosedError, NotNilpotentError
 from .forms import (
     Form,
-    Monomial,
     SullivanModel,
+    Terms,
     _derive,
+    _kernel_terms,
+    _mask_index,
+    _multiply,
     check_d_squared,
     monomial_basis,
     monomial_weight,
@@ -39,8 +44,6 @@ from .lie import AdaptedBasis, _lie_of, ce_model, generated_basis, is_carnot_hom
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
-
-Terms = list[tuple[int, int, Fraction | int]]  # a form as ``_kernel_terms``
 
 
 @dataclass(frozen=True)
@@ -59,12 +62,14 @@ def cochain_matrix(A: SullivanModel, p: int) -> list[dict[int, int]]:
 
     Column j is D * d of the j-th lexicographic monomial of degree p, as
     {row: int} over the lexicographic monomials of degree p + 1: one call of
-    the integer kernel ``forms._derive``, with nothing divided and no Form
-    built.  D != 0, so these columns have the kernel and the span of d's.
+    the integer kernel ``forms._derive`` on its mask, with nothing divided
+    and no Form built.  D != 0, so these columns have the kernel and the
+    span of d's.
     """
-    index = {m: i for i, m in enumerate(monomial_basis(A, p + 1))}
+    index = _mask_index(monomial_basis(A, p + 1))
     return [
-        {index[m]: v for m, v in _derive(A, mono).items() if v} for mono in monomial_basis(A, p)
+        {index[m]: v for m, v in _derive(A, mask).items() if v}
+        for mask in _mask_index(monomial_basis(A, p))
     ]
 
 
@@ -79,51 +84,11 @@ def _inverse_images(basis: AdaptedBasis) -> list[Terms]:
             for a in range(n)]
 
 
-def _kernel_terms(pairs) -> Terms:
-    """(monomial, coefficient) pairs as the kernel terms of ``_multiply``:
-    (mask, parity mask, coefficient).  Bit x of the mask is index x of the
-    monomial; bit y of the parity mask is set when an odd number of the
-    monomial's indices exceed y."""
-    out = []
-    for m, c in pairs:
-        mask = parity = 0
-        for x in m:
-            mask |= 1 << x
-            parity ^= (1 << x) - 1
-        out.append((mask, parity, c))
-    return out
-
-
-def _mask_index(monos: list[Monomial]) -> dict[int, int]:
-    """The monomial index of a degree keyed by mask, bit x for index x."""
-    return {sum(1 << x for x in m): i for i, m in enumerate(monos)}
-
-
-def _multiply(a: Terms, b: Terms, index: dict[int, int]) -> dict[int, Fraction | int]:
-    """The product of two forms given as kernel term lists, as
-    {row: coefficient} on ``index``, the ``_mask_index`` of its degree.
-
-    Monomials ma and mb overlap, and their product is zero, iff ma & mb.
-    Otherwise moving each index y of mb past the indices of ma above it
-    gives the sign: -1 iff the count of such pairs is odd, that is iff
-    mb & (parity mask of ma) has odd popcount.  Coefficients may be int or
-    Fraction, and entries that cancel are dropped.
-    """
-    out: dict[int, Fraction | int] = {}
-    for ma, pa, ca in a:
-        for mb, _, cb in b:
-            if not ma & mb:
-                j = index[ma | mb]
-                c = ca * cb
-                out[j] = out.get(j, 0) + (-c if (pa & mb).bit_count() & 1 else c)
-    return {j: c for j, c in out.items() if c}
-
-
 class _Classes:
     """Representatives of one degree as reduced cocycle vectors; the solver
     and their primitive integer term lists are built on first use."""
 
-    __slots__ = ("index", "vectors", "solver", "terms", "masks")
+    __slots__ = ("masks", "vectors", "solver", "terms")
 
 
 class Cohomology:
@@ -150,7 +115,7 @@ class Cohomology:
     def __init__(self, model: SullivanModel):
         self.model = self._eliminated = model
         self._ones: list[Terms] | None = None  # D phi(f^a) when the bases differ
-        pairs = [(a, b) for terms in model.table for a, b, _ in terms]
+        pairs = [ab for terms in model.table for ab, _, _ in terms]
         if len(set(pairs)) < len(pairs):  # a bracket of two basis vectors has two terms
             L = _lie_of(model)
             try:
@@ -215,15 +180,13 @@ class Cohomology:
         if p in self._data:
             return self._data[p]
         A = self.model
-        monos = monomial_basis(A, p)
         cocycles = linalg.nullspace(self._differential(p), comb(A.dimension, p + 1))
         if self._ones is not None:  # Z^p in the model's basis, reduced
             reduced = linalg.echelon(self._push(cocycles, p))
             cocycles = [reduced[c] for c in sorted(reduced)]
         coboundaries = self._pivots(p)
         data = _Classes()
-        data.index = {m: i for i, m in enumerate(monos)}
-        data.masks = _mask_index(monos)  # the rows of products
+        data.masks = _mask_index(monomial_basis(A, p))  # the rows of cochains
         # representatives: reduced echelon cocycle rows whose pivot is not a
         # coboundary pivot; deterministic by construction
         data.vectors = [v for v in cocycles if min(v) not in coboundaries]
@@ -236,10 +199,11 @@ class Cohomology:
         data = self._degree(p)
         if data.solver is None:
             columns = data.vectors + list(self._pivots(p).values())
-            data.solver = linalg.ColumnSolver(columns, len(data.index))
+            data.solver = linalg.ColumnSolver(columns, len(data.masks))
         x = data.solver.solve(v)
         if x is None:
-            f = Form(self.model.generators, {m: v[j] for m, j in data.index.items() if j in v})
+            monos = monomial_basis(self.model, p)
+            f = Form(self.model.generators, {m: v[j] for j, m in enumerate(monos) if j in v})
             raise NotClosedError("form is not closed", differential=self.model.d(f))
         return ClassVector(p, tuple(x[: len(data.vectors)]))
 
@@ -247,7 +211,7 @@ class Cohomology:
         """The representatives of degree p as primitive integer kernel terms."""
         data = self._degree(p)
         if data.terms is None:
-            monos = list(data.index)
+            monos = monomial_basis(self.model, p)
             data.terms = [_kernel_terms((monos[j], c) for j, c in linalg._primitive(v).items())
                           for v in data.vectors]
         return data.terms
@@ -347,8 +311,8 @@ class Cohomology:
             raise DomainMismatchError("form does not live over the model's generators")
         if p < 0 or p > self.model.dimension:
             return ClassVector(p, ())
-        index = self._degree(p).index
-        return self._coordinates({index[m]: c for m, c in f.terms.items()}, p)
+        masks = self._degree(p).masks
+        return self._coordinates({masks[m]: c for m, _, c in _kernel_terms(f.terms.items())}, p)
 
     def form_of(self, v: ClassVector) -> Form:
         """The closed form sum_i v_i rep_i; v needs b_p coordinates."""
@@ -361,7 +325,7 @@ class Cohomology:
             if c:
                 for j, x in vec.items():
                     out[j] = out.get(j, 0) + c * x
-        monos = list(data.index)
+        monos = monomial_basis(self.model, v.degree)
         return Form(self.model.generators, {monos[j]: x for j, x in out.items()})
 
     def cup(self, u: ClassVector, v: ClassVector) -> ClassVector:

@@ -1,20 +1,22 @@
 """Exterior algebra on odd degree-1 generators with rational coefficients.
 
-Values are immutable; every operation returns a fresh Form.  Monomials are
-strictly increasing tuples of generator indices (all generators are odd, so a
-repeated index kills a monomial) and are ordered lexicographically wherever a
+Values are immutable; every operation returns a fresh Form, whose monomials
+are strictly increasing tuples of generator indices (all generators are odd,
+so a repeated index kills a monomial), ordered lexicographically wherever a
 basis is enumerated, which keeps every downstream matrix deterministic.
 
-A SullivanModel also keeps d as an integer term table: ``scale`` is the lcm
-D of all denominators in the d v_i (1 for d = 0) and ``table[i]`` holds the
-terms (a, b, D * coefficient) of d v_i as ints.  The one derivation kernel,
-``_derive``, returns D * d(mono) as {monomial: int}; apply_differential
-and check_d_squared divide by D only at the end, cochain_matrix never.
+Wedge, d and cup products share one kernel on monomials as bitmasks, bit x
+for index x (see ``_kernel_terms``): a shared bit kills a product, and every
+sign is the parity of a popcount.  A SullivanModel keeps d as an integer
+table: ``scale`` is the lcm D of the denominators in the d v_i (1 for d = 0)
+and ``table[i]`` holds (mask of v_a v_b, parity mask of (i, a, b), D * c)
+for each term c v_a v_b of d v_i.  ``_derive`` returns D * d(mask) as
+{mask: int}; apply_differential and check_d_squared divide by D only at the
+end, cochain_matrix never.
 """
 
 from __future__ import annotations
 
-from bisect import bisect
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -24,6 +26,7 @@ from numbers import Rational
 from .errors import DomainMismatchError, MixedDegreeError, ModelError
 
 Monomial = tuple[int, ...]
+Terms = list[tuple[int, int, Fraction | int]]  # a form as ``_kernel_terms``
 
 
 @dataclass(frozen=True)
@@ -35,19 +38,53 @@ class Generator:
     weight: int = 0
 
 
-def merge_monomials(a: Monomial, b: Monomial) -> tuple[Monomial | None, int]:
-    """Merge two increasing index tuples, counting inversions.
+def _kernel_terms(pairs) -> Terms:
+    """(monomial, coefficient) pairs as the kernel terms of ``_multiply``:
+    (mask, parity mask, coefficient).  Bit x of the mask is index x of the
+    monomial; bit y of the parity mask is set when an odd number of the
+    monomial's indices exceed y."""
+    out = []
+    for m, c in pairs:
+        mask = parity = 0
+        for x in m:
+            mask |= 1 << x
+            parity ^= (1 << x) - 1
+        out.append((mask, parity, c))
+    return out
 
-    Each x of a passes the bisect(b, x) entries of b below it.  Returns
-    (merged tuple, sign) or (None, 0) when an index repeats.
+
+def _mask_index(monos: list[Monomial]) -> dict[int, int]:
+    """The monomial index of a degree keyed by mask, bit x for index x."""
+    return {sum(1 << x for x in m): i for i, m in enumerate(monos)}
+
+
+def _multiply(a: Terms, b: Terms, index) -> dict:
+    """The product of two forms given as kernel term lists, as
+    {index[mask]: coefficient}, ``index`` the ``_mask_index`` of its degree
+    or a ``_Monomials``.
+
+    Monomials ma and mb overlap, and their product is zero, iff ma & mb.
+    Otherwise moving each index y of mb past the indices of ma above it
+    gives the sign: -1 iff the count of such pairs is odd, that is iff
+    mb & (parity mask of ma) has odd popcount.  Coefficients may be int or
+    Fraction, and entries that cancel are dropped.
     """
-    inversions = 0
-    for x in a:
-        k = bisect(b, x)
-        if k and b[k - 1] == x:
-            return None, 0
-        inversions += k
-    return tuple(sorted(a + b)), -1 if inversions & 1 else 1
+    out: dict = {}
+    for ma, pa, ca in a:
+        for mb, _, cb in b:
+            if not ma & mb:
+                j = index[ma | mb]
+                c = ca * cb
+                out[j] = out.get(j, 0) + (-c if (pa & mb).bit_count() & 1 else c)
+    return {j: c for j, c in out.items() if c}
+
+
+class _Monomials(dict):
+    """mask -> increasing index tuple, filled on lookup."""
+
+    def __missing__(self, mask: int) -> Monomial:
+        self[mask] = mono = tuple(x for x in range(mask.bit_length()) if mask >> x & 1)
+        return mono
 
 
 class Form:
@@ -164,15 +201,9 @@ def monomial_weight(gens: tuple[Generator, ...], mono: Monomial) -> int:
 
 
 def wedge(a: Form, b: Form) -> Form:
-    """Exterior product; sign is the parity of merge inversions."""
+    """Exterior product: one ``_multiply`` of the two forms' kernel terms."""
     a._require_same_gens(b)
-    terms: dict[Monomial, Fraction] = {}
-    for ma, ca in a.terms.items():
-        for mb, cb in b.terms.items():
-            merged, sign = merge_monomials(ma, mb)
-            if merged is None:
-                continue
-            terms[merged] = terms.get(merged, Fraction(0)) + sign * ca * cb
+    terms = _multiply(_kernel_terms(a.terms.items()), _kernel_terms(b.terms.items()), _Monomials())
     return Form(a.gens, terms)
 
 
@@ -214,9 +245,10 @@ class SullivanModel:
         self.generators = generators
         self.differential = differential
         self.scale = scale = lcm(*(c.denominator for f in differential for c in f.terms.values()))
-        self.table = tuple(
-            tuple((a, b, c.numerator * (scale // c.denominator)) for (a, b), c in f.terms.items())
-            for f in differential
+        self.table = tuple(  # the parity mask of (i, a, b) is that of (a, b) ^ ((1 << i) - 1)
+            tuple((ab, q ^ ((1 << i) - 1), c.numerator * (scale // c.denominator))
+                  for ab, q, c in _kernel_terms(f.terms.items()))
+            for i, f in enumerate(differential)
         )
 
     @property
@@ -260,25 +292,25 @@ class SullivanModel:
         return f"SullivanModel({gens})"
 
 
-def _derive(model: SullivanModel, mono: Monomial) -> dict[Monomial, int]:
-    """model.scale * d(mono) as {monomial: int}, cancelled terms kept as 0.
+def _derive(model: SullivanModel, mono: int) -> dict[int, int]:
+    """model.scale * d(mono) as {mask: int}, mono a mask, cancelled terms
+    kept as 0.
 
-    Each term (a, b, c) of d v_mono[pos] is merged into the rest of mono by
-    bisection; i + j has the parity of the merge's inversions."""
-    out: dict[Monomial, int] = {}
+    A term (ab, q, c) of d v_i, i a bit of mono, replaces v_i by v_a v_b in
+    mono: zero if the rest of mono holds a or b, and otherwise of the sign
+    (-1)^(pos + i' + j'), pos, i' and j' the counts of the rest's indices
+    below i, a and b, which is the parity of the popcount of rest & q."""
+    out: dict[int, int] = {}
     table = model.table
-    for pos, idx in enumerate(mono):
-        terms = table[idx]
-        if not terms:
-            continue
-        rest = mono[:pos] + mono[pos + 1 :]
-        for a, b, c in terms:
-            i = bisect(rest, a)
-            j = bisect(rest, b)
-            if (i and rest[i - 1] == a) or (j and rest[j - 1] == b):
-                continue
-            merged = rest[:i] + (a,) + rest[i:j] + (b,) + rest[j:]
-            out[merged] = out.get(merged, 0) + (-c if (pos + i + j) & 1 else c)
+    bits = mono
+    while bits:
+        low = bits & -bits
+        bits ^= low
+        rest = mono ^ low
+        for ab, q, c in table[low.bit_length() - 1]:
+            if not rest & ab:
+                m = rest | ab
+                out[m] = out.get(m, 0) + (-c if (rest & q).bit_count() & 1 else c)
     return out
 
 
@@ -286,11 +318,12 @@ def apply_differential(model: SullivanModel, f: Form) -> Form:
     """Extend the generator differential to f as a degree +1 derivation."""
     if f.gens != model.generators:
         raise DomainMismatchError("form does not live over the model's generators")
-    terms: dict[Monomial, Fraction] = {}
-    for mono, coeff in f.terms.items():
-        for merged, v in _derive(model, mono).items():
-            terms[merged] = terms.get(merged, 0) + coeff * v
-    return Form(model.generators, {m: c / model.scale for m, c in terms.items()})
+    terms: dict[int, Fraction] = {}
+    for mask, _, coeff in _kernel_terms(f.terms.items()):
+        for m, v in _derive(model, mask).items():
+            terms[m] = terms.get(m, 0) + coeff * v
+    monos = _Monomials()
+    return Form(model.generators, {monos[m]: c / model.scale for m, c in terms.items()})
 
 
 def check_d_squared(model: SullivanModel) -> list[tuple[Generator, Form]]:
@@ -298,23 +331,23 @@ def check_d_squared(model: SullivanModel) -> list[tuple[Generator, Form]]:
 
     Empty exactly when the model is a valid CDGA; checking on generators
     suffices because d^2 is again a derivation.  D^2 d^2 v_i is summed in ints
-    as c * D d(v_a v_b) over the terms (a, b, c) of table[i]; each pair is
-    derived once and added into every d^2 v_i that uses it.
+    as c * D d(v_a v_b) over the terms (mask of v_a v_b, q, c) of table[i];
+    each pair is derived once and added into every d^2 v_i that uses it.
     """
-    uses: dict[Monomial, list[tuple[int, int]]] = {}
+    uses: dict[int, list[tuple[int, int]]] = {}
     for i, terms in enumerate(model.table):
-        for a, b, c in terms:
-            uses.setdefault((a, b), []).append((i, c))
-    dd: list[dict[Monomial, int]] = [{} for _ in model.table]
-    for pair, targets in uses.items():
-        derived = _derive(model, pair)
+        for ab, _, c in terms:
+            uses.setdefault(ab, []).append((i, c))
+    dd: list[dict[int, int]] = [{} for _ in model.table]
+    for ab, targets in uses.items():
+        derived = _derive(model, ab)
         for i, c in targets:
             acc = dd[i]
             for m, v in derived.items():
                 acc[m] = acc.get(m, 0) + c * v
-    square = model.scale**2
+    square, monos = model.scale**2, _Monomials()
     return [
-        (g, Form(model.generators, {m: Fraction(v, square) for m, v in acc.items() if v}))
+        (g, Form(model.generators, {monos[m]: Fraction(v, square) for m, v in acc.items() if v}))
         for g, acc in zip(model.generators, dd)
         if any(acc.values())
     ]

@@ -1,16 +1,25 @@
-"""Hash every cohomology-ring report of the built-in families.
+"""Hash every report of the commands that compute with exterior forms.
 
 Writes each built-in family and its ``carnot`` model to a temporary
-directory, then runs, in process and in both text and JSON formats:
+directory, together with the dense and invalid inputs pinned in
+``tests/data/text_reports.json`` (``conj``, ``t4c``, ``frac``, ``fracw``,
+``bad``, ``badconj``, ``badsum``), then runs, in process and in both text and
+JSON formats:
 
-- ``generators X --degree p`` for p = 0..n,
-- ``fingerprint X``,
-- ``compare X carnot(X)``,
+- on every input file X, of n generators:
+  - ``betti X`` and ``check X``,
+  - ``cohomology X --degree p`` for p = 0..n, and again with ``--by-weight``
+    when X is Carnot-homogeneous (its degree-0 split exits 0),
+  - ``verify-iso X X M`` for two map files M, over the generators of X's
+    model: one that fixes the first and one that doubles the last;
+- on every family and every pinned input X, ``generators X --degree p`` for
+  p = 0..n and ``fingerprint X``;
+- on every family X, ``compare X carnot(X)``;
+- ``decomposable`` on the pinned ``forms`` input.
 
-for every such X.  Prints one line per call, ``<sha256>  <argv>``, the hash
-being that of (stdout, stderr, exit code); a final line gives the number of
-calls.  Run it on two versions and diff the outputs to see which reports
-changed:
+Prints one line per call, ``<sha256>  <argv>``, the hash being that of
+(stdout, stderr, exit code); a final line gives the number of calls.  Run it
+on two versions and diff the outputs to see which reports changed:
 
     PYTHONPATH=src python3 tests/report_sweep.py > sweep.txt
 """
@@ -42,6 +51,10 @@ FAMILIES = (
     ("free3c2", ("free", "--gens", "3", "--class", "2")),
 )
 
+# inputs of the pinned text reports: dense, large-denominator and invalid ones
+PINNED = ("conj", "t4c", "frac", "fracw", "bad", "badconj", "badsum")
+REPORTS = json.loads((Path(__file__).parent / "data" / "text_reports.json").read_text())
+
 
 def call(*argv: str) -> tuple[int, str, str]:
     """Exit code, stdout and stderr of one in-process CLI call."""
@@ -51,9 +64,10 @@ def call(*argv: str) -> tuple[int, str, str]:
     return code, out.getvalue(), err.getvalue()
 
 
-def write_inputs() -> list[tuple[str, str]]:
-    """Each family's file and its carnot model's file, written to the
-    working directory."""
+def write_inputs() -> tuple[list[tuple[str, str]], list[str]]:
+    """Write each family's file, its carnot model's file and the pinned
+    inputs to the working directory; return the (family, carnot) pairs and
+    the pinned inputs but ``forms``."""
     files: dict[str, str] = {}
     for name, argv in FAMILIES:
         report = json.loads(call("--format", "json", "family", *argv)[1])
@@ -67,21 +81,59 @@ def write_inputs() -> list[tuple[str, str]]:
         Path(path).write_text(text)
         Path(graded).write_text(json.loads(call("--format", "json", "carnot", path)[1])["algebra_file"])
         pairs.append((path, graded))
-    return pairs
+    for name in PINNED + ("forms",):
+        Path(f"{name}.alg").write_text(REPORTS["inputs"][name])
+    return pairs, [f"{name}.alg" for name in PINNED]
+
+
+def names(path: str) -> list[str]:
+    """The generator names of an input's model (which may be in an adapted
+    basis), or those on the file's first line when it has no model."""
+    code, out, _ = call("--format", "json", "model", path)
+    if code == 0:
+        return [g["name"] for g in json.loads(out)["generators"]]
+    return [word.split(":")[0] for word in Path(path).read_text().split("\n")[0].split()[1:]]
+
+
+def form_commands(path: str) -> list[tuple[str, ...]]:
+    """betti, check, cohomology per degree and verify-iso on one input; the
+    map files are written next to it."""
+    gens = names(path)
+    header = "generators " + " ".join(gens) + "\n"
+    fixed, doubled = f"{path}.fix.map", f"{path}.double.map"
+    Path(fixed).write_text(header + f"map {gens[0]} = {gens[0]}\n")
+    Path(doubled).write_text(header + f"map {gens[-1]} = 2 {gens[-1]}\n")
+    degrees = [str(p) for p in range(len(gens) + 1)]
+    commands = [("betti", path), ("check", path)]
+    commands += [("cohomology", path, "--degree", p) for p in degrees]
+    if call("cohomology", path, "--degree", "0", "--by-weight")[0] == 0:
+        commands += [("cohomology", path, "--degree", p, "--by-weight") for p in degrees]
+    commands += [("verify-iso", path, path, fixed), ("verify-iso", path, path, doubled)]
+    return commands
+
+
+def class_commands(path: str) -> list[tuple[str, ...]]:
+    """generators per degree and fingerprint on one input."""
+    commands = [("generators", path, "--degree", str(p)) for p in range(len(names(path)) + 1)]
+    return commands + [("fingerprint", path)]
 
 
 def sweep():
     """(argv, sha256) for every call, in a fixed order, on the inputs that
     ``write_inputs`` leaves in the working directory."""
-    for path, graded in write_inputs():
-        n = json.loads(call("--format", "json", "fingerprint", path)[1])["fingerprint"]["dimension"]
-        commands = [("generators", path, "--degree", str(p)) for p in range(n + 1)]
-        commands += [("fingerprint", path), ("compare", path, graded)]
-        for command in commands:
-            for fmt in ("text", "json"):
-                argv = ("--format", fmt, *command)
-                digest = hashlib.sha256(json.dumps(call(*argv)).encode()).hexdigest()
-                yield " ".join(argv), digest
+    pairs, pinned = write_inputs()
+    commands = []
+    for path, graded in pairs:
+        commands += class_commands(path) + [("compare", path, graded)]
+        commands += form_commands(path) + form_commands(graded)
+    for path in pinned:
+        commands += class_commands(path) + form_commands(path)
+    commands.append(("decomposable", "forms.alg"))
+    for command in commands:
+        for fmt in ("text", "json"):
+            argv = ("--format", fmt, *command)
+            digest = hashlib.sha256(json.dumps(call(*argv)).encode()).hexdigest()
+            yield " ".join(argv), digest
 
 
 def run() -> int:

@@ -18,7 +18,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from nilrigid import Cohomology, LieAlgebra, ce_model, check_d_squared, cochain_matrix
 from nilrigid import adapted_basis, change_basis, generated_basis, jacobi_defect
-from nilrigid import monomial_basis, trivial_basis
+from nilrigid import apply_differential, monomial_basis, trivial_basis
 from nilrigid.linalg import dense, rank
 from oracle import (
     DENOMINATORS,
@@ -62,6 +62,33 @@ def test_conjugates_and_corruptions_match_the_oracle():
             scales.append(scale)
             failing += fails
     assert max(scales) > 1 and failing >= 5
+
+
+def test_apply_differential_matches_the_oracle_on_forms_of_mixed_degree():
+    # a Form goes into the derivation kernel as masks and comes back as
+    # tuples: forms mixing degrees, with the unit form, the top monomial and
+    # a monomial of degree n - 1, whose d is a multiple of the top monomial
+    # on the corrupted algebras that are not unimodular
+    rng = random.Random(59)
+    for _ in range(6):
+        L = random_nilpotent(rng)
+        for M in (L, corrupt(rng, L)):
+            A = ce_model(M, trivial_basis(M))
+            n = M.dimension
+            bases = [monomial_basis(A, p) for p in range(n + 2)]
+            columns = [oracle_columns(M, p) for p in range(n + 1)]
+            for _ in range(3):
+                terms = {(): rng.choice((-2, 1, 3)), tuple(range(n)): rng.choice((-1, 2))}
+                for q in [n - 1] + [rng.randint(1, n - 1) for _ in range(6)]:
+                    mono = tuple(sorted(rng.sample(range(n), q)))
+                    terms[mono] = Fraction(rng.choice((-3, -1, 1, 2)), rng.choice((1, 2, 7)))
+                expected = {}
+                for mono, c in terms.items():
+                    p = len(mono)
+                    for r, v in columns[p][bases[p].index(mono)].items():
+                        expected[bases[p + 1][r]] = expected.get(bases[p + 1][r], 0) + c * v
+                got = apply_differential(A, A.form(terms))
+                assert got.terms == {m: c for m, c in expected.items() if c}
 
 
 coefficients = st.builds(

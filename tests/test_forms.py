@@ -20,7 +20,7 @@ from nilrigid import (
     section3_pair,
     wedge,
 )
-from nilrigid.forms import merge_monomials, product
+from nilrigid.forms import product
 
 
 GENS = tuple(Generator(f"e{i}", i) for i in range(6))
@@ -35,11 +35,16 @@ def rand_form(rng, degree, nterms=3):
 
 
 def test_merge_monomials_signs():
-    assert merge_monomials((0,), (1,)) == ((0, 1), 1)
-    assert merge_monomials((1,), (0,)) == ((0, 1), -1)
-    assert merge_monomials((0, 2), (1,)) == ((0, 1, 2), -1)
-    assert merge_monomials((0, 1), (1,)) == (None, 0)
-    assert merge_monomials((), (0, 1)) == ((0, 1), 1)
+    # the wedge of two monomials merges their increasing index tuples: the
+    # sign is that of the merge, and a shared index gives zero
+    def mono(*m):
+        return Form(GENS, {m: 1})
+
+    assert wedge(mono(0), mono(1)) == mono(0, 1)
+    assert wedge(mono(1), mono(0)) == -mono(0, 1)
+    assert wedge(mono(0, 2), mono(1)) == -mono(0, 1, 2)
+    assert wedge(mono(0, 1), mono(1)).is_zero()
+    assert wedge(mono(), mono(0, 1)) == mono(0, 1)
 
 
 def test_wedge_anticommutes_on_generators():
