@@ -12,9 +12,9 @@ eliminates d_p again for cocycles.
 Indecomposables come from integer cochain spans, with no class coordinates,
 grown by products whose least factor is an indecomposable (see ``_factors``).
 d and every cup product are computed by the exterior-algebra kernel of
-``forms``, on monomials as bitmasks: cochain rows and columns are indexed
-by ``_mask_index``, each column is one ``_derive`` and each product one
-``_multiply``.
+``forms``, on monomials as bitmasks: row j of a degree-p cochain is the j-th
+mask of ``_masks``, each column of d is one ``_derive`` and each product one
+``_multiply``; index tuples exist only inside a ``Form``.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from math import comb, lcm
 
 from . import linalg
@@ -33,17 +34,15 @@ from .forms import (
     _derive,
     _kernel_terms,
     _mask_index,
+    _mask_terms,
+    _masks,
+    _Monomials,
     _multiply,
     check_d_squared,
-    monomial_basis,
-    monomial_weight,
     # not called here: perfbench/test_bench.py checks that its tracer rebinds cohomology.wedge
     wedge,  # noqa: F401
 )
 from .lie import AdaptedBasis, _lie_of, ce_model, generated_basis, is_carnot_homogeneous
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -60,17 +59,13 @@ class ClassVector:
 def cochain_matrix(A: SullivanModel, p: int) -> list[dict[int, int]]:
     """Sparse integer columns of D * d: Lambda^p -> Lambda^(p+1), D = A.scale.
 
-    Column j is D * d of the j-th lexicographic monomial of degree p, as
-    {row: int} over the lexicographic monomials of degree p + 1: one call of
-    the integer kernel ``forms._derive`` on its mask, with nothing divided
-    and no Form built.  D != 0, so these columns have the kernel and the
-    span of d's.
+    Column j is D * d of the j-th mask of ``_masks(n, p)`` as {row: int} over
+    ``_masks(n, p + 1)``, one ``_derive`` with nothing divided and no Form
+    built.  D != 0, so these columns have the kernel and the span of d's.
     """
-    index = _mask_index(monomial_basis(A, p + 1))
-    return [
-        {index[m]: v for m, v in _derive(A, mask).items() if v}
-        for mask in _mask_index(monomial_basis(A, p))
-    ]
+    index = _mask_index(A.dimension, p + 1)
+    return [{index[m]: v for m, v in _derive(A, mask).items() if v}
+            for mask in _masks(A.dimension, p)]
 
 
 def _inverse_images(basis: AdaptedBasis) -> list[Terms]:
@@ -80,7 +75,7 @@ def _inverse_images(basis: AdaptedBasis) -> list[Terms]:
     solver = linalg.ColumnSolver([linalg.sparse(c) for c in basis.columns], n)
     inverse = [solver.solve({i: 1}) for i in range(n)]  # the columns of G^-1
     D = lcm(*(x.denominator for column in inverse for x in column))
-    return [_kernel_terms(((i,), int(inverse[i][a] * D)) for i in range(n) if inverse[i][a])
+    return [_mask_terms((1 << i, int(inverse[i][a] * D)) for i in range(n) if inverse[i][a])
             for a in range(n)]
 
 
@@ -163,12 +158,12 @@ class Cohomology:
         image of each monomial m is built once: that of m without its last
         index times that of its last generator, one ``_multiply``."""
         for q in range(len(self._images), p + 1):
-            below = monomial_basis(self.model, q - 1)
-            head = {m: _kernel_terms((below[j], c) for j, c in image.items())
+            below = _masks(self.model.dimension, q - 1)
+            head = {m: _mask_terms((below[j], c) for j, c in image.items())
                     for m, image in zip(below, self._images[q - 1])}
-            monos = monomial_basis(self.model, q)
-            index = _mask_index(monos)
-            self._images.append([_multiply(head[m[:-1]], self._ones[m[-1]], index) for m in monos])
+            index = _mask_index(self.model.dimension, q)  # m's last index: its top bit
+            self._images.append([_multiply(head[m ^ (1 << m.bit_length() - 1)],
+                                           self._ones[m.bit_length() - 1], index) for m in index])
         for v in rows:
             out: dict[int, int] = {}
             for j, c in linalg._primitive(v).items():
@@ -186,7 +181,7 @@ class Cohomology:
             cocycles = [reduced[c] for c in sorted(reduced)]
         coboundaries = self._pivots(p)
         data = _Classes()
-        data.masks = _mask_index(monomial_basis(A, p))  # the rows of cochains
+        data.masks = _mask_index(A.dimension, p)  # the rows of cochains
         # representatives: reduced echelon cocycle rows whose pivot is not a
         # coboundary pivot; deterministic by construction
         data.vectors = [v for v in cocycles if min(v) not in coboundaries]
@@ -202,8 +197,8 @@ class Cohomology:
             data.solver = linalg.ColumnSolver(columns, len(data.masks))
         x = data.solver.solve(v)
         if x is None:
-            monos = monomial_basis(self.model, p)
-            f = Form(self.model.generators, {m: v[j] for j, m in enumerate(monos) if j in v})
+            masks, monos = list(data.masks), _Monomials()
+            f = Form(self.model.generators, {monos[masks[j]]: c for j, c in v.items()})
             raise NotClosedError("form is not closed", differential=self.model.d(f))
         return ClassVector(p, tuple(x[: len(data.vectors)]))
 
@@ -211,8 +206,8 @@ class Cohomology:
         """The representatives of degree p as primitive integer kernel terms."""
         data = self._degree(p)
         if data.terms is None:
-            monos = monomial_basis(self.model, p)
-            data.terms = [_kernel_terms((monos[j], c) for j, c in linalg._primitive(v).items())
+            masks = list(data.masks)
+            data.terms = [_mask_terms((masks[j], c) for j, c in linalg._primitive(v).items())
                           for v in data.vectors]
         return data.terms
 
@@ -314,8 +309,8 @@ class Cohomology:
         masks = self._degree(p).masks
         return self._coordinates({masks[m]: c for m, _, c in _kernel_terms(f.terms.items())}, p)
 
-    def form_of(self, v: ClassVector) -> Form:
-        """The closed form sum_i v_i rep_i; v needs b_p coordinates."""
+    def _cochain(self, v: ClassVector) -> list[tuple[int, Fraction]]:
+        """sum_i v_i rep_i as (mask, coefficient) pairs; v needs b_p coordinates."""
         data = self._degree(v.degree)
         if len(v.coordinates) != len(data.vectors):
             raise ValueError(f"a class of degree {v.degree} has {len(data.vectors)} "
@@ -325,20 +320,25 @@ class Cohomology:
             if c:
                 for j, x in vec.items():
                     out[j] = out.get(j, 0) + c * x
-        monos = monomial_basis(self.model, v.degree)
-        return Form(self.model.generators, {monos[j]: x for j, x in out.items()})
+        masks = list(data.masks)
+        return [(masks[j], x) for j, x in out.items()]
+
+    def form_of(self, v: ClassVector) -> Form:
+        """The closed form sum_i v_i rep_i; v needs b_p coordinates."""
+        monos = _Monomials()
+        return Form(self.model.generators, {monos[m]: x for m, x in self._cochain(v)})
 
     def cup(self, u: ClassVector, v: ClassVector) -> ClassVector:
         """Product of classes, reduced into the representative basis."""
         p = u.degree + v.degree
-        a, b = (_kernel_terms(self.form_of(w).terms.items()) for w in (u, v))
+        a, b = (_mask_terms(self._cochain(w)) for w in (u, v))
         return self._coordinates(_multiply(a, b, self._degree(p).masks), p)
 
     def unit_class(self, p: int, i: int) -> ClassVector:
         b = self.betti(p)
         if not 0 <= i < b:
             raise IndexError(f"class {i} of degree {p}: b_{p} = {b}")
-        return ClassVector(p, tuple(_ONE if j == i else _ZERO for j in range(b)))
+        return ClassVector(p, tuple(Fraction(j == i) for j in range(b)))
 
     def decomposable_subspace(self, p: int) -> list[list[Fraction]]:
         """rref basis of the image of H^+ . H^+ inside H^p coordinates: the
@@ -364,9 +364,8 @@ class Cohomology:
         A = self.model
         if not is_carnot_homogeneous(A):
             raise ModelError("differential is not Carnot-homogeneous")
-        here, above = (
-            [monomial_weight(A.generators, m) for m in monomial_basis(A, q)] for q in (p, p + 1)
-        )
+        here, above = ([sum(c) for c in combinations(A.weights, q)] if 0 <= q <= A.dimension else []
+                       for q in (p, p + 1))  # in the order of _masks
         dims = Counter(here)
         for c in self._pivots(p):
             dims[here[c]] -= 1

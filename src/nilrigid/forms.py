@@ -5,14 +5,14 @@ are strictly increasing tuples of generator indices (all generators are odd,
 so a repeated index kills a monomial), ordered lexicographically wherever a
 basis is enumerated, which keeps every downstream matrix deterministic.
 
-Wedge, d and cup products share one kernel on monomials as bitmasks, bit x
-for index x (see ``_kernel_terms``): a shared bit kills a product, and every
-sign is the parity of a popcount.  A SullivanModel keeps d as an integer
-table: ``scale`` is the lcm D of the denominators in the d v_i (1 for d = 0)
-and ``table[i]`` holds (mask of v_a v_b, parity mask of (i, a, b), D * c)
-for each term c v_a v_b of d v_i.  ``_derive`` returns D * d(mask) as
-{mask: int}; apply_differential and check_d_squared divide by D only at the
-end, cochain_matrix never.
+Outside a Form a monomial is a bitmask, bit x for index x, and ``_masks(n, p)``
+lists degree p in the order of the tuples.  Wedge, d and cup products share one
+kernel on masks (``_mask_terms``): every sign is the parity of a popcount.  A
+SullivanModel keeps d as an integer table: ``scale`` is the lcm D of the
+denominators in the d v_i (1 for d = 0), ``table[i]`` holds (mask of v_a v_b,
+parity mask of (i, a, b), D * c) for each term c v_a v_b of d v_i, and ``live``
+masks the i with d v_i != 0.  ``_derive`` returns D * d(mask) as {mask: int};
+apply_differential and check_d_squared divide by D only at the end.
 """
 
 from __future__ import annotations
@@ -38,24 +38,35 @@ class Generator:
     weight: int = 0
 
 
-def _kernel_terms(pairs) -> Terms:
-    """(monomial, coefficient) pairs as the kernel terms of ``_multiply``:
-    (mask, parity mask, coefficient).  Bit x of the mask is index x of the
-    monomial; bit y of the parity mask is set when an odd number of the
-    monomial's indices exceed y."""
+def _masks(n: int, p: int) -> list[int]:
+    """The masks of degree p in n generators, in the lexicographic order of
+    their index tuples; empty unless 0 <= p <= n."""
+    return [sum(c) for c in combinations([1 << x for x in range(n)], p)] if 0 <= p <= n else []
+
+
+def _mask_index(n: int, p: int) -> dict[int, int]:
+    """The position of each mask in ``_masks(n, p)``, keyed by mask."""
+    return {m: i for i, m in enumerate(_masks(n, p))}
+
+
+def _mask_terms(pairs) -> Terms:
+    """(mask, coefficient) pairs as the kernel terms of ``_multiply``: (mask,
+    parity mask, coefficient), the parity mask the xor of low - 1 over the bits
+    low of the mask, so bit y is set iff an odd number of the mask's bits exceed y."""
     out = []
     for m, c in pairs:
-        mask = parity = 0
-        for x in m:
-            mask |= 1 << x
-            parity ^= (1 << x) - 1
-        out.append((mask, parity, c))
+        parity, bits = 0, m
+        while bits:
+            low = bits & -bits
+            bits ^= low
+            parity ^= low - 1
+        out.append((m, parity, c))
     return out
 
 
-def _mask_index(monos: list[Monomial]) -> dict[int, int]:
-    """The monomial index of a degree keyed by mask, bit x for index x."""
-    return {sum(1 << x for x in m): i for i, m in enumerate(monos)}
+def _kernel_terms(pairs) -> Terms:
+    """``_mask_terms`` of (index tuple, coefficient) pairs."""
+    return _mask_terms((sum(1 << x for x in m), c) for m, c in pairs)
 
 
 def _multiply(a: Terms, b: Terms, index) -> dict:
@@ -224,7 +235,7 @@ class SullivanModel:
     exterior algebra as a derivation of degree +1.
     """
 
-    __slots__ = ("generators", "differential", "scale", "table")
+    __slots__ = ("generators", "differential", "scale", "table", "live")
 
     def __init__(self, generators, differential):
         generators = tuple(generators)
@@ -250,6 +261,7 @@ class SullivanModel:
                   for ab, q, c in _kernel_terms(f.terms.items()))
             for i, f in enumerate(differential)
         )
+        self.live = sum(1 << i for i, terms in enumerate(self.table) if terms)
 
     @property
     def dimension(self) -> int:
@@ -294,7 +306,7 @@ class SullivanModel:
 
 def _derive(model: SullivanModel, mono: int) -> dict[int, int]:
     """model.scale * d(mono) as {mask: int}, mono a mask, cancelled terms
-    kept as 0.
+    kept as 0.  Only the bits of mono in ``model.live`` have terms.
 
     A term (ab, q, c) of d v_i, i a bit of mono, replaces v_i by v_a v_b in
     mono: zero if the rest of mono holds a or b, and otherwise of the sign
@@ -302,7 +314,7 @@ def _derive(model: SullivanModel, mono: int) -> dict[int, int]:
     below i, a and b, which is the parity of the popcount of rest & q."""
     out: dict[int, int] = {}
     table = model.table
-    bits = mono
+    bits = mono & model.live
     while bits:
         low = bits & -bits
         bits ^= low
@@ -359,6 +371,4 @@ def monomial_basis(model: SullivanModel, p: int) -> list[Monomial]:
     Lambda^p = 0 for p < 0 and for p > n, so there the list is empty.
     """
     n = len(model.generators)
-    if not 0 <= p <= n:
-        return []
-    return list(combinations(range(n), p))
+    return list(combinations(range(n), p)) if 0 <= p <= n else []

@@ -62,8 +62,9 @@ def _integer(row: dict[int, Fraction | int]) -> tuple[dict[int, int], int]:
 
 def _primitive(row: dict[int, Fraction | int]) -> dict[int, int]:
     """``row`` times the one positive rational that makes it an integer row
-    whose entries have no common factor, as a new dict."""
-    r = _integer(row)[0]
+    whose entries have no common factor, as a new dict.  A row of ints alone,
+    as cochain columns are, is copied without taking an lcm of denominators."""
+    r = dict(row) if all(map(int.__instancecheck__, row.values())) else _integer(row)[0]
     _remove_content(r)
     return r
 

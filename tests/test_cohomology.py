@@ -1,5 +1,6 @@
 """Cohomology: Betti numbers, representatives, cup products, indecomposables."""
 
+import hashlib
 import json
 import random
 from fractions import Fraction
@@ -50,9 +51,44 @@ def model_of(L, weights=None):
 
 
 def test_abelian_betti_binomial():
-    for n in (2, 4, 5):
+    for n in (2, *range(4, 11)):
         A = model_of(abelian(n))
         assert Cohomology(A).betti_vector() == tuple(comb(n, p) for p in range(n + 1))
+    # no generator is live, so no monomial derives to anything
+    assert A.live == 0
+    assert all(cohomology._derive(A, mask) == {} for mask in range(2**A.dimension))
+
+
+def test_dead_generators_match_the_oracle():
+    # d v_i = 0 on the abelian summand: those bits are skipped, not derived
+    for m in range(1, 5):
+        L = direct_sum(heisenberg(), abelian(m))
+        A = model_of(L)
+        assert A.live == 0b100
+        assert Cohomology(A).betti_vector() == oracle_betti(L)
+
+
+def test_cached_differentials_equal_fresh_ones():
+    # elimination copies each int column before it reduces it, so the
+    # cached columns of d stay those cochain_matrix builds
+    A = theorem2_family(2)
+    H = Cohomology(A)
+    H.betti_vector()
+    assert H._d and all(d == cochain_matrix(A, p) for p, d in H._d.items())
+
+
+def test_cochain_matrices_are_pinned():
+    # sha256 of each degree's columns, each as its sorted (row, value) pairs,
+    # recorded from the builder that indexed rows through monomial tuples;
+    # theorem1(4), n = 16, is beyond the dense oracle's reach
+    pins = json.loads((Path(__file__).parent / "data" / "cochain_hashes.json").read_text())
+    models = {"theorem1(3)": theorem1_family(3), "theorem2(3)": theorem2_family(3),
+              "theorem4": theorem4_example(), "theorem1(4)": theorem1_family(4)}
+    assert pins.keys() == models.keys()
+    for name, A in models.items():
+        digests = [hashlib.sha256(json.dumps([sorted(c.items()) for c in cochain_matrix(A, p)])
+                                  .encode()).hexdigest() for p in range(A.dimension + 1)]
+        assert digests == pins[name], name
 
 
 def test_heisenberg_betti_and_cup():
@@ -441,7 +477,7 @@ def test_product_kernel_is_wedge_on_monomial_indices(pair):
     n, a, b, p = pair
     i = len(next(iter(a), ()))  # the degree of a; if a = 0, any degree will do
     u, v = ([f.get(m, 0) for m in combinations(range(n), q)] for f, q in ((a, i), (b, p - i)))
-    index = forms._mask_index(list(combinations(range(n), p)))
+    index = forms._mask_index(n, p)
     product = forms._multiply(*(forms._kernel_terms(f.items()) for f in (a, b)), index)
     assert product == {r: c for r, c in enumerate(_wedge(u, i, v, p - i, n)) if c}
 

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -20,7 +21,7 @@ from nilrigid import (
     section3_pair,
     wedge,
 )
-from nilrigid.forms import product
+from nilrigid.forms import _masks, product
 
 
 GENS = tuple(Generator(f"e{i}", i) for i in range(6))
@@ -147,6 +148,15 @@ def test_monomial_basis_counts_and_order():
     assert monomial_basis(model, -1) == []
     assert monomial_basis(model, 5) == []
     assert monomial_basis(model, 10**20) == []
+
+
+def test_masks_enumerate_each_degree_in_lexicographic_order():
+    # row j of every degree-p cochain is the j-th mask, so this order is the
+    # row order of every matrix and report
+    for n in range(10):
+        for p in range(-1, n + 2):
+            expected = [sum(1 << x for x in c) for c in combinations(range(n), max(p, 0))]
+            assert _masks(n, p) == (expected if p >= 0 else [])
 
 
 def test_product_wedges_from_the_unit_and_stops_at_zero():

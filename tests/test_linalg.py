@@ -235,3 +235,22 @@ def test_integer_extend_grows_the_span_that_extend_grows(matrix):
     assert integer.keys() == linalg.integer_echelon(rows).keys()
     assert all(type(x) is int and x for row in integer.values() for x in row.values())
     assert all(math.gcd(*row.values()) == 1 and min(row) == c for c, row in integer.items())
+
+
+def test_integer_extend_leaves_an_int_row_unchanged():
+    # an int row is copied, not aliased, before it is made primitive and reduced
+    row = {0: 2, 3: 4}
+    basis = {}
+    assert linalg.integer_extend(basis, row) and row == {0: 2, 3: 4}
+    assert basis == {0: {0: 1, 3: 2}}
+    reduced = {0: 3, 1: 5, 3: 6}
+    assert linalg.integer_extend(basis, reduced) and reduced == {0: 3, 1: 5, 3: 6}
+    assert basis[1] == {1: 1} and basis[0] == {0: 1, 3: 2}
+    assert not linalg.integer_extend(basis, row) and row == {0: 2, 3: 4}
+
+
+def test_a_row_mixing_int_and_integral_fraction_becomes_ints():
+    r, den = linalg._integer({0: 2, 1: Fraction(3, 1)})
+    assert r == {0: 2, 1: 3} and den == 1
+    assert all(type(x) is int for x in r.values())
+    assert all(type(x) is int for x in linalg._primitive({0: 2, 1: Fraction(3, 1)}).values())
