@@ -9,7 +9,8 @@ Grammar ('#' starts a comment, blank lines ignored):
     class a1^b^c -> a1^b^c             cohomology class pairs
     vector 1 0 -2/3                    rational coordinate rows
 
-Parsing reports line and column; emission is canonical so that
+Parsing reports line and column and builds one Fraction per coefficient
+literal, its sign folded into the numerator; emission is canonical so that
 parse(emit(L)) reproduces L exactly.
 """
 
@@ -30,6 +31,7 @@ _TOKEN = re.compile(
 
 # a form as parsed: list of (coefficient, [generator names]); names in source order
 RawTerm = tuple[Fraction, list[str]]
+_UNIT = {1: Fraction(1), -1: Fraction(-1)}  # the coefficient of a bare name, by sign
 
 
 @dataclass
@@ -90,38 +92,39 @@ def _int(text: str, lineno: int, col: int) -> int:
         raise ParseError(f"number of {len(text)} digits is too long", lineno, col) from None
 
 
-def _fraction(tk: _Tokens) -> Fraction:
-    """The next token as a p or p/q literal; q = 0 is a parse error."""
+def _fraction(tk: _Tokens, sign: int = 1) -> Fraction:
+    """The next token as a p or p/q literal times ``sign``; q = 0 is an error."""
     col = tk.peek()[2]
     text = tk.expect("number")
     num, slash, den = text.partition("/")
     q = _int(den, tk.lineno, col) if slash else 1
     if q == 0:
         raise ParseError(f"zero denominator in {text!r}", tk.lineno, col)
-    return Fraction(_int(num, tk.lineno, col), q)
+    return Fraction(sign * _int(num, tk.lineno, col), q)
+
+
+def _sign(tk: _Tokens) -> int:
+    """-1 after a '-' token, else 1; a '+' or '-' token is consumed."""
+    kind, text, _ = tk.peek()
+    if kind == "sym" and text in "+-":
+        return -1 if tk.next()[1] == "-" else 1
+    return 1
 
 
 def _parse_terms(tk: _Tokens) -> list[RawTerm]:
     """Sum of terms: [sign] [coefficient] name(^name)*, or a bare number."""
     terms: list[RawTerm] = []
-    first = True
     while not tk.done():
         kind, text, col = tk.peek()
         if kind == "arrow":
             break
-        sign = Fraction(1)
-        if kind == "sym" and text in "+-":
-            tk.next()
-            sign = Fraction(-1) if text == "-" else Fraction(1)
-        elif not first:
+        if terms and not (kind == "sym" and text in "+-"):
             raise ParseError(f"expected '+' or '-', got {text!r}", tk.lineno, col)
-        first = False
+        sign = _sign(tk)
         kind, text, col = tk.peek()
-        coeff = sign
-        has_coeff = False
-        if kind == "number":
-            coeff = sign * _fraction(tk)
-            has_coeff = True
+        has_coeff = kind == "number"
+        coeff = _fraction(tk, sign) if has_coeff else _UNIT[sign]
+        if has_coeff:
             kind, text, col = tk.peek()
         names: list[str] = []
         if kind == "name":
@@ -197,12 +200,7 @@ def parse_source(text: str) -> AlgebraFile:
         elif keyword == "vector":
             entries: list[Fraction] = []
             while not tk.done():
-                sign = Fraction(1)
-                k, t, c = tk.peek()
-                if k == "sym" and t in "+-":
-                    tk.next()
-                    sign = Fraction(-1) if t == "-" else Fraction(1)
-                entries.append(sign * _fraction(tk))
+                entries.append(_fraction(tk, _sign(tk)))
             if not entries:
                 raise ParseError("empty vector", lineno)
             af.vectors.append((entries, lineno))
@@ -240,12 +238,15 @@ def lie_algebra(af: AlgebraFile) -> tuple[LieAlgebra, tuple[int, ...] | None]:
         seen.add((l, k))
         vec: dict[int, Fraction] = {}
         for coeff, mono_names in terms:
+            if not mono_names and not coeff:  # a zero written as a bare number
+                continue
             if len(mono_names) != 1:
                 raise ParseError("bracket values must be linear in the generators", lineno)
             n = mono_names[0]
             if n not in index:
                 raise ParseError(f"unknown generator {n!r}", lineno)
-            vec[index[n]] = vec.get(index[n], Fraction(0)) + sign * coeff
+            i, c = index[n], (coeff if sign > 0 else -coeff)
+            vec[i] = vec[i] + c if i in vec else c
         brackets[(l, k)] = vec
     return LieAlgebra(tuple(names), brackets), declared
 

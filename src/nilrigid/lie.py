@@ -5,6 +5,8 @@ skew extension implied, and the differential of the model is
 d v_i = -sum c^i_{l,k} v_l v_k, so a bracket [x, y] = -n gives d n = x y.
 Brackets are summed in Python ints over ``LieAlgebra.table``: the structure
 constants, skew-extended, times ``scale``, the lcm of their denominators.
+The lower central series and ``change_basis`` take each vector to ints once
+and sum and eliminate its brackets as int rows, with no Fraction per bracket.
 ``generated_basis`` is made of brackets; basis-free answers are computed in it.
 """
 
@@ -45,7 +47,7 @@ class LieAlgebra:
             for i, c in dict(vec).items():
                 if not 0 <= i < n:
                     raise ValueError(f"bracket [{l},{k}] hits unknown index {i}")
-                c = Fraction(c)
+                c = c if isinstance(c, Fraction) else Fraction(c)
                 if c:
                     entries[i] = c
             if entries:
@@ -139,22 +141,31 @@ def jacobi_defect(L: LieAlgebra) -> list[tuple[int, int, int, Vector]]:
     return defects
 
 
-def _series(L: LieAlgebra) -> tuple[list[dict[int, Vec]], bool]:
-    """Echelon bases of g = g^(0) >= [g,g] >= ..., and whether they reach 0.
+def _ad(L: LieAlgebra, u: dict[int, int]) -> dict[int, dict[int, int]]:
+    """{k: L.scale [u, e_k]} for the int row u: sparse int rows, one pass over L.table."""
+    out: dict[int, dict[int, int]] = {}
+    for (l, k), terms in L.table.items():
+        if f := u.get(l):
+            r = out.setdefault(k, {})
+            for i, c in terms:
+                r[i] = r.get(i, 0) + f * c
+    return {k: {i: x for i, x in r.items() if x} for k, r in out.items()}
 
-    For a non-nilpotent algebra the list ends at the subspace where the
-    series stabilizes.
-    """
-    e = [{i: _ONE} for i in range(L.dimension)]
-    stages = [linalg.echelon(e)]
+
+def _series(L: LieAlgebra) -> tuple[list[dict[int, Vec]], bool]:
+    """Echelon bases of g = g^(0) >= [g,g] >= ..., and whether they reach 0
+    (else the list ends where the series stabilizes).  [g,g] is spanned by
+    the rows of ``L.table``, g^(w+1) by the ``_ad`` rows of those of g^(w)."""
+    stages = [linalg.echelon({i: 1} for i in range(L.dimension))]
+    rows = [dict(terms) for (l, k), terms in L.table.items() if l < k]
     while True:
-        current = stages[-1]
-        nxt = linalg.echelon(L.bracket(u, x) for u in current.values() for x in e)
-        if len(nxt) == len(current):
+        nxt = linalg.echelon(rows)
+        if len(nxt) == len(stages[-1]):
             return stages, False
         stages.append(nxt)
         if not nxt:
             return stages, True
+        rows = [r for u in nxt.values() for r in _ad(L, linalg._integer(u)[0]).values()]
 
 
 def lower_central_series(L: LieAlgebra) -> SubspaceChain:
@@ -254,12 +265,18 @@ def change_basis(L: LieAlgebra, basis: AdaptedBasis) -> LieAlgebra:
     solver = linalg.ColumnSolver(columns, n)
     if solver.rank < n:
         raise ValueError("change of basis matrix is singular")
+    ints = [linalg._integer(col) for col in columns]
     brackets = {}
-    for a in range(n):
-        for b in range(a + 1, n):
-            old = L.bracket(columns[a], columns[b])
-            if old:
-                brackets[(a, b)] = linalg.sparse(solver.solve(old))
+    for a, (ia, da) in enumerate(ints):
+        ad = _ad(L, ia)
+        for b, (ib, db) in enumerate(ints[a + 1:], a + 1):
+            old: dict[int, int] = {}  # L.scale da db [x_a, x_b], on ints
+            for k, f in ib.items():
+                for i, c in ad.get(k, {}).items():
+                    old[i] = old.get(i, 0) + f * c
+            if old := {i: x for i, x in old.items() if x}:
+                den = L.scale * da * db
+                brackets[(a, b)] = {j: x / den for j, x in enumerate(solver.solve(old)) if x}
     return LieAlgebra(basis.names, brackets)
 
 

@@ -112,6 +112,31 @@ def oracle_bracket(L, u, v):
     return out
 
 
+def oracle_lcs_dimensions(L):
+    """(dimensions of g = g^(0) >= [g,g] >= ..., nilpotent), brute force.
+
+    Each stage is spanned by the brackets [u, e_k] of a basis u of the one
+    before with the basis vectors, kept greedily when they raise the dense
+    rank.  The list ends at 0 or, once, at the dimension where it stabilizes.
+    """
+    n = L.dimension
+    e = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    dims, stage = [n], e
+    while True:
+        nxt = []
+        for u in stage:
+            for x in e:
+                b = oracle_bracket(L, u, x)
+                if _forward_rank(nxt + [b], n) > len(nxt):
+                    nxt.append(b)
+        if len(nxt) == dims[-1]:
+            return tuple(dims), False
+        dims.append(len(nxt))
+        if not nxt:
+            return tuple(dims), True
+        stage = nxt
+
+
 def jacobiator(L):
     """Jacobi defects computed straight from the structure constants."""
     n = L.dimension

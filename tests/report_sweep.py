@@ -7,7 +7,7 @@ directory, together with the dense and invalid inputs pinned in
 JSON formats:
 
 - on every input file X, of n generators:
-  - ``betti X`` and ``check X``,
+  - ``betti X``, ``check X``, ``lcs X``, ``carnot X`` and ``model X``,
   - ``cohomology X --degree p`` for p = 0..n, and again with ``--by-weight``
     when X is Carnot-homogeneous (its degree-0 split exits 0),
   - ``verify-iso X X M`` for two map files M, over the generators of X's
@@ -96,15 +96,15 @@ def names(path: str) -> list[str]:
 
 
 def form_commands(path: str) -> list[tuple[str, ...]]:
-    """betti, check, cohomology per degree and verify-iso on one input; the
-    map files are written next to it."""
+    """betti, check, lcs, carnot, model, cohomology per degree and verify-iso
+    on one input; the map files are written next to it."""
     gens = names(path)
     header = "generators " + " ".join(gens) + "\n"
     fixed, doubled = f"{path}.fix.map", f"{path}.double.map"
     Path(fixed).write_text(header + f"map {gens[0]} = {gens[0]}\n")
     Path(doubled).write_text(header + f"map {gens[-1]} = 2 {gens[-1]}\n")
     degrees = [str(p) for p in range(len(gens) + 1)]
-    commands = [("betti", path), ("check", path)]
+    commands = [(command, path) for command in ("betti", "check", "lcs", "carnot", "model")]
     commands += [("cohomology", path, "--degree", p) for p in degrees]
     if call("cohomology", path, "--degree", "0", "--by-weight")[0] == 0:
         commands += [("cohomology", path, "--degree", p, "--by-weight") for p in degrees]

@@ -103,6 +103,15 @@ def test_lcs_refutes_non_nilpotent_with_or_without_weights(run, tmp_path, weight
     assert report["dimensions"] == [3, 2]
 
 
+@pytest.mark.parametrize("value, code", [("0", 0), ("c - c", 0), ("2", 2)])
+def test_a_bracket_written_as_a_bare_number_exits_0_only_when_zero(run, tmp_path, value, code):
+    path = tmp_path / "zero.alg"
+    path.write_text(f"generators a b c\nbracket [a,b] = {value}\n")
+    got, out, err = run("check", str(path))
+    assert got == code
+    assert ("ok" in out and err == "") if code == 0 else "linear in the generators" in err
+
+
 def test_parse_error_exits_2(run, tmp_path):
     path = tmp_path / "broken.alg"
     path.write_text("generators a $\n")

@@ -17,7 +17,7 @@ from fractions import Fraction
 from hypothesis import assume, given, settings, strategies as st
 
 from nilrigid import Cohomology, LieAlgebra, ce_model, check_d_squared, cochain_matrix
-from nilrigid import adapted_basis, change_basis, generated_basis, jacobi_defect
+from nilrigid import adapted_basis, change_basis, generated_basis, jacobi_defect, lower_central_series
 from nilrigid import apply_differential, monomial_basis, trivial_basis
 from nilrigid.linalg import dense, rank
 from oracle import (
@@ -31,6 +31,7 @@ from oracle import (
     oracle_columns,
     oracle_d_squared,
     oracle_indecomposables,
+    oracle_lcs_dimensions,
     random_nilpotent,
     rational_conjugate,
 )
@@ -214,3 +215,45 @@ def test_generated_basis_on_random_nilpotent_algebras(seed):
 @given(drawn_conjugates())
 def test_generated_basis_on_drawn_conjugates(L):
     assert_generated_basis_is_adapted_and_bracket_generated(L)
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(st.integers(0, 10**6))
+def test_lower_central_series_matches_the_oracle(seed):
+    rng = random.Random(seed)
+    L = random_nilpotent(rng)
+    for M in (L, rational_conjugate(rng, L)):
+        chain = lower_central_series(M)
+        assert (chain.dimensions(), chain.nilpotent) == oracle_lcs_dimensions(M)
+        assert chain.nilpotent
+
+
+def test_lower_central_series_of_non_nilpotent_algebras_matches_the_oracle():
+    # [x, y] = y stabilizes at span(y); [a, b] = c, [a, c] = b at span(b, c)
+    one = Fraction(1)
+    rng = random.Random(47)
+    for L, dims in ((LieAlgebra(("x", "y"), {(0, 1): {1: one}}), (2, 1)),
+                    (LieAlgebra(("a", "b", "c"), {(0, 1): {2: one}, (0, 2): {1: one}}), (3, 2))):
+        for M in (L, rational_conjugate(rng, L)):
+            chain = lower_central_series(M)
+            assert (chain.dimensions(), chain.nilpotent) == oracle_lcs_dimensions(M) == (dims, False)
+
+
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(drawn_conjugates(), st.integers(0, 10**6))
+def test_change_basis_matches_the_dense_bracket(L, seed):
+    # in the new basis x_a, [x_a, x_b] = sum_i c^i_ab x_i, each side in the old coordinates
+    n, rng = L.dimension, random.Random(seed)
+    while True:  # columns with mixed denominators, so each has its own lcm
+        cols = tuple(tuple(Fraction(rng.randint(-2, 2), rng.choice(DENOMINATORS[:4]))
+                           for _ in range(n)) for _ in range(n))
+        if rank([list(c) for c in cols]) == n:
+            break
+    basis = trivial_basis(L)
+    moved = change_basis(L, type(basis)(columns=cols, weights=basis.weights, names=L.names))
+    assert all(type(c) is Fraction for vec in moved.brackets.values() for c in vec.values())
+    for a in range(n):
+        for b in range(n):
+            new = dense(moved.bracket_basis(a, b), n)
+            combined = [sum(new[i] * cols[i][j] for i in range(n)) for j in range(n)]
+            assert combined == oracle_bracket(L, list(cols[a]), list(cols[b]))

@@ -4,6 +4,7 @@ import contextlib
 import io
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -68,6 +69,86 @@ def test_reversed_pair_is_skew_extended():
     L1 = parse_algebra("generators a b c\nbracket [b,a] = c\n")
     L2 = parse_algebra("generators a b c\nbracket [a,b] = - c\n")
     assert L1 == L2
+
+
+@pytest.mark.parametrize(
+    "value, expected",
+    [("0", {}), ("-0/3", {}), ("0 + c", {2: Fraction(1)}), ("c - 0", {2: Fraction(1)})],
+)
+def test_a_zero_written_as_a_bare_number_is_a_zero_term(value, expected):
+    L = parse_algebra(f"generators a b c\nbracket [a,b] = {value}\n")
+    assert L.brackets == ({(0, 1): expected} if expected else {})
+
+
+@pytest.mark.parametrize("value", ["2", "c + 1/2", "-3"])
+def test_a_nonzero_bare_number_in_a_bracket_is_refused(value):
+    with pytest.raises(ParseError) as err:
+        parse_algebra(f"generators a b c\nbracket [a,b] = {value}\n")
+    assert str(err.value) == "line 2: bracket values must be linear in the generators"
+
+
+NAMES = ("a", "b", "c", "d")
+INDEX = st.sampled_from(range(len(NAMES)))
+SIGNS = st.sampled_from((1, -1))
+DENOMINATOR = st.one_of(st.none(), st.integers(1, 12))  # None: a literal without '/'
+# (sign, (p, q) or None for no literal, name index or None for a bare zero)
+TERMS = st.one_of(
+    st.tuples(SIGNS, st.one_of(st.none(), st.tuples(st.integers(0, 12), DENOMINATOR)), INDEX),
+    st.tuples(SIGNS, st.tuples(st.just(0), DENOMINATOR), st.none()),
+)
+
+
+@st.composite
+def bracket_lines(draw):
+    """Bracket lines over NAMES: distinct pairs, either way round, each value
+    a sum of signed p or p/q literals (zeros, signed or not, and non-reduced
+    ones included) times names, which may repeat, and bare zeros."""
+    pairs = draw(st.lists(st.tuples(INDEX, INDEX).filter(lambda p: p[0] != p[1]),
+                          unique_by=frozenset, max_size=6))
+    return [(l, k, draw(st.lists(TERMS, min_size=1, max_size=6))) for l, k in pairs]
+
+
+def render(lines) -> str:
+    out = ["generators " + " ".join(NAMES)]
+    for l, k, terms in lines:
+        pieces = []
+        for pos, (sign, literal, name) in enumerate(terms):
+            words = ["-" if sign < 0 else "+"] if pos or sign < 0 else []
+            if literal is not None:
+                p, q = literal
+                words.append(str(p) if q is None else f"{p}/{q}")
+            if name is not None:
+                words.append(NAMES[name])
+            pieces.append(" ".join(words))
+        out.append(f"bracket [{NAMES[l]},{NAMES[k]}] = " + " ".join(pieces))
+    return "\n".join(out) + "\n"
+
+
+def reference(lines):
+    """(brackets, scale, table) of the lines, by plain Fraction arithmetic."""
+    brackets = {}
+    for l, k, terms in lines:
+        vec = {}
+        for sign, literal, name in terms:
+            c = Fraction(sign) * (Fraction(literal[0], literal[1] or 1) if literal else 1)
+            if name is not None:
+                vec[name] = vec.get(name, Fraction(0)) + (c if l < k else -c)
+        if vec := {i: c for i, c in vec.items() if c}:
+            brackets[min(l, k), max(l, k)] = vec
+    scale = lcm(*(c.denominator for vec in brackets.values() for c in vec.values()))
+    table = {}
+    for (l, k), vec in brackets.items():
+        table[l, k] = [(i, int(c * scale)) for i, c in vec.items()]
+        table[k, l] = [(i, -int(c * scale)) for i, c in vec.items()]
+    return brackets, scale, table
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(bracket_lines())
+def test_parsed_brackets_match_plain_fraction_arithmetic(lines):
+    L, _ = lie_algebra(parse_source(render(lines)))
+    assert (L.brackets, L.scale, L.table) == reference(lines)
+    assert all(type(c) is Fraction for vec in L.brackets.values() for c in vec.values())
 
 
 def test_parse_errors_carry_positions():
