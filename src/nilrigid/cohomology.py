@@ -26,7 +26,7 @@ from itertools import combinations
 from math import comb, lcm
 
 from . import linalg
-from .errors import DomainMismatchError, ModelError, NotClosedError, NotNilpotentError
+from .errors import DomainMismatchError, ModelError, NotClosedError
 from .forms import (
     Form,
     SullivanModel,
@@ -42,7 +42,7 @@ from .forms import (
     # not called here: perfbench/test_bench.py checks that its tracer rebinds cohomology.wedge
     wedge,  # noqa: F401
 )
-from .lie import AdaptedBasis, _lie_of, ce_model, generated_basis, is_carnot_homogeneous
+from .lie import AdaptedBasis, _lie_of, ce_model, is_carnot_homogeneous, sparse_basis
 
 
 @dataclass(frozen=True)
@@ -62,7 +62,10 @@ def cochain_matrix(A: SullivanModel, p: int) -> list[dict[int, int]]:
     Column j is D * d of the j-th mask of ``_masks(n, p)`` as {row: int} over
     ``_masks(n, p + 1)``, one ``_derive`` with nothing divided and no Form
     built.  D != 0, so these columns have the kernel and the span of d's.
+    When d = 0 (``A.live == 0``) the columns are empty and no mask is listed.
     """
+    if not A.live and p >= 0:
+        return [{} for _ in range(comb(A.dimension, p))]
     index = _mask_index(A.dimension, p + 1)
     return [{index[m]: v for m, v in _derive(A, mask).items() if v}
             for mask in _masks(A.dimension, p)]
@@ -89,10 +92,10 @@ class _Classes:
 class Cohomology:
     """Cohomology ring of a valid Sullivan model, computed degree by degree.
 
-    d is eliminated in the ``generated_basis`` of the model's algebra, where
-    it is sparse, unless each bracket of two basis vectors is one term, the
-    algebra is not nilpotent or that basis is the identity: then in the
-    model's own.  d^2 = 0 is checked there; the model's defects are computed
+    d is eliminated in the basis that ``lie.sparse_basis`` picks for the
+    model's algebra: its generated basis, where d is sparse, or the model's
+    own.  A model whose brackets of basis vectors are one term each builds no
+    algebra.  d^2 = 0 is checked there; the model's defects are computed
     only to name them.  Each d_p is built once, on ints as D * d, and its
     column span, B^(p+1), eliminated once into an integer echelon basis: Betti
     numbers count its pivots, for p <= (n-1)/2 alone when d_(n-1) = 0 and for
@@ -113,11 +116,7 @@ class Cohomology:
         pairs = [ab for terms in model.table for ab, _, _ in terms]
         if len(set(pairs)) < len(pairs):  # a bracket of two basis vectors has two terms
             L = _lie_of(model)
-            try:
-                basis = generated_basis(L)
-            except NotNilpotentError:  # eliminate the model's own d
-                basis = None
-            if basis is not None and not basis.is_identity():
+            if (basis := sparse_basis(L)) is not None:
                 self._eliminated = ce_model(L, basis)
                 self._ones = _inverse_images(basis)
                 self._pushed: dict[int, dict[int, dict[int, int]]] = {}

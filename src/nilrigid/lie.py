@@ -8,6 +8,8 @@ constants, skew-extended, times ``scale``, the lcm of their denominators.
 The lower central series and ``change_basis`` take each vector to ints once
 and sum and eliminate its brackets as int rows, with no Fraction per bracket.
 ``generated_basis`` is made of brackets; basis-free answers are computed in it.
+``sparse_basis`` is the one rule for when: ``Cohomology`` eliminates d, and
+the CLI's ``check`` tests Jacobi and d^2 = 0, in the basis it picks.
 """
 
 from __future__ import annotations
@@ -247,6 +249,20 @@ def generated_basis(L: LieAlgebra) -> AdaptedBasis:
         columns, weights = zip(*sorted(zip(columns, weights), key=lambda cw: min(cw[0])))
     columns = tuple(tuple(linalg.dense(c, L.dimension)) for c in columns)
     return AdaptedBasis(columns, tuple(weights), L.names)
+
+
+def sparse_basis(L: LieAlgebra) -> AdaptedBasis | None:
+    """The basis that ``Cohomology`` eliminates in and ``check`` tests in:
+    ``generated_basis(L)`` when a bracket of two basis vectors has several
+    terms, or None, for L's own, when none has, L is not nilpotent or that
+    basis is the identity."""
+    if all(len(vec) == 1 for vec in L.brackets.values()):
+        return None
+    try:
+        basis = generated_basis(L)
+    except NotNilpotentError:
+        return None
+    return None if basis.is_identity() else basis
 
 
 def trivial_basis(L: LieAlgebra, weights=None) -> AdaptedBasis:

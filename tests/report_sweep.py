@@ -14,7 +14,9 @@ JSON formats:
     model: one that fixes the first and one that doubles the last;
 - on every family and every pinned input X, ``generators X --degree p`` for
   p = 0..n and ``fingerprint X``;
-- on every family X, ``compare X carnot(X)``;
+- on every family X, ``compare X carnot(X)``, and ``check`` on two dense
+  copies of X, seeded by X's name: ``rational_conjugate`` of X, which passes,
+  and of ``corrupt`` X, which mostly fails and names its defects;
 - ``decomposable`` on the pinned ``forms`` input.
 
 Prints one line per call, ``<sha256>  <argv>``, the hash being that of
@@ -31,11 +33,14 @@ import hashlib
 import io
 import json
 import os
+import random
 import sys
 import tempfile
 from pathlib import Path
 
 from nilrigid.cli import main
+from nilrigid.fileformat import emit_algebra, lie_algebra, parse_source
+from oracle import corrupt, rational_conjugate
 
 # (name, family argv); section3 gives two files, "first" and "second"
 FAMILIES = (
@@ -64,10 +69,10 @@ def call(*argv: str) -> tuple[int, str, str]:
     return code, out.getvalue(), err.getvalue()
 
 
-def write_inputs() -> tuple[list[tuple[str, str]], list[str]]:
-    """Write each family's file, its carnot model's file and the pinned
-    inputs to the working directory; return the (family, carnot) pairs and
-    the pinned inputs but ``forms``."""
+def write_inputs() -> tuple[list[tuple[str, str]], list[str], list[str]]:
+    """Write each family's file, its carnot model's file, its two dense
+    copies and the pinned inputs to the working directory; return the
+    (family, carnot) pairs, the dense copies and the pinned inputs but ``forms``."""
     files: dict[str, str] = {}
     for name, argv in FAMILIES:
         report = json.loads(call("--format", "json", "family", *argv)[1])
@@ -75,15 +80,19 @@ def write_inputs() -> tuple[list[tuple[str, str]], list[str]]:
             files[name] = report["algebra_file"]
         else:
             files[f"{name}a"], files[f"{name}b"] = report["first"], report["second"]
-    pairs = []
+    pairs, dense = [], []
     for name, text in files.items():
         path, graded = f"{name}.alg", f"{name}_carnot.alg"
         Path(path).write_text(text)
         Path(graded).write_text(json.loads(call("--format", "json", "carnot", path)[1])["algebra_file"])
         pairs.append((path, graded))
+        L, rng = lie_algebra(parse_source(text))[0], random.Random(name)
+        for copy, algebra in (("conj", L), ("bad", corrupt(rng, L))):
+            dense.append(f"{name}_{copy}.alg")
+            Path(dense[-1]).write_text(emit_algebra(rational_conjugate(rng, algebra)))
     for name in PINNED + ("forms",):
         Path(f"{name}.alg").write_text(REPORTS["inputs"][name])
-    return pairs, [f"{name}.alg" for name in PINNED]
+    return pairs, dense, [f"{name}.alg" for name in PINNED]
 
 
 def names(path: str) -> list[str]:
@@ -121,11 +130,12 @@ def class_commands(path: str) -> list[tuple[str, ...]]:
 def sweep():
     """(argv, sha256) for every call, in a fixed order, on the inputs that
     ``write_inputs`` leaves in the working directory."""
-    pairs, pinned = write_inputs()
+    pairs, dense, pinned = write_inputs()
     commands = []
     for path, graded in pairs:
         commands += class_commands(path) + [("compare", path, graded)]
         commands += form_commands(path) + form_commands(graded)
+    commands += [("check", path) for path in dense]
     for path in pinned:
         commands += class_commands(path) + form_commands(path)
     commands.append(("decomposable", "forms.alg"))

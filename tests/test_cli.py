@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
@@ -16,15 +17,21 @@ import nilrigid
 from nilrigid import (
     AdaptedBasis,
     Cohomology,
+    LieAlgebra,
     ce_model,
     change_basis,
+    check_d_squared,
     free_nilpotent_lie,
     generated_basis,
+    jacobi_defect,
     theorem1_family,
+    trivial_basis,
 )
 from nilrigid import cli, cohomology, linalg
-from nilrigid.fileformat import emit_algebra, lie_algebra, parse_source
+from nilrigid.fileformat import emit_algebra, form_to_str, lie_algebra, parse_source
 from nilrigid.cli import main
+from nilrigid.lie import _lie_of, sparse_basis
+from oracle import base_algebras, corrupt, random_nilpotent, rational_conjugate
 
 THEOREM1_K1 = """\
 generators x1:0 x2:0 n1:1 m:2
@@ -260,6 +267,63 @@ def test_generators_on_a_dense_conjugate_of_free_3_3(run, monkeypatch, tmp_path)
     lines = out.splitlines()
     assert lines[0] == "degree 3: betti 70, indecomposable 64"
     assert len(lines) == 65 and all(line.startswith("  [") for line in lines[1:])
+
+
+def file_basis_check(L) -> tuple[int, dict]:
+    """check's exit code and JSON report as the two tests give them in L's own basis."""
+    jd, d2 = jacobi_defect(L), check_d_squared(ce_model(L, trivial_basis(L)))
+    report = {
+        "schema": cli.SCHEMA_VERSION, "command": "check", "ok": not jd and not d2,
+        "jacobi_defects": [{"triple": [L.names[x] for x in (i, j, k)], "defect": [str(c) for c in v]}
+                           for i, j, k, v in jd],
+        "d2_defects": [{"generator": g.name, "defect": form_to_str(f)} for g, f in d2],
+    }
+    return (0 if report["ok"] else 1), report
+
+
+def test_check_matches_both_tests_in_the_file_basis(run, tmp_path):
+    # check decides in the sparse basis and names defects in the file's: on
+    # conjugates, corruptions and a conjugate of sl2 (multi-term brackets, not
+    # nilpotent) its report is the one the file's basis gives
+    rng = random.Random(67)
+    sl2 = LieAlgebra(("e", "f", "h"), {(0, 1): {2: 1}, (0, 2): {0: -2}, (1, 2): {1: 2}})
+    algebras = [rational_conjugate(rng, sl2)]
+    for _ in range(20):
+        L = random_nilpotent(rng)
+        algebras += [L, rational_conjugate(rng, L), corrupt(rng, L),
+                     rational_conjugate(rng, corrupt(rng, rng.choice(base_algebras())))]
+    path, paths = tmp_path / "L.alg", Counter()
+    for L in algebras:
+        path.write_text(emit_algebra(L))
+        L = lie_algebra(parse_source(path.read_text()))[0]
+        code, out, err = run("--format", "json", "check", str(path))
+        assert (code, json.loads(out), err) == (*file_basis_check(L), ""), emit_algebra(L)
+        paths[code, sparse_basis(L) is not None] += 1
+    # both verdicts are reached in both bases, so refutations are named after a sparse test
+    assert set(paths) == {(0, False), (0, True), (1, False), (1, True)}, paths
+
+
+def test_check_on_a_dense_valid_file_never_tests_the_file_basis(run, monkeypatch, tmp_path):
+    path = dense_free_3_3(tmp_path)
+    L = lie_algebra(parse_source(Path(path).read_text()))[0]
+    tested, modelled = [], []
+    jacobi, d_squared = cli.jacobi_defect, cli.check_d_squared
+    monkeypatch.setattr(cli, "jacobi_defect", lambda M: tested.append(M) or jacobi(M))
+    monkeypatch.setattr(cli, "check_d_squared", lambda A: modelled.append(_lie_of(A)) or d_squared(A))
+    assert run("check", path) == (0, "ok: Jacobi identity holds and d^2 = 0\n", "")
+    assert len(tested) == len(modelled) == 1
+    assert tested[0] != L and modelled[0] != L
+    assert tested[0] == modelled[0] == change_basis(L, generated_basis(L))
+
+
+def test_verify_iso_lists_the_source_generators_for_an_unknown_one(run, tmp_path):
+    # conj's model is in its adapted basis, where the file's w is named v3_2
+    conj = str(pinned_inputs(tmp_path)["conj"])
+    mapfile = tmp_path / "w.map"
+    mapfile.write_text("generators v3 v0 v1 w\nmap w = 2 w\n")
+    code, out, err = run("verify-iso", conj, conj, str(mapfile))
+    assert (code, out) == (2, "")
+    assert err == "error: line 2: map line for unknown generator 'w'; the source has v3 v0 v1 v3_2\n"
 
 
 def test_repeated_generator_in_monomial_exits_2(run, tmp_path):

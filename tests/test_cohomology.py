@@ -59,6 +59,15 @@ def test_abelian_betti_binomial():
     assert all(cohomology._derive(A, mask) == {} for mask in range(2**A.dimension))
 
 
+def test_zero_differential_lists_no_masks(monkeypatch):
+    # d = 0: every column of every degree is empty, and no mask is listed or derived
+    A = model_of(abelian(12))
+    for name in ("_masks", "_mask_index", "_derive"):
+        monkeypatch.setattr(cohomology, name, lambda *args, name=name: pytest.fail(name))
+    assert [cochain_matrix(A, p) for p in range(14)] == [[{}] * comb(12, p) for p in range(14)]
+    assert Cohomology(A).betti_vector() == tuple(comb(12, p) for p in range(13))
+
+
 def test_dead_generators_match_the_oracle():
     # d v_i = 0 on the abelian summand: those bits are skipped, not derived
     for m in range(1, 5):

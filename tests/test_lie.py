@@ -26,7 +26,9 @@ from nilrigid import (
     theorem4_example,
     trivial_basis,
 )
+from nilrigid import lie
 from nilrigid.forms import monomial_weight
+from nilrigid.lie import sparse_basis
 from oracle import corrupt, filiform4, heisenberg, jacobiator, random_nilpotent
 
 
@@ -61,6 +63,19 @@ def test_generated_basis_is_the_identity_on_the_families():
         basis = generated_basis(L)
         assert basis.is_identity() and basis.names == L.names, L.names
         assert basis.weights == adapted_basis(L).weights
+
+
+def test_sparse_basis_is_the_generated_one_where_a_bracket_has_several_terms(monkeypatch):
+    # free(2,5) has two such brackets and a generated basis that is not its own;
+    # free(3,3) has one, but its generated basis is the identity
+    free = free_nilpotent_lie(2, 5).algebra
+    assert sparse_basis(free) == generated_basis(free) and not generated_basis(free).is_identity()
+    assert sparse_basis(free_nilpotent_lie(3, 3).algebra) is None
+    # [x, y] = y + z is not nilpotent: its own basis
+    assert sparse_basis(LieAlgebra(("x", "y", "z"), {(0, 1): {1: 1, 2: 1}})) is None
+    # one term per bracket: its own basis, with no generated basis computed
+    monkeypatch.setattr(lie, "generated_basis", lambda L: pytest.fail("generated_basis called"))
+    assert sparse_basis(free_nilpotent_lie(2, 4).algebra) is None
 
 
 def test_jacobi_defect_empty_on_families():
