@@ -11,6 +11,10 @@ report carries the witness).  Usage and parse errors exit 2, and so does an
 internal error, reported on one line without a traceback.
 ``check`` tests Jacobi and d^2 = 0 in the basis of ``lie.sparse_basis``, the
 one ``Cohomology`` eliminates in, and names defects in the file's basis.
+``betti``, ``cohomology`` and ``generators`` call ``Cohomology.of`` on the
+file's ``model_basis``, ``fingerprint`` and ``compare`` on its algebra alone:
+no algebra is rebuilt from a model, and a d^2 defect is named in the file's
+basis, as ``check`` names it.
 """
 
 from __future__ import annotations
@@ -25,7 +29,8 @@ from . import __version__
 from .cohomology import Cohomology
 from .errors import FamilyShapeError, ModelError, NilrigidError, ParseError
 from .families import section3_pair, theorem1_family, theorem2_family, theorem4_example
-from .fileformat import build_form, emit_algebra, form_to_str, lie_algebra, model, parse_source
+from .fileformat import (build_form, emit_algebra, form_to_str, lie_algebra, model, model_basis,
+                         parse_source)
 from .forms import Form, check_d_squared
 from .free_nilpotent import free_nilpotent_lie, theorem3_family
 from .lie import (adapted_basis, carnot, ce_model, change_basis, jacobi_defect, lie_from_model,
@@ -60,6 +65,11 @@ def _lie(path: str):
 def _model(path: str):
     """The Sullivan model of an algebra file."""
     return model(_parse(path))
+
+
+def _cohomology(path: str) -> Cohomology:
+    """The cohomology of an algebra file's model, from its algebra."""
+    return Cohomology.of(*model_basis(_parse(path)))
 
 
 def _vec(v) -> list:
@@ -152,7 +162,7 @@ def _text_model(report):
 
 
 def _cmd_betti(args, report):
-    b = Cohomology(_model(args.file)).betti_vector()
+    b = _cohomology(args.file).betti_vector()
     report["betti"] = list(b)
     report["euler"] = sum((-1) ** p * bp for p, bp in enumerate(b))
     return True
@@ -163,7 +173,7 @@ def _text_betti(report):
 
 
 def _cmd_cohomology(args, report):
-    H = Cohomology(_model(args.file))
+    H = _cohomology(args.file)
     p = args.degree
     report["degree"] = p
     if args.by_weight:
@@ -187,7 +197,7 @@ def _text_cohomology(report):
 
 
 def _cmd_generators(args, report):
-    H = Cohomology(_model(args.file))
+    H = _cohomology(args.file)
     p = args.degree
     count, reps = H.indecomposables(p)
     report["degree"] = p
@@ -218,8 +228,7 @@ def _fingerprint_dict(fp) -> dict:
 
 
 def _cmd_fingerprint(args, report):
-    L = _lie(args.file)
-    fp = fingerprint(L, max_indec_degree=args.max_degree)
+    fp = fingerprint(_lie(args.file), max_indec_degree=args.max_degree)
     report["fingerprint"] = _fingerprint_dict(fp)
     return True
 
@@ -286,8 +295,7 @@ def _generator_map(af, src, dst) -> GeneratorMap:
 
 
 def _cmd_verify_iso(args, report):
-    src = _model(args.src)
-    dst = _model(args.dst)
+    src, dst = _model(args.src), _model(args.dst)
     result = verify_cdga_morphism(src, dst, _generator_map(_parse(args.map), src, dst))
     report["stage"] = result.stage
     report["generator"] = result.generator
@@ -296,8 +304,7 @@ def _cmd_verify_iso(args, report):
 
 
 def _cmd_verify_ring_iso(args, report):
-    src = _model(args.src)
-    dst = _model(args.dst)
+    src, dst = _model(args.src), _model(args.dst)
     af = _parse(args.map)
     if not af.classes:
         raise ParseError("map file declares no class lines")

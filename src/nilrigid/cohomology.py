@@ -4,11 +4,12 @@ Betti numbers, deterministic representative bases, cup products,
 indecomposable (algebra generator) counts and the weight refinement for
 Carnot-homogeneous differentials.  All elimination is exact, fraction-free
 on integers with rational results, so every reported number is exact.
-Each d_p is built once, in a basis where it is sparse (see ``Cohomology``),
-and its column span eliminated once: Betti numbers count pivots of those
-coboundary bases, for p <= (n-1)/2 alone when d_(n-1) = 0 (then rank d_p =
-rank d_(n-1-p)) and in every degree otherwise, and ``linalg.nullspace``
-eliminates d_p again for cocycles.
+``Cohomology.of(L, basis)`` is the one entry from a Lie algebra; it names a
+d^2 defect in L's own basis.  Each d_p is built once, in a basis where it is
+sparse (see ``Cohomology``), and its column span eliminated once: Betti
+numbers count pivots of those coboundary bases, for p <= (n-1)/2 alone when
+d_(n-1) = 0 (then rank d_p = rank d_(n-1-p)) and in every degree otherwise,
+and ``linalg.nullspace`` eliminates d_p again for cocycles.
 Indecomposables come from integer cochain spans, with no class coordinates,
 grown by products whose least factor is an indecomposable (see ``_factors``).
 d and every cup product are computed by the exterior-algebra kernel of
@@ -42,7 +43,8 @@ from .forms import (
     # not called here: perfbench/test_bench.py checks that its tracer rebinds cohomology.wedge
     wedge,  # noqa: F401
 )
-from .lie import AdaptedBasis, _lie_of, ce_model, is_carnot_homogeneous, sparse_basis
+from .lie import (AdaptedBasis, LieAlgebra, _in_basis, _lie_of, adapted_basis, ce_model,
+                  is_carnot_homogeneous, sparse_basis, trivial_basis)
 
 
 @dataclass(frozen=True)
@@ -92,14 +94,15 @@ class _Classes:
 class Cohomology:
     """Cohomology ring of a valid Sullivan model, computed degree by degree.
 
-    d is eliminated in the basis that ``lie.sparse_basis`` picks for the
-    model's algebra: its generated basis, where d is sparse, or the model's
-    own.  A model whose brackets of basis vectors are one term each builds no
-    algebra.  d^2 = 0 is checked there; the model's defects are computed
-    only to name them.  Each d_p is built once, on ints as D * d, and its
-    column span, B^(p+1), eliminated once into an integer echelon basis: Betti
-    numbers count its pivots, for p <= (n-1)/2 alone when d_(n-1) = 0 and for
-    every p otherwise (see ``betti_vector``).  The kernel of d_p is Z^p.
+    ``Cohomology.of`` is the front door from a Lie algebra; a model whose
+    brackets of basis vectors are one term each builds no algebra.  d is
+    eliminated in the basis that ``lie.sparse_basis`` picks for the model's
+    algebra: its generated basis, where d is sparse, or the model's own.
+    d^2 = 0 is checked there; a defect is computed again only to name it.
+    Each d_p is built once, on ints as D * d, and its column span, B^(p+1),
+    eliminated once into an integer echelon basis: Betti numbers count its
+    pivots, for p <= (n-1)/2 alone when d_(n-1) = 0 and for every p
+    otherwise (see ``betti_vector``).  The kernel of d_p is Z^p.
     From the generated basis, B^p and Z^p are pushed by phi, Lambda^p of the
     inverse change of basis, and eliminated again: the reduced basis of Z^p is
     unique, so the representatives are the model's own.  The weight
@@ -111,18 +114,35 @@ class Cohomology:
     """
 
     def __init__(self, model: SullivanModel):
+        pairs = [ab for terms in model.table for ab, _, _ in terms]
+        multiple = len(set(pairs)) < len(pairs)  # a bracket of two basis vectors has two terms
+        self._start(model, _lie_of(model) if multiple else None, lambda: model)
+
+    @classmethod
+    def of(cls, L: LieAlgebra, basis: AdaptedBasis | None = None) -> Cohomology:
+        """The cohomology of ``ce_model(L, basis)``, L being changed to that
+        basis once; with no basis, that of L in ``sparse_basis(L)``, else
+        ``adapted_basis(L)``, eliminated as it stands, so the model's weights
+        are the LCS weights.  A d^2 defect is named in L's own basis, as
+        ``check`` names it."""
+        pushed, basis = basis is not None, basis or sparse_basis(L) or adapted_basis(L)
+        M, H = _in_basis(L, basis), cls.__new__(cls)
+        H._start(ce_model(M, trivial_basis(M, basis.weights)), M if pushed else None,
+                 lambda: ce_model(L, trivial_basis(L)))
+        return H
+
+    def _start(self, model: SullivanModel, L: LieAlgebra | None, named):
+        """Eliminate in ``sparse_basis(L)``, L the model's algebra (None: the
+        model as it stands); a d^2 defect is named in the model ``named()``."""
         self.model = self._eliminated = model
         self._ones: list[Terms] | None = None  # D phi(f^a) when the bases differ
-        pairs = [ab for terms in model.table for ab, _, _ in terms]
-        if len(set(pairs)) < len(pairs):  # a bracket of two basis vectors has two terms
-            L = _lie_of(model)
-            if (basis := sparse_basis(L)) is not None:
-                self._eliminated = ce_model(L, basis)
-                self._ones = _inverse_images(basis)
-                self._pushed: dict[int, dict[int, dict[int, int]]] = {}
-                self._images: list[list[dict[int, int]]] = [[{0: 1}]]  # by degree
-        defects = check_d_squared(self._eliminated) and check_d_squared(model)
-        if defects:
+        if L is not None and (basis := sparse_basis(L)) is not None:
+            self._eliminated = ce_model(L, basis)
+            self._ones = _inverse_images(basis)
+            self._pushed: dict[int, dict[int, dict[int, int]]] = {}
+            self._images: list[list[dict[int, int]]] = [[{0: 1}]]  # by degree
+        if check_d_squared(self._eliminated):
+            defects = check_d_squared(named())
             names = ", ".join(g.name for g, _ in defects)
             raise ModelError(f"d^2 != 0 on {names}", defects=defects)
         self._d: dict[int, list[dict[int, int]]] = {}

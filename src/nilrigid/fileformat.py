@@ -11,7 +11,8 @@ Grammar ('#' starts a comment, blank lines ignored):
 
 Parsing reports line and column and builds one Fraction per coefficient
 literal, its sign folded into the numerator; emission is canonical so that
-parse(emit(L)) reproduces L exactly.
+parse(emit(L)) reproduces L exactly.  ``model_basis`` holds the one rule for
+a file's model: its own basis with the declared weights, else the adapted one.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from fractions import Fraction
 
 from .errors import ParseError
 from .forms import Form, SullivanModel, product
-from .lie import LieAlgebra, adapted_basis, ce_model, trivial_basis
+from .lie import AdaptedBasis, LieAlgebra, adapted_basis, ce_model, trivial_basis
 
 _TOKEN = re.compile(
     r"\s*(?:(?P<number>\d+(?:/\d+)?)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)"
@@ -251,13 +252,16 @@ def lie_algebra(af: AlgebraFile) -> tuple[LieAlgebra, tuple[int, ...] | None]:
     return LieAlgebra(tuple(names), brackets), declared
 
 
-def model(af: AlgebraFile) -> SullivanModel:
-    """Sullivan model; declared weights are used verbatim, otherwise the
-    weights come from the adapted basis."""
+def model_basis(af: AlgebraFile) -> tuple[LieAlgebra, AdaptedBasis]:
+    """The file's algebra and the basis of its model: its own basis with the
+    declared weights, or the adapted basis when any weight was omitted."""
     L, declared = lie_algebra(af)
-    if declared is not None:
-        return ce_model(L, trivial_basis(L, declared))
-    return ce_model(L, adapted_basis(L))
+    return L, adapted_basis(L) if declared is None else trivial_basis(L, declared)
+
+
+def model(af: AlgebraFile) -> SullivanModel:
+    """Sullivan model, ``ce_model`` of ``model_basis``."""
+    return ce_model(*model_basis(af))
 
 
 def build_form(terms: list[RawTerm], target: SullivanModel, lineno: int | None = None) -> Form:

@@ -296,6 +296,11 @@ def change_basis(L: LieAlgebra, basis: AdaptedBasis) -> LieAlgebra:
     return LieAlgebra(basis.names, brackets)
 
 
+def _in_basis(L: LieAlgebra, basis: AdaptedBasis) -> LieAlgebra:
+    """``change_basis(L, basis)``, or L itself when the basis is its own under its names."""
+    return L if basis.is_identity() and basis.names == L.names else change_basis(L, basis)
+
+
 def carnot(L: LieAlgebra, basis: AdaptedBasis | None = None) -> LieAlgebra:
     """Associated Carnot-graded algebra in the given (default: computed)
     adapted basis.
@@ -320,7 +325,7 @@ def ce_model(L: LieAlgebra, basis: AdaptedBasis | None = None) -> SullivanModel:
     """Chevalley-Eilenberg/Sullivan model of L in the given adapted basis."""
     if basis is None:
         basis = adapted_basis(L)
-    Lb = L if basis.is_identity() and basis.names == L.names else change_basis(L, basis)
+    Lb = _in_basis(L, basis)
     gens = tuple(
         Generator(name, idx, weight)
         for idx, (name, weight) in enumerate(zip(basis.names, basis.weights))

@@ -1,9 +1,10 @@
 """Morphism verification, perturbation normalization and invariants.
 
 Nothing here searches for isomorphisms: given maps are verified or refuted
-with explicit witnesses, fingerprints collect the invariants that must agree,
-and the 2-form decomposability criterion decides the bilinear obstruction
-used to separate the five-dimensional pair.
+with explicit witnesses, fingerprints collect the invariants that must agree
+(``Cohomology.of(L)`` picks the basis they are computed in, so nothing here
+holds basis code), and the 2-form decomposability criterion decides the
+bilinear obstruction used to separate the five-dimensional pair.
 """
 
 from __future__ import annotations
@@ -13,9 +14,9 @@ from fractions import Fraction
 
 from . import linalg
 from .cohomology import Cohomology
-from .errors import FamilyShapeError, ModelError
+from .errors import FamilyShapeError
 from .forms import Form, SullivanModel, apply_differential, product, wedge
-from .lie import LieAlgebra, adapted_basis, ce_model, generated_basis
+from .lie import LieAlgebra
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -71,10 +72,7 @@ def verify_cdga_morphism(
     if len(src.generators) != len(dst.generators):
         return MorphismResult(False, stage="invertibility")
     n = len(src.generators)
-    rows = [
-        [phi.images[i].coefficient((j,)) for j in range(n)]
-        for i in range(n)
-    ]
+    rows = [[phi.images[i].coefficient((j,)) for j in range(n)] for i in range(n)]
     if linalg.rank(rows, n) != n:
         return MorphismResult(False, stage="invertibility")
     return MorphismResult(True)
@@ -215,25 +213,20 @@ class Fingerprint:
 
 
 def fingerprint(L: LieAlgebra, max_indec_degree: int | None = None) -> Fingerprint:
-    """Invariant tuple of a validated nilpotent Lie algebra, computed in its
-    generated basis, where d is sparse; the weights give the LCS quotients.
+    """Invariant tuple of a validated nilpotent Lie algebra, computed by
+    ``Cohomology.of(L)``, whose model's weights give the LCS quotients.
     Indecomposables are counted in degrees 1..max_indec_degree (all when None)."""
     if max_indec_degree is not None and max_indec_degree < 0:
         raise ValueError(f"the indecomposable degree bound must be >= 0, got {max_indec_degree}")
-    basis = generated_basis(L)
-    quotients = tuple(basis.weights.count(w) for w in range(max(basis.weights) + 1))
-    try:
-        H = Cohomology(ce_model(L, basis))
-    except ModelError:  # d^2 != 0 in every basis; name it in the adapted one, as ever
-        H = Cohomology(ce_model(L, adapted_basis(L)))
+    H = Cohomology.of(L)
+    weights = H.model.weights
     n = L.dimension
     top = n if max_indec_degree is None else min(n, max_indec_degree)
-    indec = tuple(H.indecomposables(p)[0] for p in range(1, top + 1))
     return Fingerprint(
         dimension=n,
-        lcs_quotients=quotients,
+        lcs_quotients=tuple(weights.count(w) for w in range(max(weights) + 1)),
         betti=H.betti_vector(),
-        indecomposables=indec,
+        indecomposables=tuple(H.indecomposables(p)[0] for p in range(1, top + 1)),
     )
 
 
@@ -280,9 +273,7 @@ def verify_cohomology_ring_iso(
     multiplicativity); and the induced map is bijective degreewise.
     """
     n = src.model.dimension
-    src_forms = []
-    dst_forms = []
-    degrees = []
+    src_forms, dst_forms, degrees = [], [], []
     for k, (sform, dform) in enumerate(pairs):
         dsf = apply_differential(src.model, sform)
         if not dsf.is_zero():
@@ -290,8 +281,7 @@ def verify_cohomology_ring_iso(
         ddf = apply_differential(dst.model, dform)
         if not ddf.is_zero():
             return RingIsoResult(False, stage="image-not-closed", detail=f"generator {k}")
-        sdeg = sform.degree()
-        ddeg = dform.degree()
+        sdeg, ddeg = sform.degree(), dform.degree()
         if sdeg == 0 or ddeg == 0:
             raise ValueError(f"generator {k} has degree 0; class lines need positive degree")
         if sdeg is None or sdeg != ddeg:
@@ -301,16 +291,12 @@ def verify_cohomology_ring_iso(
         degrees.append(sdeg)
 
     for p in range(1, n + 1):
-        bs = src.betti(p)
-        bd = dst.betti(p)
+        bs, bd = src.betti(p), dst.betti(p)
         if bs != bd:
-            return RingIsoResult(
-                False, stage="betti-mismatch", degree=p, detail=f"{bs} != {bd}"
-            )
+            return RingIsoResult(False, stage="betti-mismatch", degree=p, detail=f"{bs} != {bd}")
         if bs == 0:
             continue
-        src_vecs = []
-        pair_vecs = []
+        src_vecs, pair_vecs = [], []
         for multiset in _generator_products(degrees, p):
             sprod = product(src.model.generators, (src_forms[g] for g in multiset))
             dprod = product(dst.model.generators, (dst_forms[g] for g in multiset))
@@ -320,22 +306,12 @@ def verify_cohomology_ring_iso(
             pair_vecs.append(list(u) + list(v))
         rank_src = linalg.rank(src_vecs, bs)
         if rank_src != bs:
-            return RingIsoResult(
-                False,
-                stage="not-generating",
-                degree=p,
-                detail=f"products span {rank_src} of {bs} dimensions",
-            )
+            return RingIsoResult(False, stage="not-generating", degree=p,
+                                 detail=f"products span {rank_src} of {bs} dimensions")
         if linalg.rank(pair_vecs, bs + bd) != rank_src:
-            return RingIsoResult(
-                False,
-                stage="not-well-defined",
-                degree=p,
-                detail="a vanishing product of source classes has nonzero image",
-            )
+            return RingIsoResult(False, stage="not-well-defined", degree=p,
+                                 detail="a vanishing product of source classes has nonzero image")
         dst_vecs = [v[bs:] for v in pair_vecs]
         if linalg.rank(dst_vecs, bd) != bd:
-            return RingIsoResult(
-                False, stage="not-surjective", degree=p, detail=None
-            )
+            return RingIsoResult(False, stage="not-surjective", degree=p)
     return RingIsoResult(True)

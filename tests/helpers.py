@@ -1,9 +1,12 @@
 """Shared test helpers: form construction from strings and published data."""
 
+import random
+from fractions import Fraction
 from functools import lru_cache
 
-from nilrigid import Cohomology, section3_pair, verify_cohomology_ring_iso
-from nilrigid.fileformat import build_form, parse_source
+from nilrigid import (AdaptedBasis, Cohomology, change_basis, free_nilpotent_lie, linalg,
+                      section3_pair, verify_cohomology_ring_iso)
+from nilrigid.fileformat import build_form, emit_algebra, parse_source
 
 
 def form_of(model, text):
@@ -15,6 +18,23 @@ def form_of(model, text):
 
 def forms_of(model, texts):
     return [form_of(model, t) for t in texts]
+
+
+def dense_free_3_3(tmp_path):
+    """free(3,3) in a fixed basis with entries in {-1, 0, 1}, every weight declared 0:
+    d is dense in the file's basis and sparse in the generated one.  The file's path."""
+    L = free_nilpotent_lie(3, 3).algebra
+    n = L.dimension
+    rng = random.Random("free(3,3)")
+    while True:
+        cols = [[Fraction(rng.choice((-1, 1) if i == a else (-1, 0, 0, 0, 0, 1))) for i in range(n)]
+                for a in range(n)]
+        if linalg.rank(cols) == n:
+            break
+    conj = change_basis(L, AdaptedBasis(tuple(map(tuple, cols)), (0,) * n, L.names))
+    path = tmp_path / "c_free3c3.alg"
+    path.write_text(emit_algebra(conj, weights=(0,) * n))
+    return str(path)
 
 
 # Previously published degree-3 class lists for the theorem2 family,

@@ -16,7 +16,8 @@ JSON formats:
   p = 0..n and ``fingerprint X``;
 - on every family X, ``compare X carnot(X)``, and ``check`` on two dense
   copies of X, seeded by X's name: ``rational_conjugate`` of X, which passes,
-  and of ``corrupt`` X, which mostly fails and names its defects;
+  and of ``corrupt`` X, which mostly fails and names its defects; ``betti``
+  and ``fingerprint`` on the corrupt copy, which name a d^2 defect too;
 - ``decomposable`` on the pinned ``forms`` input.
 
 Prints one line per call, ``<sha256>  <argv>``, the hash being that of
@@ -136,6 +137,8 @@ def sweep():
         commands += class_commands(path) + [("compare", path, graded)]
         commands += form_commands(path) + form_commands(graded)
     commands += [("check", path) for path in dense]
+    commands += [(command, path) for path in dense if path.endswith("_bad.alg")
+                 for command in ("betti", "fingerprint")]
     for path in pinned:
         commands += class_commands(path) + form_commands(path)
     commands.append(("decomposable", "forms.alg"))

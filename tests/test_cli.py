@@ -6,7 +6,6 @@ import random
 import subprocess
 import sys
 from collections import Counter
-from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 
@@ -15,22 +14,21 @@ import pytest
 
 import nilrigid
 from nilrigid import (
-    AdaptedBasis,
     Cohomology,
     LieAlgebra,
     ce_model,
     change_basis,
     check_d_squared,
-    free_nilpotent_lie,
     generated_basis,
     jacobi_defect,
     theorem1_family,
     trivial_basis,
 )
-from nilrigid import cli, cohomology, linalg
+from nilrigid import cli, cohomology
 from nilrigid.fileformat import emit_algebra, form_to_str, lie_algebra, parse_source
 from nilrigid.cli import main
 from nilrigid.lie import _lie_of, sparse_basis
+from helpers import dense_free_3_3
 from oracle import base_algebras, corrupt, random_nilpotent, rational_conjugate
 
 THEOREM1_K1 = """\
@@ -226,23 +224,6 @@ def test_carnot_computes_the_central_series_once(run, monkeypatch, tmp_path):
     assert len(calls) == 1
 
 
-def dense_free_3_3(tmp_path):
-    """free(3,3) in a fixed basis with entries in {-1, 0, 1}, every weight declared 0:
-    d is dense in the file's basis and sparse in the generated one.  The file's path."""
-    L = free_nilpotent_lie(3, 3).algebra
-    n = L.dimension
-    rng = random.Random("free(3,3)")
-    while True:
-        cols = [[Fraction(rng.choice((-1, 1) if i == a else (-1, 0, 0, 0, 0, 1))) for i in range(n)]
-                for a in range(n)]
-        if linalg.rank(cols) == n:
-            break
-    conj = change_basis(L, AdaptedBasis(tuple(map(tuple, cols)), (0,) * n, L.names))
-    path = tmp_path / "c_free3c3.alg"
-    path.write_text(emit_algebra(conj, weights=(0,) * n))
-    return str(path)
-
-
 def test_betti_on_a_dense_conjugate_of_free_3_3(run, tmp_path):
     code, out, err = run("betti", dense_free_3_3(tmp_path))
     assert (code, err) == (0, "")
@@ -324,6 +305,18 @@ def test_verify_iso_lists_the_source_generators_for_an_unknown_one(run, tmp_path
     code, out, err = run("verify-iso", conj, conj, str(mapfile))
     assert (code, out) == (2, "")
     assert err == "error: line 2: map line for unknown generator 'w'; the source has v3 v0 v1 v3_2\n"
+
+
+def test_verify_ring_iso_parses_class_lines_before_any_cohomology(run, tmp_path):
+    # badconj's d^2 != 0, yet a class line naming an unknown generator is
+    # reported first: class lines are parsed against the models before either
+    # cohomology is built
+    paths = pinned_inputs(tmp_path)
+    mapfile = tmp_path / "zz.map"
+    mapfile.write_text("generators p q r s t\nclass zz -> p\n")
+    for src, dst in (("badconj", "badconj"), ("badconj", "conj")):
+        got = run("verify-ring-iso", str(paths[src]), str(paths[dst]), str(mapfile))
+        assert got == (2, "", "error: line 2: unknown generator 'zz'\n")
 
 
 def test_repeated_generator_in_monomial_exits_2(run, tmp_path):

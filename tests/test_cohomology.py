@@ -3,6 +3,7 @@
 import hashlib
 import json
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 from math import comb
@@ -32,8 +33,8 @@ from nilrigid import (
     trivial_basis,
 )
 from nilrigid import cohomology, forms, linalg
-from nilrigid.fileformat import form_to_str
-from helpers import form_of
+from nilrigid.fileformat import emit_algebra, form_to_str
+from helpers import dense_free_3_3, form_of
 from oracle import (
     abelian,
     direct_sum,
@@ -42,6 +43,7 @@ from oracle import (
     oracle_betti,
     oracle_indecomposables,
     random_nilpotent,
+    rational_conjugate,
     _wedge,
 )
 
@@ -316,6 +318,54 @@ def test_single_term_inputs_compute_no_series(monkeypatch, tmp_path, capsys):
             assert run(command[0], str(path), *command[1:])[0] == 0
             counts.append(len(calls) - before)
         assert counts == [0] * 8 + [1], command
+
+
+# (command, input) -> at most this many LieAlgebras built and central series computed
+ALGEBRA_BOUNDS = {
+    ("betti", "t2k2"): (1, 0), ("fingerprint", "t2k2"): (1, 1),
+    ("betti", "conj"): (2, 1), ("fingerprint", "conj"): (2, 1),
+    ("betti", "c_free3c3"): (3, 1), ("generators", "c_free3c3"): (3, 1),
+    ("cohomology", "c_free3c3"): (3, 1), ("fingerprint", "c_free3c3"): (3, 2),
+    ("compare", "c_free3c3"): (6, 4), ("betti", "c_t2k2"): (4, 2),
+    ("generators", "c_t2k2"): (4, 2), ("fingerprint", "c_t2k2"): (3, 2),
+}
+ARGS = {"betti": (), "generators": ("--degree", "1"), "cohomology": ("--degree", "1"),
+        "fingerprint": ("--max-degree", "1"), "compare": ("{path}", "--max-degree", "1")}
+
+
+def test_cohomology_commands_hand_the_file_algebra_to_the_engine(monkeypatch, tmp_path, capsys):
+    # no command reads an algebra off a model (lie._lie_of); a dense file with declared
+    # weights is changed once, to its generated basis, and fingerprint eliminates a
+    # dense file in its generated basis as it stands, after one central series
+    from nilrigid import lie
+    from nilrigid.cli import main
+
+    reports = json.loads((Path(__file__).parent / "data" / "text_reports.json").read_text())
+    t2k2 = theorem2_family(2)
+    texts = {"t2k2": emit_algebra(lie_from_model(t2k2), t2k2.weights),
+             "conj": reports["inputs"]["conj"],
+             "c_t2k2": emit_algebra(rational_conjugate(random.Random(5), lie_from_model(t2k2)))}
+    paths = {name: tmp_path / f"{name}.alg" for name in texts}
+    for name, text in texts.items():
+        paths[name].write_text(text)
+    paths["c_free3c3"] = dense_free_3_3(tmp_path)
+    counts = Counter()
+    init, series = lie.LieAlgebra.__init__, lie._series
+    monkeypatch.setattr(lie.LieAlgebra, "__init__", lambda L, *a: counts.update("a") or init(L, *a))
+    monkeypatch.setattr(lie, "_series", lambda L: counts.update("s") or series(L))
+    for module in (lie, cohomology):
+        monkeypatch.setattr(module, "_lie_of", lambda A: pytest.fail("algebra read off a model"))
+    got = {}
+    for command, name in ALGEBRA_BOUNDS:
+        path = str(paths[name])
+        counts.clear()
+        assert main([command, path, *(a.format(path=path) for a in ARGS[command])]) == 0, name
+        got[command, name] = counts["a"], counts["s"]
+    capsys.readouterr()
+    assert all(a <= bound[0] and s <= bound[1]
+               for (a, s), bound in zip(got.values(), ALGEBRA_BOUNDS.values())), got
+    assert got["betti", "c_free3c3"] == (2, 1)
+    assert got["fingerprint", "c_free3c3"][1] == got["fingerprint", "c_t2k2"][1] == 1
 
 
 PINS = json.loads((Path(__file__).parent / "data" / "cohomology_pins.json").read_text())

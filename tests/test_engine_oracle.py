@@ -12,13 +12,17 @@ denominators, seeded and drawn.
 """
 
 import random
+from collections import Counter
 from fractions import Fraction
 
+import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from nilrigid import Cohomology, LieAlgebra, ce_model, check_d_squared, cochain_matrix
+from nilrigid import Cohomology, Form, LieAlgebra, ModelError, NotNilpotentError
+from nilrigid import ce_model, check_d_squared, cochain_matrix
 from nilrigid import adapted_basis, change_basis, generated_basis, jacobi_defect, lower_central_series
 from nilrigid import apply_differential, monomial_basis, trivial_basis
+from nilrigid.lie import sparse_basis
 from nilrigid.linalg import dense, rank
 from oracle import (
     DENOMINATORS,
@@ -149,6 +153,65 @@ def test_large_denominator_conjugates_match_the_oracle():
         for p in range(1, L.dimension + 1):
             assert H.indecomposables(p)[0] == oracle_indecomposables(L, p), (L.names, p)
     assert len(scales) == 5 and max(scales) > 10**100
+
+
+def assert_of_answers_as_the_model(L, basis) -> bool:
+    """Cohomology.of(L, basis) against Cohomology(ce_model(L, basis)); a d^2
+    defect must be named in L's own basis.  Whether L's d^2 != 0."""
+    named = check_d_squared(ce_model(L, trivial_basis(L)))
+    if named:
+        with pytest.raises(ModelError) as exc:
+            Cohomology.of(L, basis)
+        assert str(exc.value) == f"d^2 != 0 on {', '.join(g.name for g, _ in named)}"
+        assert exc.value.defects == named
+        return True
+    H, H0 = Cohomology.of(L, basis), Cohomology(ce_model(L, basis))
+    assert H.betti_vector() == H0.betti_vector()
+    for p in range(L.dimension + 1):
+        reps = H0.basis(p)
+        assert H.basis(p) == reps, p
+        assert H.indecomposables(p) == H0.indecomposables(p), p
+        # a representative moved by coboundaries keeps its class
+        moved = [reps[0] + apply_differential(H0.model, Form(H0.model.generators, {m: 1}))
+                 for m in monomial_basis(H0.model, p - 1)[:3]] if reps else []
+        for f in reps + moved:
+            assert H.class_coordinates(f, p) == H0.class_coordinates(f, p), p
+    return False
+
+
+def test_cohomology_of_an_algebra_answers_as_its_model():
+    # of(L, basis) changes L to the basis once and eliminates in its sparse basis;
+    # of(L) eliminates L in its generated, else adapted, basis as it stands.  The
+    # corrupt conjugates are nilpotent or not, with d^2 = 0 or not
+    rng = random.Random(85)
+    algebras, kinds, pushed = [], Counter(), 0
+    for _ in range(8):
+        L = random_nilpotent(rng)
+        algebras += [L, rational_conjugate(rng, L),
+                     rational_conjugate(rng, corrupt(rng, rng.choice(base_algebras())))]
+    for L in algebras:
+        try:
+            adapted = adapted_basis(L)
+        except NotNilpotentError:
+            adapted = None
+        for basis in [trivial_basis(L)] + ([adapted] if adapted else []):
+            refuted = assert_of_answers_as_the_model(L, basis)
+            pushed += sparse_basis(change_basis(L, basis)) is not None
+        kinds[refuted, adapted is not None] += 1
+        if adapted is None:
+            with pytest.raises(NotNilpotentError):
+                Cohomology.of(L)
+        elif refuted:
+            with pytest.raises(ModelError) as exc:
+                Cohomology.of(L)
+            assert exc.value.defects == check_d_squared(ce_model(L, trivial_basis(L)))
+        else:
+            H, H0 = Cohomology.of(L), Cohomology(ce_model(L, adapted))
+            assert Counter(H.model.weights) == Counter(adapted.weights)
+            assert H.betti_vector() == H0.betti_vector() == oracle_betti(L)
+            assert [H.indecomposables(p)[0] for p in range(L.dimension + 1)] == [
+                H0.indecomposables(p)[0] for p in range(L.dimension + 1)]
+    assert len(kinds) == 4 and pushed >= 10, (kinds, pushed)
 
 
 BASES = base_algebras()
