@@ -43,7 +43,7 @@ from .forms import (
     # not called here: perfbench/test_bench.py checks that its tracer rebinds cohomology.wedge
     wedge,  # noqa: F401
 )
-from .lie import (AdaptedBasis, LieAlgebra, _in_basis, _lie_of, adapted_basis, ce_model,
+from .lie import (AdaptedBasis, LieAlgebra, _in_basis, _lie_of, ce_model, generated_basis,
                   is_carnot_homogeneous, sparse_basis, trivial_basis)
 
 
@@ -121,11 +121,10 @@ class Cohomology:
     @classmethod
     def of(cls, L: LieAlgebra, basis: AdaptedBasis | None = None) -> Cohomology:
         """The cohomology of ``ce_model(L, basis)``, L being changed to that
-        basis once; with no basis, that of L in ``sparse_basis(L)``, else
-        ``adapted_basis(L)``, eliminated as it stands, so the model's weights
-        are the LCS weights.  A d^2 defect is named in L's own basis, as
-        ``check`` names it."""
-        pushed, basis = basis is not None, basis or sparse_basis(L) or adapted_basis(L)
+        basis once; with no basis, that of L in ``generated_basis(L)``,
+        eliminated as it stands, so the model's weights are the LCS weights.
+        A d^2 defect is named in L's own basis, as ``check`` names it."""
+        pushed, basis = basis is not None, basis or generated_basis(L)
         M, H = _in_basis(L, basis), cls.__new__(cls)
         H._start(ce_model(M, trivial_basis(M, basis.weights)), M if pushed else None,
                  lambda: ce_model(L, trivial_basis(L)))

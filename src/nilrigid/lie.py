@@ -7,9 +7,12 @@ Brackets are summed in Python ints over ``LieAlgebra.table``: the structure
 constants, skew-extended, times ``scale``, the lcm of their denominators.
 The lower central series and ``change_basis`` take each vector to ints once
 and sum and eliminate its brackets as int rows, with no Fraction per bracket.
-``generated_basis`` is made of brackets; basis-free answers are computed in it.
-``sparse_basis`` is the one rule for when: ``Cohomology`` eliminates d, and
-the CLI's ``check`` tests Jacobi and d^2 = 0, in the basis it picks.
+``generated_basis`` is made of brackets; basis-free answers, such as
+``Cohomology.of(L)``, are computed in it.  ``sparse_basis`` is the one rule
+for when: ``Cohomology`` eliminates d, and the CLI's ``check`` tests Jacobi
+and d^2 = 0, in the basis it picks.  ``associated_graded_model`` is the one
+Carnot cut, keeping the part of weight w - 1 of each d v of weight w;
+``carnot`` and ``is_carnot_homogeneous`` are read off it.
 """
 
 from __future__ import annotations
@@ -98,9 +101,10 @@ class LieAlgebra:
 
 @dataclass(frozen=True)
 class SubspaceChain:
-    """Lower central series as rref bases; last entry empty iff nilpotent."""
+    """Lower central series as sparse rref bases in pivot order; last entry
+    empty iff nilpotent."""
 
-    subspaces: tuple[tuple[tuple[Fraction, ...], ...], ...]
+    subspaces: tuple[tuple[Vec, ...], ...]
     nilpotent: bool
 
     def dimensions(self) -> tuple[int, ...]:
@@ -173,11 +177,7 @@ def _series(L: LieAlgebra) -> tuple[list[dict[int, Vec]], bool]:
 def lower_central_series(L: LieAlgebra) -> SubspaceChain:
     """Chain g = g^(0) >= [g,g] >= ...; stabilizing nonzero means non-nilpotent."""
     stages, nilpotent = _series(L)
-    n = L.dimension
-    subspaces = tuple(
-        tuple(tuple(linalg.dense(stage[c], n)) for c in sorted(stage)) for stage in stages
-    )
-    return SubspaceChain(subspaces, nilpotent=nilpotent)
+    return SubspaceChain(tuple(tuple(s[c] for c in sorted(s)) for s in stages), nilpotent)
 
 
 def _complete(L: LieAlgebra, candidates=lambda w, picked: ()):
@@ -303,22 +303,9 @@ def _in_basis(L: LieAlgebra, basis: AdaptedBasis) -> LieAlgebra:
 
 def carnot(L: LieAlgebra, basis: AdaptedBasis | None = None) -> LieAlgebra:
     """Associated Carnot-graded algebra in the given (default: computed)
-    adapted basis.
-
-    Brackets of basis vectors with weights i and j are projected to the
-    component of weight exactly i + j + 1.
+    adapted basis: the algebra of ``associated_graded_model(ce_model(L, basis))``.
     """
-    if basis is None:
-        basis = adapted_basis(L)
-    Lb = change_basis(L, basis)
-    w = basis.weights
-    brackets = {}
-    for (a, b), vec in Lb.brackets.items():
-        target = w[a] + w[b] + 1
-        entries = {i: c for i, c in vec.items() if w[i] == target}
-        if entries:
-            brackets[(a, b)] = entries
-    return LieAlgebra(Lb.names, brackets)
+    return _lie_of(associated_graded_model(ce_model(L, basis)))
 
 
 def ce_model(L: LieAlgebra, basis: AdaptedBasis | None = None) -> SullivanModel:
@@ -358,12 +345,8 @@ def _lie_of(A: SullivanModel) -> LieAlgebra:
 
 
 def is_carnot_homogeneous(A: SullivanModel) -> bool:
-    """True iff every monomial of every d v has weight exactly weight(v) - 1."""
-    for g, df in zip(A.generators, A.differential):
-        for mono in df.terms:
-            if monomial_weight(A.generators, mono) != g.weight - 1:
-                return False
-    return True
+    """True iff A is its own ``associated_graded_model``."""
+    return associated_graded_model(A) == A
 
 
 def associated_graded_model(A: SullivanModel) -> SullivanModel:

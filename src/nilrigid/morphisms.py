@@ -119,10 +119,8 @@ def normalize_perturbation(A: SullivanModel) -> Normalization:
     q = len(xs)
     two_k = len(ns) + 1
     base = Form.zero(gens)
-    for i, ngen in enumerate(ns):
-        base = base + Form(gens, {tuple(sorted((xs[i].index, ngen.index))): 1}).scale(
-            _sort_sign(xs[i].index, ngen.index)
-        )
+    for x, ngen in zip(xs, ns):
+        base = base + Form.generator(gens, x.index) * Form.generator(gens, ngen.index)
     p = A.differential[m.index] - base
     xset = {x.index for x in xs}
     for mono in p.terms:
@@ -157,10 +155,6 @@ def normalize_perturbation(A: SullivanModel) -> Normalization:
     differential[m.index] = dm
     normalized = SullivanModel(gens, differential)
     return Normalization(GeneratorMap(tuple(images)), normalized, residual)
-
-
-def _sort_sign(a: int, b: int) -> int:
-    return 1 if a < b else -1
 
 
 @dataclass(frozen=True)

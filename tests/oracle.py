@@ -137,6 +137,18 @@ def oracle_lcs_dimensions(L):
         stage = nxt
 
 
+def oracle_carnot(L, basis):
+    """The Carnot associate of L in an adapted basis, cut on brackets: L
+    changed to the basis, keeping the entries c e_i of each [e_a, e_b] with
+    w_i = w_a + w_b + 1.  No model and no form is built."""
+    M, w = change_basis(L, basis), basis.weights
+    brackets = {}
+    for (a, b), vec in M.brackets.items():
+        if kept := {i: c for i, c in vec.items() if w[i] == w[a] + w[b] + 1}:
+            brackets[a, b] = kept
+    return LieAlgebra(M.names, brackets)
+
+
 def jacobiator(L):
     """Jacobi defects computed straight from the structure constants."""
     n = L.dimension

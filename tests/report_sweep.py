@@ -8,8 +8,9 @@ JSON formats:
 
 - on every input file X, of n generators:
   - ``betti X``, ``check X``, ``lcs X``, ``carnot X`` and ``model X``,
-  - ``cohomology X --degree p`` for p = 0..n, and again with ``--by-weight``
-    when X is Carnot-homogeneous (its degree-0 split exits 0),
+  - ``cohomology X --degree p`` for p = 0..n, and ``--degree 0 --by-weight``,
+    which refuses a differential that is not Carnot-homogeneous; when it
+    exits 0, ``--by-weight`` again for p = 1..n,
   - ``verify-iso X X M`` for two map files M, over the generators of X's
     model: one that fixes the first and one that doubles the last;
 - on every family and every pinned input X, ``generators X --degree p`` for
@@ -116,8 +117,10 @@ def form_commands(path: str) -> list[tuple[str, ...]]:
     degrees = [str(p) for p in range(len(gens) + 1)]
     commands = [(command, path) for command in ("betti", "check", "lcs", "carnot", "model")]
     commands += [("cohomology", path, "--degree", p) for p in degrees]
-    if call("cohomology", path, "--degree", "0", "--by-weight")[0] == 0:
-        commands += [("cohomology", path, "--degree", p, "--by-weight") for p in degrees]
+    probe = ("cohomology", path, "--degree", "0", "--by-weight")
+    commands.append(probe)
+    if call(*probe)[0] == 0:
+        commands += [("cohomology", path, "--degree", p, "--by-weight") for p in degrees[1:]]
     commands += [("verify-iso", path, path, fixed), ("verify-iso", path, path, doubled)]
     return commands
 

@@ -224,6 +224,22 @@ def test_carnot_computes_the_central_series_once(run, monkeypatch, tmp_path):
     assert len(calls) == 1
 
 
+def test_carnot_of_an_adapted_file_changes_no_basis(run, monkeypatch, tmp_path):
+    # free(3,3) is written in its adapted basis: the parsed algebra and the one read
+    # off its graded model are the only algebras, and no change of basis is made
+    from nilrigid import lie
+
+    counts, init, change = Counter(), lie.LieAlgebra.__init__, lie.change_basis
+    monkeypatch.setattr(lie.LieAlgebra, "__init__", lambda L, *a: counts.update("a") or init(L, *a))
+    monkeypatch.setattr(lie, "change_basis", lambda *a: counts.update("c") or change(*a))
+    path = tmp_path / "free3c3.alg"
+    path.write_text(run("family", "free", "--gens", "3", "--class", "3")[1])
+    counts.clear()
+    code, out, _ = run("carnot", str(path))
+    assert (code, out) == (0, path.read_text())
+    assert (counts["a"], counts["c"]) == (2, 0)
+
+
 def test_betti_on_a_dense_conjugate_of_free_3_3(run, tmp_path):
     code, out, err = run("betti", dense_free_3_3(tmp_path))
     assert (code, err) == (0, "")

@@ -322,7 +322,7 @@ def test_single_term_inputs_compute_no_series(monkeypatch, tmp_path, capsys):
 
 # (command, input) -> at most this many LieAlgebras built and central series computed
 ALGEBRA_BOUNDS = {
-    ("betti", "t2k2"): (1, 0), ("fingerprint", "t2k2"): (1, 1),
+    ("betti", "t2k2"): (1, 0), ("fingerprint", "t2k2"): (1, 1), ("fingerprint", "free3c3"): (1, 1),
     ("betti", "conj"): (2, 1), ("fingerprint", "conj"): (2, 1),
     ("betti", "c_free3c3"): (3, 1), ("generators", "c_free3c3"): (3, 1),
     ("cohomology", "c_free3c3"): (3, 1), ("fingerprint", "c_free3c3"): (3, 2),
@@ -336,13 +336,14 @@ ARGS = {"betti": (), "generators": ("--degree", "1"), "cohomology": ("--degree",
 def test_cohomology_commands_hand_the_file_algebra_to_the_engine(monkeypatch, tmp_path, capsys):
     # no command reads an algebra off a model (lie._lie_of); a dense file with declared
     # weights is changed once, to its generated basis, and fingerprint eliminates a
-    # dense file in its generated basis as it stands, after one central series
+    # file, dense or not, in its generated basis as it stands, after one central series
     from nilrigid import lie
     from nilrigid.cli import main
 
     reports = json.loads((Path(__file__).parent / "data" / "text_reports.json").read_text())
-    t2k2 = theorem2_family(2)
+    t2k2, free = theorem2_family(2), free_nilpotent_lie(3, 3)
     texts = {"t2k2": emit_algebra(lie_from_model(t2k2), t2k2.weights),
+             "free3c3": emit_algebra(free.algebra, free.weights),
              "conj": reports["inputs"]["conj"],
              "c_t2k2": emit_algebra(rational_conjugate(random.Random(5), lie_from_model(t2k2)))}
     paths = {name: tmp_path / f"{name}.alg" for name in texts}

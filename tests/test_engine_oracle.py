@@ -181,8 +181,8 @@ def assert_of_answers_as_the_model(L, basis) -> bool:
 
 def test_cohomology_of_an_algebra_answers_as_its_model():
     # of(L, basis) changes L to the basis once and eliminates in its sparse basis;
-    # of(L) eliminates L in its generated, else adapted, basis as it stands.  The
-    # corrupt conjugates are nilpotent or not, with d^2 = 0 or not
+    # of(L) eliminates L in its generated basis as it stands.  The corrupt
+    # conjugates are nilpotent or not, with d^2 = 0 or not
     rng = random.Random(85)
     algebras, kinds, pushed = [], Counter(), 0
     for _ in range(8):
@@ -289,6 +289,12 @@ def test_lower_central_series_matches_the_oracle(seed):
         chain = lower_central_series(M)
         assert (chain.dimensions(), chain.nilpotent) == oracle_lcs_dimensions(M)
         assert chain.nilpotent
+        # each stage is sparse reduced rows in pivot order
+        for rows in chain.subspaces:
+            pivots = [min(row) for row in rows]
+            assert pivots == sorted(set(pivots)) and all(all(row.values()) for row in rows)
+            assert [[row.get(j, 0) for j in pivots] for row in rows] == [
+                [int(i == j) for j in pivots] for i in pivots]
 
 
 def test_lower_central_series_of_non_nilpotent_algebras_matches_the_oracle():

@@ -1,6 +1,7 @@
 """Lie algebra side: LCS, adapted bases, Carnot associates, model round trips."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -29,7 +30,8 @@ from nilrigid import (
 from nilrigid import lie
 from nilrigid.forms import monomial_weight
 from nilrigid.lie import sparse_basis
-from oracle import corrupt, filiform4, heisenberg, jacobiator, random_nilpotent
+from oracle import (corrupt, filiform4, heisenberg, jacobiator, oracle_carnot, random_nilpotent,
+                    rational_conjugate)
 
 
 def test_heisenberg_lcs():
@@ -182,6 +184,34 @@ def test_carnot_preserves_lcs_dimensions():
     L = lie_from_model(theorem2_family(2))
     C = carnot(L)
     assert lower_central_series(C).dimensions() == lower_central_series(L).dimensions()
+
+
+def assert_carnot_matches_the_oracle(L, basis):
+    """carnot and is_carnot_homogeneous against the cut on brackets, basis None
+    meaning the adapted one; returns whether the cut dropped a term."""
+    adapted = basis or adapted_basis(L)
+    graded, C = change_basis(L, adapted), oracle_carnot(L, adapted)
+    assert carnot(L, basis) == C
+    assert is_carnot_homogeneous(ce_model(L, basis)) == (C == graded)
+    return C != graded
+
+
+def test_carnot_and_homogeneity_match_the_oracle_cut():
+    # the families in their adapted basis and under their declared weights, their
+    # conjugates in the adapted basis, and random nilpotent algebras under drawn
+    # weights, where the cut drops terms of any weight
+    rng = random.Random(31)
+    models = [theorem1_family(2), theorem2_family(2), theorem2_family(3), theorem4_example(),
+              *section3_pair()]
+    cases = [(free_nilpotent_lie(2, 4).algebra, None)]
+    for A in models:
+        L = lie_from_model(A)
+        cases += [(L, None), (L, trivial_basis(L, A.weights)), (rational_conjugate(rng, L), None)]
+    for _ in range(20):
+        L = random_nilpotent(rng)
+        cases.append((L, trivial_basis(L, [rng.randrange(3) for _ in range(L.dimension)])))
+    dropped = Counter(assert_carnot_matches_the_oracle(L, basis) for L, basis in cases)
+    assert dropped[True] >= 10 and dropped[False] >= 10, dropped
 
 
 def test_associated_graded_model_drops_top_term():
