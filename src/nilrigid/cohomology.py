@@ -23,6 +23,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 from math import comb, lcm
 
@@ -105,7 +106,9 @@ class Cohomology:
     otherwise (see ``betti_vector``).  The kernel of d_p is Z^p.
     From the generated basis, B^p and Z^p are pushed by phi, Lambda^p of the
     inverse change of basis, and eliminated again: the reduced basis of Z^p is
-    unique, so the representatives are the model's own.  The weight
+    unique, so the representatives are the model's own.  The model in its
+    own basis and the images of phi are built on first read, so Betti numbers
+    build only the model they eliminate and solve nothing.  The weight
     refinement counts the model's B^p pivots.  Classes are solved as cochain
     vectors against the representatives and the rows of B^p, a basis of Z^p:
     membership is closedness.  Indecomposables need no solve: they are the
@@ -116,7 +119,7 @@ class Cohomology:
     def __init__(self, model: SullivanModel):
         pairs = [ab for terms in model.table for ab, _, _ in terms]
         multiple = len(set(pairs)) < len(pairs)  # a bracket of two basis vectors has two terms
-        self._start(model, _lie_of(model) if multiple else None, lambda: model)
+        self._start(_lie_of(model) if multiple else None, lambda: model, lambda: model)
 
     @classmethod
     def of(cls, L: LieAlgebra, basis: AdaptedBasis | None = None) -> Cohomology:
@@ -126,20 +129,20 @@ class Cohomology:
         A d^2 defect is named in L's own basis, as ``check`` names it."""
         pushed, basis = basis is not None, basis or generated_basis(L)
         M, H = _in_basis(L, basis), cls.__new__(cls)
-        H._start(ce_model(M, trivial_basis(M, basis.weights)), M if pushed else None,
+        H._start(M if pushed else None, lambda: ce_model(M, trivial_basis(M, basis.weights)),
                  lambda: ce_model(L, trivial_basis(L)))
         return H
 
-    def _start(self, model: SullivanModel, L: LieAlgebra | None, named):
-        """Eliminate in ``sparse_basis(L)``, L the model's algebra (None: the
-        model as it stands); a d^2 defect is named in the model ``named()``."""
-        self.model = self._eliminated = model
-        self._ones: list[Terms] | None = None  # D phi(f^a) when the bases differ
-        if L is not None and (basis := sparse_basis(L)) is not None:
-            self._eliminated = ce_model(L, basis)
-            self._ones = _inverse_images(basis)
-            self._pushed: dict[int, dict[int, dict[int, int]]] = {}
-            self._images: list[list[dict[int, int]]] = [[{0: 1}]]  # by degree
+    def _start(self, L: LieAlgebra | None, model, named):
+        """Eliminate in ``sparse_basis(L)``, L the algebra of the model
+        ``model()`` (None: the model as it stands), which is then built on
+        first read; a d^2 defect is named in the model ``named()``."""
+        self._build = model
+        self._basis = None if L is None else sparse_basis(L)  # None: eliminate the model
+        self._eliminated = self.model if self._basis is None else ce_model(L, self._basis)
+        self._ones: list[Terms] | None = None  # D phi(f^a), built by the first _push
+        self._pushed: dict[int, dict[int, dict[int, int]]] = {}
+        self._images: list[list[dict[int, int]]] = [[{0: 1}]]  # by degree
         if check_d_squared(self._eliminated):
             defects = check_d_squared(named())
             names = ", ".join(g.name for g, _ in defects)
@@ -148,6 +151,11 @@ class Cohomology:
         self._echelons: dict[int, dict[int, dict[int, int]]] = {}
         self._data: dict[int, _Classes] = {}
         self._units: dict[int, list[int]] = {}
+
+    @cached_property
+    def model(self) -> SullivanModel:
+        """The model whose cohomology this is, in its own basis."""
+        return self._build()
 
     # -- internal ----------------------------------------------------------
 
@@ -164,7 +172,7 @@ class Cohomology:
 
     def _pivots(self, p: int) -> dict[int, dict[int, int]]:
         """An integer echelon basis of B^p in the model's basis, by pivot."""
-        if self._ones is None:
+        if self._basis is None:
             return self._boundaries(p)
         if p not in self._pushed:
             self._pushed[p] = linalg.integer_echelon(self._push(self._boundaries(p).values(), p))
@@ -175,11 +183,14 @@ class Cohomology:
         eliminated model in ``rows``, made a primitive integer row first.  The
         image of each monomial m is built once: that of m without its last
         index times that of its last generator, one ``_multiply``."""
+        if self._ones is None:
+            self._ones = _inverse_images(self._basis)
+        n = self._eliminated.dimension
         for q in range(len(self._images), p + 1):
-            below = _masks(self.model.dimension, q - 1)
+            below = _masks(n, q - 1)
             head = {m: _mask_terms((below[j], c) for j, c in image.items())
                     for m, image in zip(below, self._images[q - 1])}
-            index = _mask_index(self.model.dimension, q)  # m's last index: its top bit
+            index = _mask_index(n, q)  # m's last index: its top bit
             self._images.append([_multiply(head[m ^ (1 << m.bit_length() - 1)],
                                            self._ones[m.bit_length() - 1], index) for m in index])
         for v in rows:
@@ -192,14 +203,14 @@ class Cohomology:
     def _degree(self, p: int) -> _Classes:
         if p in self._data:
             return self._data[p]
-        A = self.model
-        cocycles = linalg.nullspace(self._differential(p), comb(A.dimension, p + 1))
-        if self._ones is not None:  # Z^p in the model's basis, reduced
+        n = self._eliminated.dimension
+        cocycles = linalg.nullspace(self._differential(p), comb(n, p + 1))
+        if self._basis is not None:  # Z^p in the model's basis, reduced
             reduced = linalg.echelon(self._push(cocycles, p))
             cocycles = [reduced[c] for c in sorted(reduced)]
         coboundaries = self._pivots(p)
         data = _Classes()
-        data.masks = _mask_index(A.dimension, p)  # the rows of cochains
+        data.masks = _mask_index(n, p)  # the rows of cochains
         # representatives: reduced echelon cocycle rows whose pivot is not a
         # coboundary pivot; deterministic by construction
         data.vectors = [v for v in cocycles if min(v) not in coboundaries]
@@ -288,7 +299,7 @@ class Cohomology:
     def betti(self, p: int) -> int:
         """dim Lambda^p - rank d_p - rank d_(p-1), the ranks being the pivot
         counts of the integer echelon bases of B^(p+1) and B^p."""
-        if p < 0 or p > self.model.dimension:
+        if p < 0 or p > self._eliminated.dimension:
             return 0
         dim = len(self._differential(p))
         return dim - len(self._boundaries(p + 1)) - len(self._boundaries(p))
@@ -298,7 +309,7 @@ class Cohomology:
         unimodular; then d_(n-1-p) is d_p transposed up to a signed permutation
         (Hazewinkel 1970): only p <= (n-1)/2 is eliminated, and a rank above
         that whose B^(p+1) is not cached is read as rank d_(n-1-p)."""
-        n = self.model.dimension
+        n = self._eliminated.dimension
         mirror = n > 0 and not any(self._differential(n - 1))
         ranks = [0]  # ranks[p + 1] = rank d_p, p = -1..n
         for p in range(n):
@@ -356,7 +367,7 @@ class Cohomology:
         b = self.betti(p)
         if not 0 <= i < b:
             raise IndexError(f"class {i} of degree {p}: b_{p} = {b}")
-        return ClassVector(p, tuple(Fraction(j == i) for j in range(b)))
+        return ClassVector(p, (linalg._ZERO,) * i + (linalg._ONE,) + (linalg._ZERO,) * (b - i - 1))
 
     def decomposable_subspace(self, p: int) -> list[list[Fraction]]:
         """rref basis of the image of H^+ . H^+ inside H^p coordinates: the

@@ -9,8 +9,10 @@ Grammar ('#' starts a comment, blank lines ignored):
     class a1^b^c -> a1^b^c             cohomology class pairs
     vector 1 0 -2/3                    rational coordinate rows
 
-Parsing reports line and column and builds one Fraction per coefficient
-literal, its sign folded into the numerator; emission is canonical so that
+Each line is cut into tokens by one ``findall`` of ``_TOKEN`` and parsed on
+a token index; an error's column is found by running ``_TOKEN`` over its line
+again.  A parse builds one Fraction per distinct signed coefficient literal,
+the sign folded into the numerator; emission is canonical so that
 parse(emit(L)) reproduces L exactly.  ``model_basis`` holds the one rule for
 a file's model: its own basis with the declared weights, else the adapted one.
 """
@@ -25,10 +27,10 @@ from .errors import ParseError
 from .forms import Form, SullivanModel, product
 from .lie import AdaptedBasis, LieAlgebra, adapted_basis, ce_model, trivial_basis
 
-_TOKEN = re.compile(
-    r"\s*(?:(?P<number>\d+(?:/\d+)?)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)"
-    r"|(?P<arrow>->)|(?P<sym>[\^\+\-=\[\],:])|(?P<bad>\S))"
-)
+# one token after any spaces; a lone character of no other kind is an unexpected one
+_TOKEN = re.compile(r"\s*(\d+(?:/\d+)?|[A-Za-z_][A-Za-z0-9_]*|->|[\^\+\-=\[\],:]|\S)")
+_NAME_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
+_SYMBOLS = frozenset("^+-=[],:")
 
 # a form as parsed: list of (coefficient, [generator names]); names in source order
 RawTerm = tuple[Fraction, list[str]]
@@ -47,166 +49,163 @@ class AlgebraFile:
     vectors: list[tuple[list[Fraction], int]] = field(default_factory=list)
 
 
-class _Tokens:
-    def __init__(self, text: str, lineno: int):
-        self.items = []
-        for m in _TOKEN.finditer(text):
-            kind = m.lastgroup
-            col = m.start(kind) + 1
-            if kind == "bad":
-                raise ParseError(f"unexpected character {m.group(kind)!r}", lineno, col)
-            self.items.append((kind, m.group(kind), col))
-        self.pos = 0
-        self.lineno = lineno
-
-    def peek(self):
-        return self.items[self.pos] if self.pos < len(self.items) else (None, None, None)
-
-    def next(self):
-        item = self.peek()
-        if item[0] is None:
-            raise ParseError("unexpected end of line", self.lineno)
-        self.pos += 1
-        return item
-
-    def expect(self, kind, value=None):
-        got, text, col = self.next()
-        if got != kind or (value is not None and text != value):
-            want = value or kind
-            raise ParseError(f"expected {want!r}, got {text!r}", self.lineno, col)
-        return text
-
-    def done(self) -> bool:
-        return self.pos >= len(self.items)
-
-    def require_done(self):
-        if not self.done():
-            _, text, col = self.peek()
-            raise ParseError(f"trailing input {text!r}", self.lineno, col)
+class _Syntax(Exception):
+    """A parse error of the line being parsed: its message and the index of
+    the token it is at (None, or past the last token: no column)."""
 
 
-def _int(text: str, lineno: int, col: int) -> int:
+def _expect(toks: list[str], i: int, want: str) -> str:
+    """Token i, which must be the symbol ``want`` or, for 'name' and
+    'number', a token of that kind."""
+    if i >= len(toks):
+        raise _Syntax("unexpected end of line", None)
+    t = toks[i]
+    if not (t[0] in _NAME_START if want == "name" else
+            t[0].isdecimal() if want == "number" else t == want):
+        raise _Syntax(f"expected {want!r}, got {t!r}", i)
+    return t
+
+
+def _done(toks: list[str], i: int) -> None:
+    """Refuse any token from i on."""
+    if i < len(toks):
+        raise _Syntax(f"trailing input {toks[i]!r}", i)
+
+
+def _int(text: str, i: int) -> int:
     """A digit string as an int; one longer than int() converts is a parse error."""
     try:
         return int(text)
     except ValueError:
-        raise ParseError(f"number of {len(text)} digits is too long", lineno, col) from None
+        raise _Syntax(f"number of {len(text)} digits is too long", i) from None
 
 
-def _fraction(tk: _Tokens, sign: int = 1) -> Fraction:
-    """The next token as a p or p/q literal times ``sign``; q = 0 is an error."""
-    col = tk.peek()[2]
-    text = tk.expect("number")
-    num, slash, den = text.partition("/")
-    q = _int(den, tk.lineno, col) if slash else 1
-    if q == 0:
-        raise ParseError(f"zero denominator in {text!r}", tk.lineno, col)
-    return Fraction(sign * _int(num, tk.lineno, col), q)
+def _fraction(t: str, sign: int, i: int, fractions: dict) -> Fraction:
+    """The number token t, a p or p/q literal, times ``sign``; q = 0 is an
+    error.  ``fractions`` holds those built so far by (sign, t)."""
+    f = fractions.get((sign, t))
+    if f is None:
+        num, slash, den = t.partition("/")
+        q = _int(den, i) if slash else 1
+        if q == 0:
+            raise _Syntax(f"zero denominator in {t!r}", i)
+        f = fractions[sign, t] = Fraction(sign * _int(num, i), q)
+    return f
 
 
-def _sign(tk: _Tokens) -> int:
-    """-1 after a '-' token, else 1; a '+' or '-' token is consumed."""
-    kind, text, _ = tk.peek()
-    if kind == "sym" and text in "+-":
-        return -1 if tk.next()[1] == "-" else 1
-    return 1
-
-
-def _parse_terms(tk: _Tokens) -> list[RawTerm]:
-    """Sum of terms: [sign] [coefficient] name(^name)*, or a bare number."""
+def _terms(toks: list[str], i: int, fractions: dict) -> tuple[list[RawTerm], int]:
+    """Sum of terms from token i, [sign] [coefficient] name(^name)*, or a bare
+    number, up to '->' or the end; the terms and the index after them."""
     terms: list[RawTerm] = []
-    while not tk.done():
-        kind, text, col = tk.peek()
-        if kind == "arrow":
+    end = len(toks)
+    while i < end:
+        t = toks[i]
+        if t == "->":
             break
-        if terms and not (kind == "sym" and text in "+-"):
-            raise ParseError(f"expected '+' or '-', got {text!r}", tk.lineno, col)
-        sign = _sign(tk)
-        kind, text, col = tk.peek()
-        has_coeff = kind == "number"
-        coeff = _fraction(tk, sign) if has_coeff else _UNIT[sign]
-        if has_coeff:
-            kind, text, col = tk.peek()
+        sign = 1
+        if t == "+" or t == "-":
+            sign = -1 if t == "-" else 1
+            i += 1
+            t = toks[i] if i < end else " "  # " " begins no token
+        elif terms:
+            raise _Syntax(f"expected '+' or '-', got {t!r}", i)
+        coeff = None
+        if t[0].isdecimal():
+            coeff = _fraction(t, sign, i, fractions)
+            i += 1
+            t = toks[i] if i < end else " "
         names: list[str] = []
-        if kind == "name":
-            tk.next()
-            names.append(text)
-            while True:
-                kind, text, col = tk.peek()
-                if kind == "sym" and text == "^":
-                    tk.next()
-                    names.append(tk.expect("name"))
-                else:
-                    break
-        elif not has_coeff:
-            raise ParseError("expected a coefficient or generator name", tk.lineno, col)
-        terms.append((coeff, names))
+        if t[0] in _NAME_START:
+            names.append(t)
+            i += 1
+            while i < end and toks[i] == "^":
+                names.append(_expect(toks, i + 1, "name"))
+                i += 2
+        elif coeff is None:
+            raise _Syntax("expected a coefficient or generator name", i)
+        terms.append((_UNIT[sign] if coeff is None else coeff, names))
     if not terms:
-        raise ParseError("empty expression", tk.lineno)
-    return terms
+        raise _Syntax("empty expression", None)
+    return terms, i
+
+
+def _located(line: str, lineno: int, toks: list[str], message: str, i: int | None) -> ParseError:
+    """The ParseError of ``message`` at token i of ``line``, its column found
+    by running ``_TOKEN`` over the line again; but a character that begins no
+    token is the error wherever it stands on the line."""
+    columns = [m.start(1) + 1 for m in _TOKEN.finditer(line)]
+    for j, t in enumerate(toks):
+        if not (t[0].isdecimal() or t[0] in _NAME_START or t == "->" or t in _SYMBOLS):
+            return ParseError(f"unexpected character {t!r}", lineno, columns[j])
+    return ParseError(message, lineno, columns[i] if i is not None and i < len(toks) else None)
 
 
 def parse_source(text: str) -> AlgebraFile:
     """Parse the full grammar; raises ParseError with line/column on failure."""
     af = AlgebraFile()
+    fractions: dict[tuple[int, str], Fraction] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].rstrip()
-        if not line.strip():
+        line = raw.split("#", 1)[0]
+        toks = _TOKEN.findall(line)
+        if not toks:
             continue
-        tk = _Tokens(line, lineno)
-        kind, keyword, col = tk.next()
-        if kind != "name":
-            raise ParseError(f"expected a keyword, got {keyword!r}", lineno, col)
-        if keyword == "generators":
-            while not tk.done():
-                name = tk.expect("name")
-                weight = None
-                k, t, _ = tk.peek()
-                if k == "sym" and t == ":":
-                    tk.next()
-                    col = tk.peek()[2]
-                    text = tk.expect("number")
-                    if not text.isdigit():
-                        raise ParseError(f"weight must be an integer, got {text!r}", lineno, col)
-                    weight = _int(text, lineno, col)
-                af.generators.append((name, weight, lineno))
-        elif keyword == "bracket":
-            tk.expect("sym", "[")
-            left = tk.expect("name")
-            tk.expect("sym", ",")
-            right = tk.expect("name")
-            tk.expect("sym", "]")
-            tk.expect("sym", "=")
-            terms = _parse_terms(tk)
-            tk.require_done()
-            af.brackets.append((left, right, terms, lineno))
-        elif keyword == "form":
-            terms = _parse_terms(tk)
-            tk.require_done()
-            af.forms.append((terms, lineno))
-        elif keyword == "map":
-            name = tk.expect("name")
-            tk.expect("sym", "=")
-            terms = _parse_terms(tk)
-            tk.require_done()
-            af.maps.append((name, terms, lineno))
-        elif keyword == "class":
-            src = _parse_terms(tk)
-            k, _, c = tk.next()
-            if k != "arrow":
-                raise ParseError("expected '->'", lineno, c)
-            dst = _parse_terms(tk)
-            tk.require_done()
-            af.classes.append((src, dst, lineno))
-        elif keyword == "vector":
-            entries: list[Fraction] = []
-            while not tk.done():
-                entries.append(_fraction(tk, _sign(tk)))
-            if not entries:
-                raise ParseError("empty vector", lineno)
-            af.vectors.append((entries, lineno))
-        else:
-            raise ParseError(f"unknown keyword {keyword!r}", lineno, col)
+        keyword, end = toks[0], len(toks)
+        try:
+            if keyword[0] not in _NAME_START:
+                raise _Syntax(f"expected a keyword, got {keyword!r}", 0)
+            if keyword == "generators":
+                i = 1
+                while i < end:
+                    name, weight = _expect(toks, i, "name"), None
+                    i += 1
+                    if i < end and toks[i] == ":":
+                        digits = _expect(toks, i + 1, "number")
+                        if not digits.isdigit():
+                            raise _Syntax(f"weight must be an integer, got {digits!r}", i + 1)
+                        weight = _int(digits, i + 1)
+                        i += 2
+                    af.generators.append((name, weight, lineno))
+            elif keyword == "bracket":
+                _expect(toks, 1, "[")
+                left = _expect(toks, 2, "name")
+                _expect(toks, 3, ",")
+                right = _expect(toks, 4, "name")
+                _expect(toks, 5, "]")
+                _expect(toks, 6, "=")
+                terms, i = _terms(toks, 7, fractions)
+                _done(toks, i)
+                af.brackets.append((left, right, terms, lineno))
+            elif keyword == "form":
+                terms, i = _terms(toks, 1, fractions)
+                _done(toks, i)
+                af.forms.append((terms, lineno))
+            elif keyword == "map":
+                name = _expect(toks, 1, "name")
+                _expect(toks, 2, "=")
+                terms, i = _terms(toks, 3, fractions)
+                _done(toks, i)
+                af.maps.append((name, terms, lineno))
+            elif keyword == "class":
+                src, i = _terms(toks, 1, fractions)
+                _expect(toks, i, "->")  # the terms end at '->' or at the end of the line
+                dst, i = _terms(toks, i + 1, fractions)
+                _done(toks, i)
+                af.classes.append((src, dst, lineno))
+            elif keyword == "vector":
+                entries: list[Fraction] = []
+                i = 1
+                while i < end:
+                    sign = -1 if toks[i] == "-" else 1
+                    i += toks[i] in ("+", "-")
+                    entries.append(_fraction(_expect(toks, i, "number"), sign, i, fractions))
+                    i += 1
+                if not entries:
+                    raise _Syntax("empty vector", None)
+                af.vectors.append((entries, lineno))
+            else:
+                raise _Syntax(f"unknown keyword {keyword!r}", 0)
+        except _Syntax as err:
+            raise _located(line, lineno, toks, *err.args) from None
     if not af.generators:
         raise ParseError("file declares no generators")
     names = [g[0] for g in af.generators]

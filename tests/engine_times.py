@@ -5,7 +5,13 @@ allocator's retained memory carry over from one model to the next, and
 prints one line per model: its name, its dimension n, the seconds taken by
 ``betti_vector()`` alone (not by building the model), the child's peak
 resident set (``ru_maxrss``, in MB) and the first 16 hex digits of the
-sha256 of the Betti vector, so two versions can be compared by eye:
+sha256 of the Betti vector, so two versions can be compared by eye.
+
+``c_t2k3`` is a file, not a model: theorem2(3) in the basis with entries in
+{-1, 0, 1} of the benchmark's ``structure`` input of that name (the same
+structure constants under the family's names), written without weights.
+Its time is that of the front door, the parse included:
+``Cohomology.of(*model_basis(parse_source(text))).betti_vector()``.
 
     PYTHONPATH=src python3 tests/engine_times.py
     PYTHONPATH=src python3 tests/engine_times.py abelian(20)
@@ -22,15 +28,20 @@ import subprocess
 import sys
 import time
 
-MODELS = ("free(3,3)", "theorem1(4)", "theorem2(4)", "abelian(20)", "theorem1(5)")
+MODELS = ("free(3,3)", "theorem1(4)", "theorem2(4)", "abelian(20)", "theorem1(5)", "c_t2k3")
 
 
 def build(name: str):
-    """The Sullivan model called ``name`` in ``MODELS``."""
-    from nilrigid import (ce_model, free_nilpotent_lie, theorem1_family, theorem2_family,
-                          trivial_basis)
+    """The Sullivan model called ``name`` in ``MODELS``, or the text of ``c_t2k3``."""
+    from nilrigid import (ce_model, free_nilpotent_lie, lie_from_model, theorem1_family,
+                          theorem2_family, trivial_basis)
+    from nilrigid.fileformat import emit_algebra
+    from helpers import sign_conjugate
     from oracle import abelian
 
+    if name == "c_t2k3":
+        L = lie_from_model(theorem2_family(3))
+        return emit_algebra(sign_conjugate(L, "conjugate:c_t2k3"))
     family, args = name.rstrip(")").split("(")
     args = [int(a) for a in args.split(",")]
     if family == "free":
@@ -45,14 +56,18 @@ def build(name: str):
 def measure(name: str) -> str:
     """One line of the table, for the model ``name``, in this interpreter."""
     from nilrigid import Cohomology
+    from nilrigid.fileformat import model_basis, parse_source
 
     A = build(name)
     start = time.perf_counter()
-    betti = Cohomology(A).betti_vector()
+    if isinstance(A, str):
+        betti = Cohomology.of(*model_basis(parse_source(A))).betti_vector()
+    else:
+        betti = Cohomology(A).betti_vector()
     seconds = time.perf_counter() - start
     rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
     digest = hashlib.sha256(repr(betti).encode()).hexdigest()[:16]
-    return f"{name:<12} n={A.dimension:<3} {seconds:8.3f} s {rss:8.1f} MB  {digest}"
+    return f"{name:<12} n={len(betti) - 1:<3} {seconds:8.3f} s {rss:8.1f} MB  {digest}"
 
 
 def run(names: list[str]) -> int:

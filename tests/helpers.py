@@ -20,20 +20,24 @@ def forms_of(model, texts):
     return [form_of(model, t) for t in texts]
 
 
-def dense_free_3_3(tmp_path):
-    """free(3,3) in a fixed basis with entries in {-1, 0, 1}, every weight declared 0:
-    d is dense in the file's basis and sparse in the generated one.  The file's path."""
-    L = free_nilpotent_lie(3, 3).algebra
+def sign_conjugate(L, seed):
+    """L in a basis drawn from ``seed`` with entries in {-1, 0, 1}, +-1 on the diagonal."""
     n = L.dimension
-    rng = random.Random("free(3,3)")
+    rng = random.Random(seed)
     while True:
         cols = [[Fraction(rng.choice((-1, 1) if i == a else (-1, 0, 0, 0, 0, 1))) for i in range(n)]
                 for a in range(n)]
         if linalg.rank(cols) == n:
             break
-    conj = change_basis(L, AdaptedBasis(tuple(map(tuple, cols)), (0,) * n, L.names))
+    return change_basis(L, AdaptedBasis(tuple(map(tuple, cols)), (0,) * n, L.names))
+
+
+def dense_free_3_3(tmp_path):
+    """free(3,3) in a fixed basis with entries in {-1, 0, 1}, every weight declared 0:
+    d is dense in the file's basis and sparse in the generated one.  The file's path."""
+    conj = sign_conjugate(free_nilpotent_lie(3, 3).algebra, "free(3,3)")
     path = tmp_path / "c_free3c3.alg"
-    path.write_text(emit_algebra(conj, weights=(0,) * n))
+    path.write_text(emit_algebra(conj, weights=(0,) * conj.dimension))
     return str(path)
 
 

@@ -320,6 +320,23 @@ def test_single_term_inputs_compute_no_series(monkeypatch, tmp_path, capsys):
         assert counts == [0] * 8 + [1], command
 
 
+def algebra_files(tmp_path) -> dict:
+    """theorem2(2) and free(3,3) in their own bases, with weights, and three dense
+    files: ``conj``, a rational conjugate of theorem2(2) without weights and
+    ``dense_free_3_3``; their paths by name."""
+    reports = json.loads((Path(__file__).parent / "data" / "text_reports.json").read_text())
+    t2k2, free = theorem2_family(2), free_nilpotent_lie(3, 3)
+    texts = {"t2k2": emit_algebra(lie_from_model(t2k2), t2k2.weights),
+             "free3c3": emit_algebra(free.algebra, free.weights),
+             "conj": reports["inputs"]["conj"],
+             "c_t2k2": emit_algebra(rational_conjugate(random.Random(5), lie_from_model(t2k2)))}
+    paths = {name: tmp_path / f"{name}.alg" for name in texts}
+    for name, text in texts.items():
+        paths[name].write_text(text)
+    paths["c_free3c3"] = dense_free_3_3(tmp_path)
+    return paths
+
+
 # (command, input) -> at most this many LieAlgebras built and central series computed
 ALGEBRA_BOUNDS = {
     ("betti", "t2k2"): (1, 0), ("fingerprint", "t2k2"): (1, 1), ("fingerprint", "free3c3"): (1, 1),
@@ -340,16 +357,7 @@ def test_cohomology_commands_hand_the_file_algebra_to_the_engine(monkeypatch, tm
     from nilrigid import lie
     from nilrigid.cli import main
 
-    reports = json.loads((Path(__file__).parent / "data" / "text_reports.json").read_text())
-    t2k2, free = theorem2_family(2), free_nilpotent_lie(3, 3)
-    texts = {"t2k2": emit_algebra(lie_from_model(t2k2), t2k2.weights),
-             "free3c3": emit_algebra(free.algebra, free.weights),
-             "conj": reports["inputs"]["conj"],
-             "c_t2k2": emit_algebra(rational_conjugate(random.Random(5), lie_from_model(t2k2)))}
-    paths = {name: tmp_path / f"{name}.alg" for name in texts}
-    for name, text in texts.items():
-        paths[name].write_text(text)
-    paths["c_free3c3"] = dense_free_3_3(tmp_path)
+    paths = algebra_files(tmp_path)
     counts = Counter()
     init, series = lie.LieAlgebra.__init__, lie._series
     monkeypatch.setattr(lie.LieAlgebra, "__init__", lambda L, *a: counts.update("a") or init(L, *a))
@@ -367,6 +375,42 @@ def test_cohomology_commands_hand_the_file_algebra_to_the_engine(monkeypatch, tm
                for (a, s), bound in zip(got.values(), ALGEBRA_BOUNDS.values())), got
     assert got["betti", "c_free3c3"] == (2, 1)
     assert got["fingerprint", "c_free3c3"][1] == got["fingerprint", "c_t2k2"][1] == 1
+
+
+DEGREE_ONE = {  # b_1 and the representatives that `cohomology` and `generators --degree 1` print
+    "conj": (2, "[v3]", "[v0]"),
+    "c_t2k2": (5, "[x1]", "[x2]", "[x3]", "[x4]", "[x5]"),
+    "c_free3c3": (3, "[a - bc - aab - aac + acb + acc]", "[b - abb - abc - acc]",
+                  "[c + bc + 2 aac - abb - abc - acb - 2 acc]"),
+}
+
+
+def test_betti_builds_only_the_model_it_eliminates(monkeypatch, tmp_path, capsys):
+    # a dense file is eliminated in its generated basis: its model in its own basis
+    # and the inverse images that push classes into it are built on first read, so
+    # betti builds one model and solves for no inverse image; classes push into it
+    from nilrigid.cli import main
+
+    paths = algebra_files(tmp_path)
+    counts = Counter()
+    init, ce, inverse = forms.SullivanModel.__init__, cohomology.ce_model, cohomology._inverse_images
+    monkeypatch.setattr(forms.SullivanModel, "__init__",
+                        lambda A, *a: counts.update("m") or init(A, *a))
+    monkeypatch.setattr(cohomology, "ce_model", lambda *a: counts.update("c") or ce(*a))
+    monkeypatch.setattr(cohomology, "_inverse_images",
+                        lambda basis: counts.update("i") or inverse(basis))
+    for name, (b1, *reps) in DEGREE_ONE.items():
+        counts.clear()
+        assert main(["betti", str(paths[name])]) == 0
+        assert counts == Counter("mc"), name
+        capsys.readouterr()
+        for command, head in (("cohomology", f"b_1 = {b1}"),
+                              ("generators", f"degree 1: betti {b1}, indecomposable {b1}")):
+            counts.clear()
+            assert main([command, str(paths[name]), "--degree", "1"]) == 0
+            assert capsys.readouterr().out == "".join(f"{line}\n" for line in
+                                                      [head] + [f"  {r}" for r in reps])
+            assert counts["i"] == (name != "conj"), (command, name)  # conj's are one term
 
 
 PINS = json.loads((Path(__file__).parent / "data" / "cohomology_pins.json").read_text())

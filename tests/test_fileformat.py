@@ -1,5 +1,6 @@
 """Grammar parsing, canonical emission, round trips, error positions."""
 
+import ast
 import contextlib
 import io
 import random
@@ -7,7 +8,7 @@ from fractions import Fraction
 from math import lcm
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from nilrigid import ParseError, cli, lie_from_model, theorem1_family, theorem2_family
 from nilrigid.fileformat import (
@@ -285,6 +286,35 @@ texts = st.one_of(
 def test_arbitrary_text_parses_or_raises_parse_error(text):
     with contextlib.suppress(ParseError):
         parse_source(text)
+
+
+def named_token(message: str) -> str | None:
+    """The token that an error message names by its repr, if it names one."""
+    for lead in ("unexpected character ", "trailing input "):
+        if message.startswith(lead):
+            return ast.literal_eval(message[len(lead):])
+    if message.startswith("expected ") and ", got " in message:
+        return ast.literal_eval(message.rsplit(", got ", 1)[1])
+    return None
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(texts)
+@example("generators a b\nbracket [a,b] = a ]\n")
+@example("generators a\t \u3000$ b\n")
+@example("generators a:x\n")
+@example("generators a\nform 1/2 a  b # c\n")
+@example("generators a\n  7 a\n")
+def test_error_columns_fall_on_the_line_at_the_token_they_name(text):
+    try:
+        parse_source(text)
+    except ParseError as err:
+        if err.column is None:
+            return
+        line = text.splitlines()[err.line - 1]
+        assert 1 <= err.column <= len(line) + 1
+        token = named_token(str(err).split(": ", 1)[1])
+        assert token is None or line[err.column - 1:].startswith(token), (line, str(err))
 
 
 @pytest.fixture(scope="module")

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from nilrigid import (
+    Cohomology,
     SizeCapError,
     ce_model,
     check_d_squared,
@@ -124,3 +125,13 @@ def test_theorem3_zero_weight_relations():
     free2 = free_nilpotent_lie(2, 2)
     assert L.names == free2.algebra.names
     assert L.brackets == free2.algebra.brackets
+
+
+@pytest.mark.parametrize("m, c, n", [(6, 2, 21), (2, 6, 23), (3, 4, 32)])
+def test_b2_is_the_next_witt_number(m, c, n):
+    # Hopf: H_2 of f / f^(c+1), f free on m generators, is f^(c+1) / f^(c+2); a
+    # closed form at n >= 16, beyond the dense oracle's reach
+    free = free_nilpotent_lie(m, c)
+    assert free.algebra.dimension == n
+    H = Cohomology(ce_model(free.algebra, trivial_basis(free.algebra, free.weights)))
+    assert H.betti(2) == witt_dimension(m, c + 1)
