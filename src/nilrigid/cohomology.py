@@ -206,8 +206,7 @@ class Cohomology:
         n = self._eliminated.dimension
         cocycles = linalg.nullspace(self._differential(p), comb(n, p + 1))
         if self._basis is not None:  # Z^p in the model's basis, reduced
-            reduced = linalg.echelon(self._push(cocycles, p))
-            cocycles = [reduced[c] for c in sorted(reduced)]
+            cocycles = list(linalg.echelon(self._push(cocycles, p)).values())
         coboundaries = self._pivots(p)
         data = _Classes()
         data.masks = _mask_index(n, p)  # the rows of cochains
@@ -247,33 +246,34 @@ class Cohomology:
         indecomposables generate H^+, so it is spanned by their products
         g_1 ... g_k, k >= 2, ordered by degree up to sign: deg g_1 = i <= p / k.
         If k >= 3, i <= p / 3 and g_2 ... g_k is a class of degree p - i; if
-        3i > p, k = 2 and g_2 is an indecomposable of degree p - i."""
+        3i > p, k = 2 and g_2 is an indecomposable of degree p - i.  If 2i = p,
+        h >= g (h > g for odd i): g . h = +-h . g, and g . g = 0 for odd i."""
         for i in range(1, p // 2 + 1):
             seconds = range(self.betti(p - i)) if 3 * i <= p else self._products(p - i)
-            for g in self._products(i) if seconds else ():
-                for h in seconds:
+            for k, g in enumerate(self._products(i) if seconds else ()):
+                for h in seconds[k + i % 2:] if 2 * i == p else seconds:
                     yield i, g, h
 
     def _products(self, p: int) -> list[int]:
         """Positions of the indecomposables of degree p among its unit classes.
 
-        One integer echelon span of cochains starts as a copy of the integer
-        basis of B^p.  Each product of ``_factors(p)`` is one ``_multiply`` of
-        integer kernel terms, and ``linalg.integer_extend`` adds it to the span
-        until it has len(B^p) + b_p = dim Z^p rows.  A span only grows, so once
-        a product c . e_j of one term is offered to it, e_j stays in it: a
+        One span of cochains, an integer reduced basis, starts as
+        ``linalg._back_substitute`` of a copy of the integer basis of B^p.
+        Each product of ``_factors(p)`` is one ``_multiply`` of integer kernel
+        terms, which ``linalg.reduced_extend`` clears in one pass and adds if
+        it grows the span, until it has dim Z^p = len(B^p) + b_p rows.  Once a
+        product c . e_j of one term is offered, e_j stays in the span: a
         product whose terms all lie on such rows, zero included, is skipped.
         The unit classes whose cocycles extend the span, in order, represent
-        H^p / (H^+ . H^+), and it ends as Z^p, with dim Z^p rows, exactly when
-        every product in it is closed; otherwise NotClosedError is raised.
-        None of this depends on the echelon basis that holds the span.
+        H^p / (H^+ . H^+), and it ends as Z^p exactly when every product in it
+        is closed, else NotClosedError is raised; no basis of it changes this.
         """
         if p in self._units:
             return self._units[p]
         if not self.betti(p):
             return []
         data = self._degree(p)
-        span = dict(self._pivots(p))
+        span = linalg._back_substitute({c: dict(r) for c, r in self._pivots(p).items()})
         full = len(span) + self.betti(p)
         terms: dict[int, tuple[list[Terms], list[Terms]]] = {}
         known: set[int] = set()  # rows j with e_j in the span
@@ -287,8 +287,8 @@ class Cohomology:
                 continue
             if len(v) == 1:
                 known.update(v)
-            linalg.integer_extend(span, v)
-        units = [j for j, v in enumerate(data.vectors) if linalg.integer_extend(span, v)]
+            linalg.reduced_extend(span, v)
+        units = [j for j, v in enumerate(data.vectors) if linalg.reduced_extend(span, v)]
         if len(span) != full:
             raise NotClosedError(f"a product of classes in degree {p} is not closed")
         self._units[p] = units

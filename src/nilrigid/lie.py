@@ -177,7 +177,7 @@ def _series(L: LieAlgebra) -> tuple[list[dict[int, Vec]], bool]:
 def lower_central_series(L: LieAlgebra) -> SubspaceChain:
     """Chain g = g^(0) >= [g,g] >= ...; stabilizing nonzero means non-nilpotent."""
     stages, nilpotent = _series(L)
-    return SubspaceChain(tuple(tuple(s[c] for c in sorted(s)) for s in stages), nilpotent)
+    return SubspaceChain(tuple(tuple(s.values()) for s in stages), nilpotent)
 
 
 def _complete(L: LieAlgebra, candidates=lambda w, picked: ()):
@@ -193,7 +193,7 @@ def _complete(L: LieAlgebra, candidates=lambda w, picked: ()):
         span = linalg.integer_echelon(below.values())
         # e_j lies in g^(w) iff it is the reduced row of g^(w) at pivot j
         standard = (({j: _ONE}, L.names[j]) for j in range(n) if stage.get(j) == {j: 1})
-        rows = ((stage[c], None) for c in sorted(stage))
+        rows = ((row, None) for row in stage.values())
         for v, name in chain(candidates(w, list(zip(columns, weights))), standard, rows):
             if len(span) == len(stage):
                 break

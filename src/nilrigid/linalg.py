@@ -1,24 +1,29 @@
 """Exact Gaussian elimination over the rationals, on Python ints.
 
-A span is held as an echelon basis of sparse rows, ``{column: value}``
-dicts with nonzero entries only, keyed by pivot column.  Two integer steps
-do all the elimination: ``integer_extend`` scales a row to a primitive
-integer row and reduces it fraction-free (Bareiss; the exact integer
-strategy of Dumas, Saunders & Villard) against an unreduced integer echelon
-basis, and ``_clear`` back-substitutes an integer row against a reduced
-integer basis, dividing nothing.  ``integer_echelon`` loops over the first;
-``to_rref`` runs the second over a whole basis and then divides each row by
-its pivot entry, and ``echelon``, the one elimination of a set of rows, is
-``to_rref(integer_echelon(rows))``, the unique reduced row echelon basis.
-A ``Fraction`` is built only by that division and by ``ColumnSolver.solve``
-for its result.  A rank, a pivot set or a test of whether a row grows a
-span needs only the integer basis; ``Cohomology`` never calls ``to_rref``.
+A span is held as an echelon basis of sparse rows, ``{column: value}`` dicts
+with nonzero entries only, keyed by pivot column.  Two integer steps do all
+the elimination: ``integer_extend`` scales a row to a primitive integer row
+and reduces it fraction-free (Bareiss; the exact integer strategy of Dumas,
+Saunders & Villard) against an unreduced integer echelon basis, and
+``_clear`` back-substitutes an integer row against a reduced integer basis,
+dividing nothing.  ``integer_echelon`` loops over the first; ``to_rref`` and
+``reduced_extend`` run the second, then divide each row by its pivot entry
+or add it, and ``echelon``, the one elimination of a set of rows, is
+``to_rref(integer_echelon(rows))``, the unique reduced row echelon basis.  A
+``Fraction`` is built only by that division and by ``ColumnSolver.solve``
+for its result.  A rank, a pivot set or a test of whether a row grows a span
+needs only the integer basis; ``Cohomology`` never calls ``to_rref``.
 
-Library code calls ``echelon``, ``integer_echelon``, ``integer_extend``
-(spans grown one row at a time), and ``nullspace`` and ``ColumnSolver``,
-which take a matrix as a list of sparse columns, the form in which the
-cochain complexes and changes of basis are built.  The dense views
-``rref``, ``rank``, ``in_rowspan``, ``invert`` and ``identity`` take
+The order in which ``integer_echelon`` takes its rows changes its cost, not
+an answer: every caller reads a pivot set (ranks, Betti numbers), a unique
+reduced basis (``to_rref``, ``nullspace``; ``ColumnSolver``'s, whose "free
+coordinates 0" rule lies in where it puts e_j) or a span (products, bases).
+
+Library code calls ``echelon``, ``integer_echelon``, ``integer_extend`` and
+``reduced_extend`` (spans grown one row at a time), and ``nullspace`` and
+``ColumnSolver``, which take a matrix as a list of sparse columns, the form
+in which the cochain complexes and changes of basis are built.  The dense
+views ``rref``, ``rank``, ``in_rowspan``, ``invert`` and ``identity`` take
 matrices as lists of rows of Fraction; they serve tests and the benchmark's
 input generation, plus the small dense rank checks in ``morphisms`` and the
 dense basis that ``Cohomology.decomposable_subspace`` returns.
@@ -133,12 +138,12 @@ def integer_extend(basis: dict[int, dict[int, int]], row: dict[int, Fraction | i
 
 def integer_echelon(rows: Iterable[dict[int, Fraction | int]]) -> dict[int, dict[int, int]]:
     """Echelon basis of the span of sparse rows, pivot -> primitive integer
-    row, one ``integer_extend`` per row.  Its pivot set is that of the span;
-    ``to_rref`` gives the unique reduced form."""
+    row, in pivot order: one ``integer_extend`` per row, shortest first (the
+    Markowitz rule, 1957, against fill and entry growth; no answer reads it)."""
     basis: dict[int, dict[int, int]] = {}
-    for row in rows:
+    for row in sorted(rows, key=len):
         integer_extend(basis, row)
-    return basis
+    return {c: basis[c] for c in sorted(basis)}
 
 
 def _clear(r: dict[int, int], pivots: list[int], basis: dict[int, dict[int, int]]) -> int:
@@ -153,6 +158,21 @@ def _clear(r: dict[int, int], pivots: list[int], basis: dict[int, dict[int, int]
     for j in pivots:
         _subtract(r, r[j] // basis[j][j], basis[j])
     return m
+
+
+def reduced_extend(basis: dict[int, dict[int, int]], row: dict[int, Fraction | int]) -> bool:
+    """Add ``row`` to an integer reduced basis (``_back_substitute``'s) in
+    place; True iff the span grew.  ``row``, made primitive, is ``_clear``ed;
+    a nonzero rest joins at its leading column c, cleared from the others."""
+    r = _primitive(row)
+    _clear(r, [j for j in r if j in basis], basis)
+    if r:
+        _remove_content(r)
+        basis[c := min(r)] = r
+        for other in [o for o in basis.values() if c in o and o is not r]:
+            _clear(other, [c], basis)
+            _remove_content(other)
+    return bool(r)
 
 
 def _back_substitute(basis: dict[int, dict[int, int]]) -> dict[int, dict[int, int]]:
@@ -215,7 +235,7 @@ def rref(rows: list[Row], ncols: int | None = None) -> tuple[list[Row], list[int
     if ncols is None:
         ncols = len(rows[0]) if rows else 0
     basis = echelon(sparse(row) for row in rows)
-    pivots = sorted(basis)
+    pivots = list(basis)
     return [dense(basis[c], ncols) for c in pivots], pivots
 
 
@@ -243,7 +263,7 @@ def nullspace(columns: list[Vec], nrows: int) -> list[Vec]:
     basis = integer_echelon(
         {**_within(col, nrows), nrows + j: 1} for j, col in enumerate(columns))
     relations = to_rref({c: r for c, r in basis.items() if c >= nrows})
-    return [{j - nrows: x for j, x in relations[c].items()} for c in sorted(relations)]
+    return [{j - nrows: x for j, x in r.items()} for r in relations.values()]
 
 
 def in_rowspan(red: list[Row], pivots: list[int], v: Row) -> bool:

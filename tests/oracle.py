@@ -4,7 +4,9 @@ The oracle is written independently of the library pipeline: it builds the
 Chevalley-Eilenberg differential straight from the structure constants with
 its own sign bookkeeping and ranks the dense matrices with its own forward
 elimination; its bracket, and the Jacobiator built on it, take dense vectors
-of Fractions.
+of Fractions.  Where dense Fraction ranks are too slow (n >= 16),
+``modular_ranks`` builds d as sparse columns from the structure constants
+and ranks them modulo a large prime, with no code of ``nilrigid.linalg``.
 Agreement with the library is therefore meaningful evidence.
 """
 
@@ -311,6 +313,70 @@ def oracle_class_rank(L, p, cochains, modulo_products=False) -> int:
             raise ValueError("cochain is not closed")
     base = _coboundaries_and_products(L, p) if modulo_products else _coboundaries(L, p)
     return _forward_rank(base + vectors, width) - _forward_rank(base, width)
+
+
+# -- ranks modulo a prime ----------------------------------------------------
+
+# the Mersenne prime 2^61 - 1: over F_P a rank is at most the rational rank
+# and equal to it for all but finitely many primes, so at a prime this large
+# a rank that differs from the engine's flags a bug on either side
+PRIME = 2**61 - 1
+
+
+def modular_columns(L, p, prime=PRIME):
+    """d: Lambda^p -> Lambda^(p+1) as sparse columns {mask: value mod prime},
+    one per degree-p mask (bit i: generator i), straight from L.brackets:
+    d v^i = -sum_(l<k) c^i_lk v^l v^k, and d of v^(i_0) ... v^(i_(p-1)) is
+    sum_pos (-1)^pos (d v^(i_pos)) ^ rest, whose sign is that of moving v^l,
+    then v^k, behind rest: (-1)^(#rest above l + #rest above k)."""
+    n = L.dimension
+    terms = [[] for _ in range(n)]  # terms[i]: (l, k, -c^i_lk mod prime)
+    for (l, k), vec in L.brackets.items():
+        for i, c in vec.items():
+            terms[i].append((l, k, -c.numerator * pow(c.denominator, -1, prime) % prime))
+    columns = []
+    for mono in combinations(range(n), p):
+        mask = sum(1 << i for i in mono)
+        col = {}
+        for pos, i in enumerate(mono):
+            rest = mask ^ (1 << i)
+            for l, k, c in terms[i]:
+                if rest >> l & 1 or rest >> k & 1:
+                    continue
+                flips = pos + (rest >> l + 1).bit_count() + (rest >> k + 1).bit_count()
+                target = rest | 1 << l | 1 << k
+                col[target] = (col.get(target, 0) + (-c if flips % 2 else c)) % prime
+        columns.append({m: x for m, x in col.items() if x})
+    return columns
+
+
+def modular_rank(columns, prime=PRIME) -> int:
+    """Rank modulo prime of sparse columns: each is reduced at its least
+    row by the stored column with that leading row, scaled to 1 there, until
+    it is zero or leads at a new row, where it is stored."""
+    stored = {}
+    for column in columns:
+        r = dict(column)
+        while r:
+            lead = min(r)
+            prow = stored.get(lead)
+            if prow is None:
+                inv = pow(r[lead], -1, prime)
+                stored[lead] = {j: x * inv % prime for j, x in r.items()}
+                break
+            f = r[lead]
+            for j, x in prow.items():
+                v = (r.get(j, 0) - f * x) % prime
+                if v:
+                    r[j] = v
+                else:
+                    r.pop(j, None)
+    return len(stored)
+
+
+def modular_ranks(L, prime=PRIME) -> tuple:
+    """rank d_p modulo prime for p = 0..n-1, every degree eliminated."""
+    return tuple(modular_rank(modular_columns(L, p, prime), prime) for p in range(L.dimension))
 
 
 # -- random algebra generation ----------------------------------------------

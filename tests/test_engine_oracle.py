@@ -14,6 +14,7 @@ denominators, seeded and drawn.
 import random
 from collections import Counter
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -22,6 +23,7 @@ from nilrigid import Cohomology, Form, LieAlgebra, ModelError, NotNilpotentError
 from nilrigid import ce_model, check_d_squared, cochain_matrix
 from nilrigid import adapted_basis, change_basis, generated_basis, jacobi_defect, lower_central_series
 from nilrigid import apply_differential, monomial_basis, trivial_basis
+from nilrigid import free_nilpotent_lie, lie_from_model, theorem1_family, theorem2_family
 from nilrigid.lie import sparse_basis
 from nilrigid.linalg import dense, rank
 from oracle import (
@@ -29,6 +31,7 @@ from oracle import (
     base_algebras,
     corrupt,
     jacobiator,
+    modular_ranks,
     oracle_betti,
     oracle_class_rank,
     oracle_bracket,
@@ -153,6 +156,30 @@ def test_large_denominator_conjugates_match_the_oracle():
         for p in range(1, L.dimension + 1):
             assert H.indecomposables(p)[0] == oracle_indecomposables(L, p), (L.names, p)
     assert len(scales) == 5 and max(scales) > 10**100
+
+
+def modular_case(name):
+    """(the algebra the engine gets, an algebra isomorphic to it that the
+    modular oracle ranks).  The conjugate of free(3,3) is dense, so the
+    oracle ranks free(3,3) in its own sparse basis, which has the same ranks:
+    modulo P, its d_3 alone takes seconds in the dense one."""
+    if name == "conjugate of free(3,3)":
+        free = free_nilpotent_lie(3, 3).algebra
+        return rational_conjugate(random.Random(0), free), free
+    L = lie_from_model({"theorem1(4)": theorem1_family, "theorem2(4)": theorem2_family}[name](4))
+    return L, L
+
+
+@pytest.mark.parametrize("name", ["theorem1(4)", "theorem2(4)", "conjugate of free(3,3)"])
+def test_ranks_match_the_modular_oracle(name):
+    # the one check at n >= 16 outside the engine's code: every rank d_p,
+    # the engine's read off its Betti vector, so those it mirrors included
+    L, sparse = modular_case(name)
+    n, betti = L.dimension, Cohomology.of(L).betti_vector()
+    ranks = [0]  # ranks[p + 1] = rank d_p
+    for p in range(n):
+        ranks.append(comb(n, p) - betti[p] - ranks[p])
+    assert tuple(ranks[1:]) == modular_ranks(sparse)
 
 
 def assert_of_answers_as_the_model(L, basis) -> bool:

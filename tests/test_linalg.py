@@ -57,16 +57,41 @@ def test_rref_is_canonical(rows):
         assert all(other[pc] == 0 for k, other in enumerate(red) if k != i)
     # same span: the input adds nothing to the reduced rows
     assert _forward_rank(rows + red, ncols) == r
-    # canonical: any order of the rows gives the same form
-    shuffled = list(rows)
-    random.Random(len(rows)).shuffle(shuffled)
-    assert linalg.rref(shuffled[::-1], ncols) == (red, pivots)
     # one row at a time: the span grows exactly when the oracle's rank does
     basis = {}
     for i, row in enumerate(rows):
         grew = oracle_extend(basis, linalg.sparse(row))
         assert grew == (_forward_rank(rows[: i + 1], ncols) > _forward_rank(rows[:i], ncols))
     assert [linalg.dense(basis[c], ncols) for c in sorted(basis)] == red
+
+
+@pytest.mark.parametrize("rows", matrices())
+def test_row_order_changes_no_answer(rows):
+    # integer_echelon eliminates shortest rows first, stably, so the order of
+    # rows of one length is the input's; no consumer may read it
+    nrows, ncols = len(rows), len(rows[0])
+    order = list(range(nrows))
+    random.Random(nrows * ncols).shuffle(order)
+    shuffled = [rows[i] for i in order]
+    sparse_rows = [linalg.sparse(row) for row in rows]
+    basis = linalg.integer_echelon(sparse_rows)
+    assert list(basis) == sorted(basis)
+    assert list(linalg.integer_echelon(linalg.sparse(row) for row in shuffled)) == list(basis)
+    assert linalg.echelon(linalg.sparse(row) for row in shuffled[::-1]) == linalg.echelon(sparse_rows)
+    assert linalg.rref(shuffled[::-1], ncols) == linalg.rref(rows, ncols)
+    # nullspace and ColumnSolver eliminate the columns, whose entries move
+    # to other rows when the rows of the matrix are shuffled
+    assert (linalg.nullspace(columns_of(shuffled, ncols), nrows)
+            == linalg.nullspace(columns_of(rows, ncols), nrows))
+    solver = linalg.ColumnSolver(columns_of(rows, ncols), nrows)
+    moved = linalg.ColumnSolver(columns_of(shuffled, ncols), nrows)
+    assert moved.rank == solver.rank == _forward_rank(rows, ncols)
+    rng = random.Random(nrows + ncols)
+    probes = [apply(rows, [Fraction(rng.randint(-3, 3)) for _ in range(ncols)]) for _ in range(3)]
+    probes += [[Fraction(int(i == k)) for i in range(nrows)] for k in range(nrows)]
+    for b in probes:
+        assert (moved.solve({k: b[i] for k, i in enumerate(order) if b[i]})
+                == solver.solve({i: x for i, x in enumerate(b) if x}))
 
 
 @pytest.mark.parametrize("rows", matrices())
@@ -187,7 +212,7 @@ def test_integer_echelon_is_the_reduced_basis_of_extend(matrix):
     ncols, rows = matrix
     reference = extend_loop(rows)
     basis = linalg.echelon(rows)
-    assert basis == reference and list(basis) == list(reference)
+    assert basis == reference and list(basis) == sorted(reference)
     assert all(type(x) is Fraction for row in basis.values() for x in row.values())
     assert linalg.integer_echelon(rows).keys() == reference.keys()
 
@@ -235,6 +260,25 @@ def test_integer_extend_grows_the_span_that_extend_grows(matrix):
     assert integer.keys() == linalg.integer_echelon(rows).keys()
     assert all(type(x) is int and x for row in integer.values() for x in row.values())
     assert all(math.gcd(*row.values()) == 1 and min(row) == c for c, row in integer.items())
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(sparse_matrices())
+def test_reduced_extend_grows_the_span_that_integer_extend_grows(matrix):
+    ncols, rows = matrix
+    copies = [dict(row) for row in rows]
+    integer, reduced = {}, {}
+    for row in rows:
+        assert linalg.reduced_extend(reduced, row) == linalg.integer_extend(integer, row)
+        # the unique reduced basis of the span, each row primitive and 0 at
+        # every other pivot, up to the sign of the row
+        expected = linalg._back_substitute({c: dict(r) for c, r in integer.items()})
+        assert reduced.keys() == expected.keys()
+        for c, r in reduced.items():
+            sign = 1 if (r[c] > 0) == (expected[c][c] > 0) else -1
+            assert r == {j: sign * x for j, x in expected[c].items()}
+    assert rows == copies
+    assert all(type(x) is int and x for row in reduced.values() for x in row.values())
 
 
 def test_integer_extend_leaves_an_int_row_unchanged():
