@@ -184,8 +184,8 @@ def _cmd_cohomology(args, report):
         report["by_weight"] = {str(w): d for w, d in sorted(by_weight.items())}
         report["betti"] = sum(by_weight.values())
     else:
-        report["betti"] = H.betti(p)
-        report["representatives"] = [form_to_str(f) for f in H.basis(p)]
+        report["betti"] = len(reps := [form_to_str(f) for f in H.basis(p)])  # b_p, from Z^p
+        report["representatives"] = reps
     return True
 
 

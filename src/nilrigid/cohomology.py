@@ -6,12 +6,10 @@ Carnot-homogeneous differentials.  All elimination is exact, fraction-free
 on integers with rational results, so every reported number is exact.
 ``Cohomology.of(L, basis)`` is the one entry from a Lie algebra; it names a
 d^2 defect in L's own basis.  Each d_p is built once, in a basis where it is
-sparse (see ``Cohomology``), and its column span eliminated once: Betti
-numbers count pivots of those coboundary bases, for p <= (n-1)/2 alone when
-d_(n-1) = 0 (then rank d_p = rank d_(n-1-p)) and in every degree otherwise,
-and ``linalg.nullspace`` eliminates d_p again for cocycles.
-Indecomposables come from integer cochain spans, with no class coordinates,
-grown by products whose least factor is an indecomposable (see ``_factors``).
+sparse, and eliminated once (see ``Cohomology``): Betti numbers count pivots
+of the coboundary bases B^(p+1), and classes take Z^p from the same
+elimination.  Indecomposables come from integer cochain spans, with no class
+coordinates, grown by products in standard-monomial order (see ``_factors``).
 d and every cup product are computed by the exterior-algebra kernel of
 ``forms``, on monomials as bitmasks: row j of a degree-p cochain is the j-th
 mask of ``_masks``, each column of d is one ``_derive`` and each product one
@@ -86,8 +84,8 @@ def _inverse_images(basis: AdaptedBasis) -> list[Terms]:
 
 
 class _Classes:
-    """Representatives of one degree as reduced cocycle vectors; the solver
-    and their primitive integer term lists are built on first use."""
+    """Representatives of one degree as int rows by pivot (see ``Cohomology``);
+    the solver and their kernel terms are built on first use."""
 
     __slots__ = ("masks", "vectors", "solver", "terms")
 
@@ -100,19 +98,21 @@ class Cohomology:
     eliminated in the basis that ``lie.sparse_basis`` picks for the model's
     algebra: its generated basis, where d is sparse, or the model's own.
     d^2 = 0 is checked there; a defect is computed again only to name it.
-    Each d_p is built once, on ints as D * d, and its column span, B^(p+1),
-    eliminated once into an integer echelon basis: Betti numbers count its
-    pivots, for p <= (n-1)/2 alone when d_(n-1) = 0 and for every p
-    otherwise (see ``betti_vector``).  The kernel of d_p is Z^p.
-    From the generated basis, B^p and Z^p are pushed by phi, Lambda^p of the
-    inverse change of basis, and eliminated again: the reduced basis of Z^p is
-    unique, so the representatives are the model's own.  The model in its
-    own basis and the images of phi are built on first read, so Betti numbers
-    build only the model they eliminate and solve nothing.  The weight
-    refinement counts the model's B^p pivots.  Classes are solved as cochain
-    vectors against the representatives and the rows of B^p, a basis of Z^p:
-    membership is closedness.  Indecomposables need no solve: they are the
-    representatives that extend B^p and the products of classes.
+    Each d_p is built once, on ints as D * d.  Ranks eliminate its column
+    span, B^(p+1), into an integer echelon basis and count its pivots, for
+    p <= (n-1)/2 alone when d_(n-1) = 0 (see ``betti_vector``).  Once a
+    class is asked for, d_p is eliminated with its kernel instead (but not by
+    ``betti_vector``), so twice only if its rank was read before.
+    The representatives are the rows of the integer reduced basis of Z^p
+    whose pivot is not one of B^p, as ints; class coordinates and forms read
+    them over their pivot entry, the unique reduced basis.  From the
+    generated basis, B^p and Z^p are pushed by phi, Lambda^p of the inverse
+    change of basis, and eliminated again, so the representatives are the
+    model's own.  The model in its own basis and the images of phi are built
+    on first read, so Betti numbers build only the model they eliminate and
+    solve nothing.  The weight refinement counts the model's B^p pivots.
+    Classes are solved against the representatives and the rows of B^p, a
+    basis of Z^p: membership is closedness.  Indecomposables need no solve.
     A ``Form`` is built only where a caller reads one.
     """
 
@@ -149,8 +149,10 @@ class Cohomology:
             raise ModelError(f"d^2 != 0 on {names}", defects=defects)
         self._d: dict[int, list[dict[int, int]]] = {}
         self._echelons: dict[int, dict[int, dict[int, int]]] = {}
+        self._kernels: dict[int, dict[int, dict[int, int]]] | None = None  # None: ranks alone
         self._data: dict[int, _Classes] = {}
         self._units: dict[int, list[int]] = {}
+        self._grown: dict[int, list[tuple[tuple[int, int], Terms]]] = {}
 
     @cached_property
     def model(self) -> SullivanModel:
@@ -164,10 +166,17 @@ class Cohomology:
             self._d[p] = cochain_matrix(self._eliminated, p)
         return self._d[p]
 
-    def _boundaries(self, p: int) -> dict[int, dict[int, int]]:
-        """The integer echelon basis of B^p = d(Lambda^(p-1)), by pivot."""
+    def _boundaries(self, p: int, kernels: bool = True) -> dict[int, dict[int, int]]:
+        """The integer echelon basis of B^p = d(Lambda^(p-1)), by pivot.  Once
+        classes are asked for, unless ``kernels`` is False, the elimination of
+        d_(p-1) gives Z^(p-1) too, kept in ``_kernels`` for ``_degree(p - 1)``."""
         if p not in self._echelons:
-            self._echelons[p] = linalg.integer_echelon(self._differential(p - 1)) if p > 0 else {}
+            d = self._differential(p - 1) if p > 0 else []
+            if self._kernels is None or not kernels:
+                self._echelons[p] = linalg.integer_echelon(d) if d else {}
+            else:
+                rows = comb(self._eliminated.dimension, max(p, 0))
+                self._echelons[p], self._kernels[p - 1] = linalg.image_and_kernel(d, rows)
         return self._echelons[p]
 
     def _pivots(self, p: int) -> dict[int, dict[int, int]]:
@@ -203,16 +212,18 @@ class Cohomology:
     def _degree(self, p: int) -> _Classes:
         if p in self._data:
             return self._data[p]
-        n = self._eliminated.dimension
-        cocycles = linalg.nullspace(self._differential(p), comb(n, p + 1))
+        self._kernels = self._kernels or {}  # from now on d_p is eliminated with its kernel
+        if p not in self._kernels:  # d_p not eliminated yet, or for its rank alone
+            self._echelons.pop(p + 1, None)
+            self._boundaries(p + 1)
+        cocycles = self._kernels.pop(p)
         if self._basis is not None:  # Z^p in the model's basis, reduced
-            cocycles = list(linalg.echelon(self._push(cocycles, p)).values())
+            cocycles = linalg._back_substitute(linalg.integer_echelon(
+                self._push(cocycles.values(), p)))
         coboundaries = self._pivots(p)
         data = _Classes()
-        data.masks = _mask_index(n, p)  # the rows of cochains
-        # representatives: reduced echelon cocycle rows whose pivot is not a
-        # coboundary pivot; deterministic by construction
-        data.vectors = [v for v in cocycles if min(v) not in coboundaries]
+        data.masks = _mask_index(self._eliminated.dimension, p)  # the rows of cochains
+        data.vectors = {c: v for c, v in cocycles.items() if c not in coboundaries}
         data.solver = data.terms = None
         self._data[p] = data
         return data
@@ -221,38 +232,44 @@ class Cohomology:
         """Class of the cochain v of degree p, by monomial index; refused unless closed."""
         data = self._degree(p)
         if data.solver is None:
-            columns = data.vectors + list(self._pivots(p).values())
+            columns = list(data.vectors.values()) + list(self._pivots(p).values())
             data.solver = linalg.ColumnSolver(columns, len(data.masks))
         x = data.solver.solve(v)
         if x is None:
             masks, monos = list(data.masks), _Monomials()
             f = Form(self.model.generators, {monos[masks[j]]: c for j, c in v.items()})
             raise NotClosedError("form is not closed", differential=self.model.d(f))
-        return ClassVector(p, tuple(x[: len(data.vectors)]))
+        return ClassVector(p, tuple(y * r[c] for y, (c, r) in zip(x, data.vectors.items())))
 
     def _terms(self, p: int) -> list[Terms]:
         """The representatives of degree p as primitive integer kernel terms."""
         data = self._degree(p)
         if data.terms is None:
             masks = list(data.masks)
-            data.terms = [_mask_terms((masks[j], c) for j, c in linalg._primitive(v).items())
-                          for v in data.vectors]
+            data.terms = [_mask_terms((masks[j], c) for j, c in v.items())
+                          for v in data.vectors.values()]
         return data.terms
 
     def _factors(self, p: int):
-        """(i, g, h): positions among the unit classes of an indecomposable g
-        of degree i <= p / 2 and a class h of degree p - i, indecomposable if
-        3i > p; their products g . h span H^+ . H^+ in degree p.  For the
-        indecomposables generate H^+, so it is spanned by their products
-        g_1 ... g_k, k >= 2, ordered by degree up to sign: deg g_1 = i <= p / k.
-        If k >= 3, i <= p / 3 and g_2 ... g_k is a class of degree p - i; if
-        3i > p, k = 2 and g_2 is an indecomposable of degree p - i.  If 2i = p,
-        h >= g (h > g for odd i): g . h = +-h . g, and g . g = 0 for odd i."""
+        """(label, a, b): kernel terms a of an indecomposable g of degree i <= p / 2
+        and b of a class h of degree p - i, label (i, g) (degree, position): the
+        products g . h span H^+ . H^+ in degree p, as do the products of two or
+        more indecomposables, least factor first.  Once ``_products(p - i)``
+        has split H^(p-i), h runs over its indecomposables and the products
+        that grew its span, labelled by themselves and by their least factor
+        g', and only when that label is >= (i, g), > for odd i: if (i', g') <
+        (i, g), g . (g' . h') = +-g' . (g . h') is spanned, by induction on the
+        label.  Elsewhere h runs over the unit classes; if 3i > p, only the
+        indecomposables of degree p - i are needed, and it is split first."""
         for i in range(1, p // 2 + 1):
-            seconds = range(self.betti(p - i)) if 3 * i <= p else self._products(p - i)
-            for k, g in enumerate(self._products(i) if seconds else ()):
-                for h in seconds[k + i % 2:] if 2 * i == p else seconds:
-                    yield i, g, h
+            q = p - i
+            units = self._products(q) if 3 * i > p or q in self._units else range(self.betti(q))
+            seconds = [((q, u), self._terms(q)[u]) for u in units] + self._grown.get(q, [])
+            for g in self._products(i) if seconds else ():
+                a, least = self._terms(i)[g], (i, g + i % 2)
+                for label, b in seconds:
+                    if label >= least:
+                        yield (i, g), a, b
 
     def _products(self, p: int) -> list[int]:
         """Positions of the indecomposables of degree p among its unit classes.
@@ -261,37 +278,33 @@ class Cohomology:
         ``linalg._back_substitute`` of a copy of the integer basis of B^p.
         Each product of ``_factors(p)`` is one ``_multiply`` of integer kernel
         terms, which ``linalg.reduced_extend`` clears in one pass and adds if
-        it grows the span, until it has dim Z^p = len(B^p) + b_p rows.  Once a
-        product c . e_j of one term is offered, e_j stays in the span: a
-        product whose terms all lie on such rows, zero included, is skipped.
-        The unit classes whose cocycles extend the span, in order, represent
-        H^p / (H^+ . H^+), and it ends as Z^p exactly when every product in it
-        is closed, else NotClosedError is raised; no basis of it changes this.
+        it grows the span, until it has dim Z^p = len(B^p) + b_p rows; those
+        that grow it are kept in ``_grown``, labelled.  A product whose terms
+        all lie on rows e_j of the span, offered as products of one term, is
+        skipped.  The unit classes whose cocycles extend the span, in order,
+        represent H^p / (H^+ . H^+), and it ends as Z^p exactly when every
+        product in it is closed, else NotClosedError is raised.
         """
         if p in self._units:
             return self._units[p]
-        if not self.betti(p):
-            return []
         data = self._degree(p)
         span = linalg._back_substitute({c: dict(r) for c, r in self._pivots(p).items()})
-        full = len(span) + self.betti(p)
-        terms: dict[int, tuple[list[Terms], list[Terms]]] = {}
-        known: set[int] = set()  # rows j with e_j in the span
-        for i, g, h in self._factors(p):
+        full = len(span) + len(data.vectors)
+        masks, grown, known = list(data.masks), [], set()  # known: rows j with e_j in the span
+        for label, a, b in self._factors(p) if data.vectors else ():
             if len(span) == full:
                 break
-            if i not in terms:
-                terms[i] = self._terms(i), self._terms(p - i)
-            v = _multiply(terms[i][0][g], terms[i][1][h], data.masks)
+            v = _multiply(a, b, data.masks)
             if known.issuperset(v):  # zero, or each e_j in the span
                 continue
             if len(v) == 1:
                 known.update(v)
-            linalg.reduced_extend(span, v)
-        units = [j for j, v in enumerate(data.vectors) if linalg.reduced_extend(span, v)]
+            if linalg.reduced_extend(span, v):
+                grown.append((label, _mask_terms((masks[j], c) for j, c in v.items())))
+        units = [j for j, v in enumerate(data.vectors.values()) if linalg.reduced_extend(span, v)]
         if len(span) != full:
             raise NotClosedError(f"a product of classes in degree {p} is not closed")
-        self._units[p] = units
+        self._units[p], self._grown[p] = units, grown
         return units
 
     # -- public api --------------------------------------------------------
@@ -314,7 +327,7 @@ class Cohomology:
         ranks = [0]  # ranks[p + 1] = rank d_p, p = -1..n
         for p in range(n):
             mirrored = mirror and 2 * p > n - 1 and p + 1 not in self._echelons
-            ranks.append(ranks[n - p] if mirrored else len(self._boundaries(p + 1)))
+            ranks.append(ranks[n - p] if mirrored else len(self._boundaries(p + 1, False)))
         ranks.append(0)
         return tuple(comb(n, p) - ranks[p + 1] - ranks[p] for p in range(n + 1))
 
@@ -322,7 +335,7 @@ class Cohomology:
         """Closed representative forms mapping to a basis of H^p."""
         if p < 0 or p > self.model.dimension:
             return []
-        return [self.form_of(self.unit_class(p, i)) for i in range(self.betti(p))]
+        return [self.form_of(self.unit_class(p, i)) for i in range(len(self._degree(p).vectors))]
 
     def class_coordinates(self, f: Form, p: int | None = None) -> ClassVector:
         """Coordinates of a closed form in the representative basis of H^p."""
@@ -345,10 +358,11 @@ class Cohomology:
             raise ValueError(f"a class of degree {v.degree} has {len(data.vectors)} "
                              f"coordinates, not {len(v.coordinates)}")
         out: dict[int, Fraction] = {}
-        for c, vec in zip(v.coordinates, data.vectors):
+        for c, (pivot, vec) in zip(v.coordinates, data.vectors.items()):
             if c:
+                q = Fraction(c, vec[pivot])  # the representative is vec / its pivot entry
                 for j, x in vec.items():
-                    out[j] = out.get(j, 0) + c * x
+                    out[j] = out.get(j, 0) + q * x
         masks = list(data.masks)
         return [(masks[j], x) for j, x in out.items()]
 
@@ -371,9 +385,12 @@ class Cohomology:
 
     def decomposable_subspace(self, p: int) -> list[list[Fraction]]:
         """rref basis of the image of H^+ . H^+ inside H^p coordinates: the
-        ``cup`` products of the unit classes paired by ``_factors(p)``."""
-        rows = [list(self.cup(self.unit_class(i, g), self.unit_class(p - i, h)).coordinates)
-                for i, g, h in self._factors(p)]
+        class coordinates of the products that grew the span of
+        ``_products(p)``, which span it."""
+        self._products(p)
+        index = self._degree(p).masks
+        rows = [list(self._coordinates({index[m]: c for m, _, c in b}, p).coordinates)
+                for _, b in self._grown[p]]
         return linalg.rref(rows, self.betti(p))[0]
 
     def indecomposables(self, p: int) -> tuple[int, tuple[ClassVector, ...]]:

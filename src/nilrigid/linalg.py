@@ -8,25 +8,24 @@ Saunders & Villard) against an unreduced integer echelon basis, and
 ``_clear`` back-substitutes an integer row against a reduced integer basis,
 dividing nothing.  ``integer_echelon`` loops over the first; ``to_rref`` and
 ``reduced_extend`` run the second, then divide each row by its pivot entry
-or add it, and ``echelon``, the one elimination of a set of rows, is
-``to_rref(integer_echelon(rows))``, the unique reduced row echelon basis.  A
-``Fraction`` is built only by that division and by ``ColumnSolver.solve``
-for its result.  A rank, a pivot set or a test of whether a row grows a span
-needs only the integer basis; ``Cohomology`` never calls ``to_rref``.
+or add it, and ``echelon`` is ``to_rref(integer_echelon(rows))``, the unique
+reduced row echelon basis.  ``image_and_kernel`` takes the span of a matrix's
+columns and its integer reduced kernel from one ``integer_echelon``, and
+``nullspace`` is the ``to_rref`` of that kernel.  A ``Fraction`` is built
+only by such a division and by ``ColumnSolver.solve`` for its result; a
+rank, a pivot set or a test of whether a row grows a span needs none.
 
 The order in which ``integer_echelon`` takes its rows changes its cost, not
 an answer: every caller reads a pivot set (ranks, Betti numbers), a unique
-reduced basis (``to_rref``, ``nullspace``; ``ColumnSolver``'s, whose "free
+reduced basis (``to_rref``, kernels; ``ColumnSolver``'s, whose "free
 coordinates 0" rule lies in where it puts e_j) or a span (products, bases).
 
-Library code calls ``echelon``, ``integer_echelon``, ``integer_extend`` and
-``reduced_extend`` (spans grown one row at a time), and ``nullspace`` and
-``ColumnSolver``, which take a matrix as a list of sparse columns, the form
-in which the cochain complexes and changes of basis are built.  The dense
-views ``rref``, ``rank``, ``in_rowspan``, ``invert`` and ``identity`` take
-matrices as lists of rows of Fraction; they serve tests and the benchmark's
-input generation, plus the small dense rank checks in ``morphisms`` and the
-dense basis that ``Cohomology.decomposable_subspace`` returns.
+``image_and_kernel``, ``nullspace`` and ``ColumnSolver`` take a matrix as a
+list of sparse columns, the form in which the cochain complexes and changes
+of basis are built.  The dense views ``rref``, ``rank``, ``in_rowspan``,
+``invert`` and ``identity`` take lists of rows of Fraction; they serve tests
+and the benchmark's input generation, plus the small dense rank checks in
+``morphisms`` and the dense basis of ``Cohomology.decomposable_subspace``.
 """
 
 from __future__ import annotations
@@ -177,7 +176,7 @@ def reduced_extend(basis: dict[int, dict[int, int]], row: dict[int, Fraction | i
 
 def _back_substitute(basis: dict[int, dict[int, int]]) -> dict[int, dict[int, int]]:
     """Turn an ``integer_echelon`` basis in place into the integer reduced
-    basis of its span, each row its reduced row times its pivot entry, and
+    basis of its span, each row primitive with a positive pivot entry, and
     return it.  In decreasing pivot order each row is cleared at the later
     pivots it holds, whose rows are already reduced, then made primitive."""
     for c in sorted(basis, reverse=True):
@@ -186,6 +185,8 @@ def _back_substitute(basis: dict[int, dict[int, int]]) -> dict[int, dict[int, in
         if later:
             _clear(r, later, basis)
             _remove_content(r)
+        if r[c] < 0:
+            _scale(r, -1)
     return basis
 
 
@@ -252,18 +253,28 @@ def _within(vec: dict, nrows: int) -> dict:
     return vec
 
 
-def nullspace(columns: list[Vec], nrows: int) -> list[Vec]:
-    """Reduced echelon basis of {x : sum_j x_j columns[j] = 0}, by pivot.
-
-    Eliminates the rows (c_j | e_j), with e_j placed after the ``nrows``
-    matrix coordinates: the rows whose pivot lies in the e part are zero in
-    the c part and carry the relations, so only they are back-substituted.
-    Raises ValueError for a row index outside 0..nrows-1.
+def image_and_kernel(columns: list[Vec], nrows: int) -> tuple[dict, dict]:
+    """An integer echelon basis of the span of columns of ``nrows`` rows and
+    the integer reduced basis (``_back_substitute``'s) of {x : sum_j x_j
+    columns[j] = 0}, both by pivot, from one elimination of the rows
+    (c_j | e_j), e_j placed after the matrix coordinates.  A row whose pivot
+    lies in the c part is, there and made primitive, a row of the first; the
+    others are zero in the c part and carry the relations, so only they are
+    back-substituted.  Raises ValueError for a row index outside 0..nrows-1.
     """
     basis = integer_echelon(
         {**_within(col, nrows), nrows + j: 1} for j, col in enumerate(columns))
-    relations = to_rref({c: r for c, r in basis.items() if c >= nrows})
-    return [{j - nrows: x for j, x in r.items()} for r in relations.values()]
+    image = {c: {j: x for j, x in r.items() if j < nrows} for c, r in basis.items() if c < nrows}
+    for r in image.values():
+        _remove_content(r)
+    kernel = _back_substitute({c: r for c, r in basis.items() if c >= nrows})
+    return image, {c - nrows: {j - nrows: x for j, x in r.items()} for c, r in kernel.items()}
+
+
+def nullspace(columns: list[Vec], nrows: int) -> list[Vec]:
+    """Reduced echelon basis of {x : sum_j x_j columns[j] = 0}, by pivot:
+    the kernel of ``image_and_kernel``, each row divided by its pivot entry."""
+    return list(to_rref(image_and_kernel(columns, nrows)[1]).values())
 
 
 def in_rowspan(red: list[Row], pivots: list[int], v: Row) -> bool:

@@ -209,18 +209,20 @@ class Fingerprint:
 def fingerprint(L: LieAlgebra, max_indec_degree: int | None = None) -> Fingerprint:
     """Invariant tuple of a validated nilpotent Lie algebra, computed by
     ``Cohomology.of(L)``, whose model's weights give the LCS quotients.
-    Indecomposables are counted in degrees 1..max_indec_degree (all when None)."""
+    Indecomposables, in degrees 1..max_indec_degree (all when None), are counted
+    before the Betti numbers, which then read the ranks of their eliminations."""
     if max_indec_degree is not None and max_indec_degree < 0:
         raise ValueError(f"the indecomposable degree bound must be >= 0, got {max_indec_degree}")
     H = Cohomology.of(L)
     weights = H.model.weights
     n = L.dimension
     top = n if max_indec_degree is None else min(n, max_indec_degree)
+    indecomposables = tuple(H.indecomposables(p)[0] for p in range(1, top + 1))
     return Fingerprint(
         dimension=n,
         lcs_quotients=tuple(weights.count(w) for w in range(max(weights) + 1)),
         betti=H.betti_vector(),
-        indecomposables=tuple(H.indecomposables(p)[0] for p in range(1, top + 1)),
+        indecomposables=indecomposables,
     )
 
 

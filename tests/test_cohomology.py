@@ -218,41 +218,48 @@ def test_each_differential_is_built_once(monkeypatch):
         differentiated.append(f)
         return differentiate(A, f)
 
-    eliminated, reduced = [], []
-    eliminate, to_rref = linalg.integer_echelon, linalg.to_rref
+    eliminated, with_kernels, reduced, back = [], [], [], []
+    eliminate, image_and_kernel = linalg.integer_echelon, linalg.image_and_kernel
+    to_rref, back_substitute = linalg.to_rref, linalg._back_substitute
 
     def counting_eliminate(rows):
         eliminated.append(rows)
         return eliminate(rows)
 
-    def counting_to_rref(basis):
-        reduced.append(basis)
-        return to_rref(basis)
+    def counting_image_and_kernel(columns, nrows):
+        with_kernels.append(columns)
+        return image_and_kernel(columns, nrows)
 
     monkeypatch.setattr(cohomology, "cochain_matrix", counting_build)
     monkeypatch.setattr(cohomology, "_derive", counting_derive)
     monkeypatch.setattr(forms, "apply_differential", counting_differentiate)
     monkeypatch.setattr(linalg, "integer_echelon", counting_eliminate)
-    monkeypatch.setattr(linalg, "to_rref", counting_to_rref)
+    monkeypatch.setattr(linalg, "image_and_kernel", counting_image_and_kernel)
+    monkeypatch.setattr(linalg, "to_rref", lambda basis: reduced.append(basis) or to_rref(basis))
+    monkeypatch.setattr(linalg, "_back_substitute",
+                        lambda basis: back.append(basis) or back_substitute(basis))
     A = theorem1_family(2)
     H = Cohomology(A)
     H.betti_vector()
     for p in range(A.dimension + 1):
         assert sum(H.betti_by_weight(p).values()) == H.betti(p)
     # Betti numbers and the weight split count pivots of integer eliminations
-    assert len(eliminated) == A.dimension + 1 and reduced == []
+    assert len(eliminated) == A.dimension + 1 and with_kernels == reduced == back == []
     for p in range(A.dimension + 1):
         H.basis(p)
         H.indecomposables(p)
     assert sorted(built) == list(range(A.dimension + 1))
-    # representatives, solves and products read the same integer bases:
-    # every d_p is eliminated once, besides the kernels
+    # the ranks kept no kernel, so the classes eliminate every d_p once more,
+    # with its kernel, and no basis is divided into Fractions
     d = [rows for rows in eliminated if any(rows is d_p for d_p in H._d.values())]
     assert len(d) == len({id(rows) for rows in d}) == A.dimension + 1
-    # the integer basis is the only basis of each B^p, p = 0..n+1, and it is
-    # kept: kernels and solvers reduce their own bases, none of B^p's
+    assert len(with_kernels) == len({id(rows) for rows in with_kernels}) == A.dimension + 1
+    assert all(any(rows is d_p for d_p in H._d.values()) for rows in with_kernels)
+    assert reduced == [] and H._kernels == {}
+    # one integer basis of each B^p, p = 0..n+1, is kept: kernels, products
+    # and solvers back-substitute their own bases, none of B^p's
     assert sorted(H._echelons) == list(range(A.dimension + 2))
-    assert reduced and not any(b is e for b in reduced for e in H._echelons.values())
+    assert back and not any(b is e for b in back for e in H._echelons.values())
     # every monomial of the exterior algebra is differentiated exactly once,
     # by the integer kernel and never through a Form
     assert len(derived) == len(set(derived)) == 2 ** A.dimension
@@ -460,13 +467,106 @@ def test_indecomposables_check_that_products_are_closed(monkeypatch):
 
 
 def test_fingerprint_stops_forming_products_at_a_full_span(monkeypatch):
-    # once B^p and the products span Z^p, no further product is formed, and
-    # in degree 2i only one of g . h and h . g is: 5279 products when both were
+    # once B^p and the products span Z^p, no further product is formed, in
+    # degree 2i only one of g . h and h . g is (5279 products when both were),
+    # and g . h only when h's least factor is not below g (4888 when every
+    # class of a lower degree was a second factor)
     calls = []
     multiply = cohomology._multiply
     monkeypatch.setattr(cohomology, "_multiply", lambda *args: calls.append(1) or multiply(*args))
     fingerprint(lie_from_model(theorem4_example()))
-    assert 0 < len(calls) <= 4888
+    assert 0 < len(calls) <= 2818
+
+
+def counted_eliminations(monkeypatch):
+    """Count the eliminations of each differential that ``cochain_matrix``
+    builds, by (id of its list, "rank" or "kernel"); returns the built lists
+    by id, with their degrees, and the counts."""
+    built, counts = {}, Counter()
+    build, eliminate, both = cohomology.cochain_matrix, linalg.integer_echelon, linalg.image_and_kernel
+
+    def counting_build(A, p):
+        d = build(A, p)
+        built[id(d)] = d, p  # keeps d alive, so that its id is not reused
+        return d
+
+    def count(rows, kind):
+        if id(rows) in built:
+            counts[id(rows), kind] += 1
+
+    monkeypatch.setattr(cohomology, "cochain_matrix", counting_build)
+    monkeypatch.setattr(linalg, "integer_echelon", lambda rows: count(rows, "rank") or eliminate(rows))
+    monkeypatch.setattr(linalg, "image_and_kernel",
+                        lambda columns, nrows: count(columns, "kernel") or both(columns, nrows))
+    monkeypatch.setattr(linalg, "nullspace", lambda *args: pytest.fail("d_p eliminated again"))
+    return built, counts
+
+
+def test_class_paths_eliminate_each_differential_once(monkeypatch, tmp_path, capsys):
+    # fingerprint and generators take B^(p+1) and Z^p from one elimination of
+    # d_p, and the Betti vector reads the ranks of those eliminations
+    from nilrigid.cli import main
+    A = theorem4_example()
+    path = tmp_path / "t4.alg"
+    path.write_text(emit_algebra(lie_from_model(A), A.weights))
+    built, counts = counted_eliminations(monkeypatch)
+    fingerprint(lie_from_model(A))
+    assert sorted(p for _, p in built.values()) == list(range(A.dimension + 1))
+    assert sorted(counts) == sorted((key, "kernel") for key in built)
+    assert set(counts.values()) == {1}
+    # below a degree bound the ranks above it are eliminated alone, with no kernel
+    built.clear()
+    counts.clear()
+    fingerprint(lie_from_model(A), max_indec_degree=2)
+    assert {built[key][1]: kind for key, kind in counts} == {
+        0: "kernel", 1: "kernel", 2: "kernel", 3: "rank", 4: "rank"}
+    assert set(counts.values()) == {1}
+    for argv in (["generators", str(path), "--degree", "5"], ["cohomology", str(path), "--degree", "4"],
+                 ["compare", str(path), str(path)]):
+        built.clear()
+        counts.clear()
+        assert main(argv) == 0
+        capsys.readouterr()
+        assert counts and {kind for _, kind in counts} == {"kernel"}, argv
+        assert set(counts.values()) == {1}, argv
+    # the rank paths keep no kernel: betti and betti_vector eliminate no
+    # kernel on a fresh Cohomology, and each d_p at most once
+    for A in (theorem4_example(), theorem2_family(2)):
+        built.clear()
+        counts.clear()
+        Cohomology(A).betti_vector()
+        H = Cohomology(A)
+        for p in range(A.dimension + 2):
+            H.betti(p)
+        assert main(["betti", str(path)]) == 0
+        capsys.readouterr()
+        assert counts and {kind for _, kind in counts} == {"rank"}
+        assert set(counts.values()) == {1}
+
+
+# theorem4's oracle_indecomposables for p = 1..10, about 15 s to recompute
+THEOREM4_INDECOMPOSABLES = (4, 15, 23, 18, 8, 2, 0, 0, 0, 0)
+
+
+def test_indecomposables_cold_warm_and_oracle_agree():
+    # which products are formed depends on the degrees already split, the
+    # answer does not: indecomposables(p) on a fresh Cohomology, after every
+    # lower degree, and by the oracle give one count, the same unit classes
+    # and the same representative forms
+    rng = random.Random(11)
+    cases = [(theorem4_example(), lambda p: THEOREM4_INDECOMPOSABLES[p - 1])]
+    for A in (theorem1_family(2), theorem2_family(2), *section3_pair()):
+        cases.append((A, lambda p, L=lie_from_model(A): oracle_indecomposables(L, p)))
+    for L in (random_nilpotent(rng) for _ in range(8)):
+        cases.append((model_of(L), lambda p, L=L: oracle_indecomposables(L, p)))
+    for A, oracle in cases:
+        warm = Cohomology(A)
+        for p in range(1, A.dimension + 1):
+            cold = Cohomology(A)
+            count, reps = cold.indecomposables(p)
+            assert warm.indecomposables(p) == (count, reps), (A.generators, p)
+            assert [warm.form_of(v) for v in reps] == [cold.form_of(v) for v in reps], p
+            assert count == oracle(p), (A.generators, p)
 
 
 def test_shortest_rows_first_keep_the_coboundary_entries_small():

@@ -116,6 +116,24 @@ def test_nullspace_is_the_reduced_kernel(rows):
     assert linalg.rref(_nullspace(rows, ncols), ncols)[0] == dense
 
 
+@pytest.mark.parametrize("rows", matrices())
+def test_image_and_kernel_is_one_elimination_of_both(rows):
+    # an echelon basis of the column span, and the kernel as primitive int
+    # rows with a positive pivot entry, 0 at the other pivots, whose rows over
+    # their pivot entries are nullspace's (the oracle's, above)
+    nrows, ncols = len(rows), len(rows[0])
+    columns = columns_of(rows, ncols)
+    image, kernel = linalg.image_and_kernel(columns, nrows)
+    assert linalg.echelon(image.values()) == linalg.echelon(columns)
+    for basis in (image, kernel):
+        assert list(basis) == sorted(basis) and all(min(row) == c for c, row in basis.items())
+        assert all(type(x) is int and x for row in basis.values() for x in row.values())
+        assert all(math.gcd(*row.values()) == 1 for row in basis.values())
+    assert all(row[c] > 0 and not kernel.keys() & row.keys() - {c} for c, row in kernel.items())
+    assert [{j: Fraction(x, row[c]) for j, x in row.items()} for c, row in kernel.items()] == (
+        linalg.nullspace(columns, nrows))
+
+
 @pytest.mark.parametrize("rows", [m for m in matrices() if len(m) == len(m[0])])
 def test_invert(rows):
     n = len(rows)
