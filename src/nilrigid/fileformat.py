@@ -278,13 +278,18 @@ def build_form(terms: list[RawTerm], target: SullivanModel, lineno: int | None =
 
 
 def _signed_sum(terms) -> str:
-    """Join nonzero (coefficient, unsigned piece) pairs as 'x + y - z'; a
-    negative first term is written '- x'."""
+    """Join (term's sign as a nonzero number, unsigned piece) pairs as
+    'x + y - z'; a negative first term is written '- x'."""
     parts = []
     for c, piece in terms:
         sign = "- " if c < 0 else "+ " if parts else ""
         parts.append(sign + piece)
     return " ".join(parts)
+
+
+def _magnitude(c: Fraction) -> str:
+    """``str(abs(c))``, written from c's numerator and denominator ints."""
+    return str(abs(c.numerator)) if c.denominator == 1 else f"{abs(c.numerator)}/{c.denominator}"
 
 
 def form_to_str(f: Form) -> str:
@@ -295,15 +300,10 @@ def form_to_str(f: Form) -> str:
     parts = []
     for mono in sorted(f.terms, key=lambda m: (len(m), m)):
         c = f.terms[mono]
-        mag = abs(c)
+        mag = _magnitude(c)
         body = "^".join(names[i] for i in mono)
-        if body and mag == 1:
-            piece = body
-        elif body:
-            piece = f"{mag} {body}"
-        else:
-            piece = str(mag)
-        parts.append((c, piece))
+        piece = (body if mag == "1" else f"{mag} {body}") if body else mag
+        parts.append((c.numerator, piece))
     return _signed_sum(parts)
 
 
@@ -318,7 +318,7 @@ def emit_algebra(L: LieAlgebra, weights=None) -> str:
         )
     for (l, k) in sorted(L.brackets):
         vec = L.brackets[(l, k)]
-        rhs = _signed_sum((vec[i], f"{abs(vec[i])} {L.names[i]}") for i in sorted(vec))
+        rhs = _signed_sum((vec[i].numerator, f"{_magnitude(vec[i])} {L.names[i]}") for i in sorted(vec))
         lines.append(f"bracket [{L.names[l]},{L.names[k]}] = {rhs}")
     return "\n".join(lines) + "\n"
 

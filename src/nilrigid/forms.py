@@ -109,12 +109,14 @@ class Form:
         if terms:
             n = len(gens)
             for mono, coeff in dict(terms).items():
-                mono = tuple(mono)
-                if any(not 0 <= i < n for i in mono):
-                    raise ValueError(f"monomial {mono} references unknown generator index")
-                if any(mono[i] >= mono[i + 1] for i in range(len(mono) - 1)):
-                    raise ValueError(f"monomial {mono} is not strictly increasing")
-                coeff = Fraction(coeff)
+                mono, prev = tuple(mono), -1
+                for i in mono:  # one pass; a range error is named before an order error
+                    if not prev < i < n:
+                        raise ValueError(f"monomial {mono} " + (
+                            "references unknown generator index" if any(not 0 <= i < n for i in mono)
+                            else "is not strictly increasing"))
+                    prev = i
+                coeff = coeff if type(coeff) is Fraction else Fraction(coeff)
                 if coeff:
                     clean[mono] = coeff
         object.__setattr__(self, "terms", clean)

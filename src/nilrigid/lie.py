@@ -6,7 +6,8 @@ d v_i = -sum c^i_{l,k} v_l v_k, so a bracket [x, y] = -n gives d n = x y.
 Brackets are summed in Python ints over ``LieAlgebra.table``: the structure
 constants, skew-extended, times ``scale``, the lcm of their denominators.
 The lower central series and ``change_basis`` take each vector to ints once
-and sum and eliminate its brackets as int rows, with no Fraction per bracket.
+and sum and eliminate its brackets as int rows, with no Fraction per bracket,
+and a bracket already in a stage's integer reduced span costs one pass.
 ``generated_basis`` is made of brackets; basis-free answers, such as
 ``Cohomology.of(L)``, are computed in it.  ``sparse_basis`` is the one rule
 for when: ``Cohomology`` eliminates d, and the CLI's ``check`` tests Jacobi
@@ -161,17 +162,21 @@ def _ad(L: LieAlgebra, u: dict[int, int]) -> dict[int, dict[int, int]]:
 def _series(L: LieAlgebra) -> tuple[list[dict[int, Vec]], bool]:
     """Echelon bases of g = g^(0) >= [g,g] >= ..., and whether they reach 0
     (else the list ends where the series stabilizes).  [g,g] is spanned by
-    the rows of ``L.table``, g^(w+1) by the ``_ad`` rows of those of g^(w)."""
+    the rows of ``L.table``, g^(w+1) by the ``_ad`` rows of those of g^(w),
+    all [u, e_k], Jacobi or not: grown shortest first by ``reduced_extend``,
+    then ``to_rref``, in pivot order, so each stage is ``echelon``'s."""
     stages = [linalg.echelon({i: 1} for i in range(L.dimension))]
     rows = [dict(terms) for (l, k), terms in L.table.items() if l < k]
     while True:
-        nxt = linalg.echelon(rows)
-        if len(nxt) == len(stages[-1]):
+        span: dict[int, dict[int, int]] = {}
+        for r in sorted(rows, key=len):
+            linalg.reduced_extend(span, r)
+        if len(span) == len(stages[-1]):
             return stages, False
-        stages.append(nxt)
-        if not nxt:
+        rows = [r for u in span.values() for r in _ad(L, u).values()]
+        stages.append(linalg.to_rref({c: span[c] for c in sorted(span)}))
+        if not span:
             return stages, True
-        rows = [r for u in nxt.values() for r in _ad(L, linalg._integer(u)[0]).values()]
 
 
 def lower_central_series(L: LieAlgebra) -> SubspaceChain:
@@ -236,10 +241,13 @@ def generated_basis(L: LieAlgebra) -> AdaptedBasis:
     x of weight 0 and y of weight w - 1, in order, that grow the span modulo
     g^(w+1), so the weights are ``adapted_basis``'s.  A multiple of one e_j is
     taken as e_j; if all columns are such they go in index order, so L's own
-    basis up to scale and order is the identity.  Names are L's."""
+    basis up to scale and order is the identity.  Names are L's.  With one
+    term per bracket of L the e_j alone complete each stage, so no bracket
+    is taken: the identity at the LCS weights."""
+    multiple = any(len(vec) > 1 for vec in L.brackets.values())
 
     def brackets(w, picked):
-        for x in [x for x, u in picked if u == 0]:
+        for x in [x for x, u in picked if u == 0 and multiple]:
             for y in [y for y, u in picked if u == w - 1]:
                 b = L.bracket(x, y)
                 yield ({j: _ONE for j in b} if len(b) == 1 else b), None

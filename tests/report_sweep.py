@@ -3,8 +3,8 @@
 Writes each built-in family and its ``carnot`` model to a temporary
 directory, together with the dense and invalid inputs pinned in
 ``tests/data/text_reports.json`` (``conj``, ``t4c``, ``frac``, ``fracw``,
-``bad``, ``badconj``, ``badsum``), then runs, in process and in both text and
-JSON formats:
+``bad``, ``badconj``, ``badsum``) and two non-nilpotent inputs written here
+(``INLINE``), then runs, in process and in both text and JSON formats:
 
 - on every input file X, of n generators:
   - ``betti X``, ``check X``, ``lcs X``, ``carnot X`` and ``model X``,
@@ -13,8 +13,8 @@ JSON formats:
     exits 0, ``--by-weight`` again for p = 1..n,
   - ``verify-iso X X M`` for two map files M, over the generators of X's
     model: one that fixes the first and one that doubles the last;
-- on every family and every pinned input X, ``generators X --degree p`` for
-  p = 0..n and ``fingerprint X``;
+- on every family and every pinned or inline input X, ``generators X --degree p``
+  for p = 0..n and ``fingerprint X``;
 - on every family X, ``compare X carnot(X)``, and ``check`` on two dense
   copies of X, seeded by X's name: ``rational_conjugate`` of X, which passes,
   and of ``corrupt`` X, which mostly fails and names its defects; ``betti``
@@ -62,6 +62,13 @@ FAMILIES = (
 PINNED = ("conj", "t4c", "frac", "fracw", "bad", "badconj", "badsum")
 REPORTS = json.loads((Path(__file__).parent / "data" / "text_reports.json").read_text())
 
+# non-nilpotent inputs whose series stabilizes only if every bracket [u, e_k] is
+# taken: gl(2) = sl(2) + Q, and [a,b] = c, [a,c] = d, [c,d] = c, which fails Jacobi
+INLINE = {
+    "gl2": "generators e f h z\nbracket [e,f] = h\nbracket [h,e] = 2 e\nbracket [h,f] = - 2 f\n",
+    "nojacobi": "generators a b c d\nbracket [a,b] = c\nbracket [a,c] = d\nbracket [c,d] = c\n",
+}
+
 
 def call(*argv: str) -> tuple[int, str, str]:
     """Exit code, stdout and stderr of one in-process CLI call."""
@@ -73,8 +80,9 @@ def call(*argv: str) -> tuple[int, str, str]:
 
 def write_inputs() -> tuple[list[tuple[str, str]], list[str], list[str]]:
     """Write each family's file, its carnot model's file, its two dense
-    copies and the pinned inputs to the working directory; return the
-    (family, carnot) pairs, the dense copies and the pinned inputs but ``forms``."""
+    copies, the pinned and the inline inputs to the working directory; return
+    the (family, carnot) pairs, the dense copies and the pinned and inline
+    inputs but ``forms``."""
     files: dict[str, str] = {}
     for name, argv in FAMILIES:
         report = json.loads(call("--format", "json", "family", *argv)[1])
@@ -94,7 +102,9 @@ def write_inputs() -> tuple[list[tuple[str, str]], list[str], list[str]]:
             Path(dense[-1]).write_text(emit_algebra(rational_conjugate(rng, algebra)))
     for name in PINNED + ("forms",):
         Path(f"{name}.alg").write_text(REPORTS["inputs"][name])
-    return pairs, dense, [f"{name}.alg" for name in PINNED]
+    for name, text in INLINE.items():
+        Path(f"{name}.alg").write_text(text)
+    return pairs, dense, [f"{name}.alg" for name in PINNED + tuple(INLINE)]
 
 
 def names(path: str) -> list[str]:

@@ -25,7 +25,7 @@ from nilrigid import adapted_basis, change_basis, generated_basis, jacobi_defect
 from nilrigid import apply_differential, monomial_basis, trivial_basis
 from nilrigid import free_nilpotent_lie, lie_from_model, theorem1_family, theorem2_family
 from nilrigid.lie import sparse_basis
-from nilrigid.linalg import dense, rank
+from nilrigid.linalg import dense, echelon, rank
 from oracle import (
     DENOMINATORS,
     base_algebras,
@@ -324,14 +324,42 @@ def test_lower_central_series_matches_the_oracle(seed):
                 [int(i == j) for j in pivots] for i in pivots]
 
 
+def assert_stages_span_the_brackets_of_the_stage_before(L):
+    # the reference rule, whatever the elimination: g^(w+1) is the echelon
+    # basis of all brackets [u, e_k], u a row of g^(w), in Fraction entries
+    chain, n = lower_central_series(L), L.dimension
+    assert chain.subspaces[0] == tuple(echelon({i: 1} for i in range(n)).values())
+    for before, stage in zip(chain.subspaces, chain.subspaces[1:]):
+        rule = echelon(L.bracket(u, {k: Fraction(1)}) for u in before for k in range(n))
+        assert stage == tuple(rule.values())
+        assert all(type(x) is Fraction for row in stage for x in row.values())
+    return chain
+
+
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(st.one_of(drawn_conjugates(),
+                 st.integers(0, 10**6).map(lambda seed: random_nilpotent(random.Random(seed)))))
+def test_lower_central_series_stages_are_the_echelon_of_the_brackets(L):
+    assert assert_stages_span_the_brackets_of_the_stage_before(L).nilpotent
+
+
 def test_lower_central_series_of_non_nilpotent_algebras_matches_the_oracle():
-    # [x, y] = y stabilizes at span(y); [a, b] = c, [a, c] = b at span(b, c)
+    # [x, y] = y stabilizes at span(y); [a, b] = c, [a, c] = b at span(b, c);
+    # gl(2) = sl(2) + Q (e, f, h, z) at sl(2); [a, b] = c, [a, c] = d, [c, d] = c,
+    # which fails Jacobi, at span(c, d).  A series that brackets only with a
+    # complement of [g,g] would call the last two nilpotent in their own bases.
     one = Fraction(1)
     rng = random.Random(47)
+    gl2 = LieAlgebra(("e", "f", "h", "z"), {(0, 1): {2: one}, (0, 2): {0: -2 * one},
+                                             (1, 2): {1: 2 * one}})
+    jacobi_fails = LieAlgebra(("a", "b", "c", "d"), {(0, 1): {2: one}, (0, 2): {3: one},
+                                                     (2, 3): {2: one}})
+    assert jacobi_defect(jacobi_fails) and not jacobi_defect(gl2)
     for L, dims in ((LieAlgebra(("x", "y"), {(0, 1): {1: one}}), (2, 1)),
-                    (LieAlgebra(("a", "b", "c"), {(0, 1): {2: one}, (0, 2): {1: one}}), (3, 2))):
+                    (LieAlgebra(("a", "b", "c"), {(0, 1): {2: one}, (0, 2): {1: one}}), (3, 2)),
+                    (gl2, (4, 3)), (jacobi_fails, (4, 2))):
         for M in (L, rational_conjugate(rng, L)):
-            chain = lower_central_series(M)
+            chain = assert_stages_span_the_brackets_of_the_stage_before(M)
             assert (chain.dimensions(), chain.nilpotent) == oracle_lcs_dimensions(M) == (dims, False)
 
 

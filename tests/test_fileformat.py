@@ -10,7 +10,8 @@ from math import lcm
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from nilrigid import ParseError, cli, lie_from_model, theorem1_family, theorem2_family
+from nilrigid import (Form, Generator, LieAlgebra, ParseError, cli, lie_from_model, theorem1_family,
+                      theorem2_family)
 from nilrigid.fileformat import (
     build_form,
     emit_algebra,
@@ -222,6 +223,29 @@ def test_form_to_str_round_trip():
         printed = form_to_str(f)
         again = form_of(A, printed) if printed != "0" else A.zero()
         assert again == f
+
+
+def test_form_to_str_and_emit_algebra_text_is_pinned():
+    # coefficient 1 is written bare on a monomial and as "1" in a bracket;
+    # a negative first term is "- x"; a constant sorts first
+    G = tuple(Generator(name, i) for i, name in enumerate("xyz"))
+    half = Fraction(1, 2)
+    cases = [
+        ({(0,): 1, (1,): -1, (0, 1): 2, (0, 2): -2, (1, 2): half, (0, 1, 2): -half},
+         "x - y + 2 x^y - 2 x^z + 1/2 y^z - 1/2 x^y^z"),
+        ({(): Fraction(-7, 3), (2,): 1, (1, 2): Fraction(-7, 3)}, "- 7/3 + z - 7/3 y^z"),
+        ({(): 1, (0, 1): -1}, "1 - x^y"),
+        ({(): -1}, "- 1"),
+        ({(): 2}, "2"),
+        ({}, "0"),
+    ]
+    for terms, text in cases:
+        assert form_to_str(Form(G, terms)) == text
+    L = LieAlgebra(("x", "y", "z", "w"), {(0, 1): {2: 1, 3: Fraction(-7, 3)},
+                                          (0, 2): {3: half}, (1, 2): {3: -1}})
+    assert emit_algebra(L, (0, 0, 1, 2)) == (
+        "generators x:0 y:0 z:1 w:2\nbracket [x,y] = 1 z - 7/3 w\n"
+        "bracket [x,z] = 1/2 w\nbracket [y,z] = - 1 w\n")
 
 
 def test_build_form_unknown_generator():

@@ -175,3 +175,24 @@ def test_model_validation():
     cubic = Form(gens, {(0,): 1})
     with pytest.raises(Exception):
         SullivanModel(gens, [cubic, Form.zero(gens)])
+
+
+@pytest.mark.parametrize("mono", [(-1,), (3,), (float("nan"),), (-1, -2), (2, 1, 5), (0, 3)])
+def test_a_monomial_outside_the_generators_is_refused(mono):
+    # the range test comes first, so (-1, -2) and (2, 1, 5) name the range
+    with pytest.raises(ValueError, match="references unknown generator index"):
+        Form(GENS[:3], {mono: 1})
+
+
+@pytest.mark.parametrize("mono", [(1, 1), (2, 1), (0, 2, 1)])
+def test_a_monomial_out_of_order_is_refused(mono):
+    with pytest.raises(ValueError, match="is not strictly increasing"):
+        Form(GENS[:3], {mono: 1})
+
+
+def test_form_coefficients_are_fractions_and_zeros_are_dropped():
+    f = Form(GENS[:3], {(0,): 2, (1,): "3/4", (1, 2): Fraction(-1),
+                        (2,): 0, (0, 1): "0", (): Fraction(0)})
+    assert f.terms == {(0,): Fraction(2), (1,): Fraction(3, 4), (1, 2): Fraction(-1)}
+    assert all(type(k) is tuple and type(c) is Fraction for k, c in f.terms.items())
+    assert Form(GENS[:3], [((0,), 1)]).terms == {(0,): Fraction(1)} and Form(GENS[:3], {}).is_zero()

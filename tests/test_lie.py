@@ -67,6 +67,33 @@ def test_generated_basis_is_the_identity_on_the_families():
         assert basis.weights == adapted_basis(L).weights
 
 
+def test_fingerprint_of_a_single_term_algebra_brackets_nothing_for_its_basis(monkeypatch):
+    # every bracket of theorem4 is one term, so the generated basis that
+    # fingerprint eliminates in is the identity at the LCS weights, taken
+    # without bracketing a candidate
+    from nilrigid import cohomology, fingerprint
+    L, inside, counts = lie_from_model(theorem4_example()), [], Counter()
+    bracket, generated = LieAlgebra.bracket, cohomology.generated_basis
+
+    def spy(M):
+        counts["g"] += 1
+        inside.append(M)
+        try:
+            return generated(M)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(cohomology, "generated_basis", spy)
+    monkeypatch.setattr(LieAlgebra, "bracket",
+                        lambda self, u, v: counts.update("b" if inside else "o") or bracket(self, u, v))
+    fingerprint(L)
+    assert counts["g"] == 1 and counts["b"] == 0
+    # e_j has the weight of the last stage of the lower central series that holds it
+    stages = lower_central_series(L).subspaces
+    weights = [max(w for w, rows in enumerate(stages) if {j: 1} in rows) for j in range(L.dimension)]
+    assert spy(L) == trivial_basis(L, weights) and counts["g"] == 2 and counts["b"] == 0
+
+
 def test_sparse_basis_is_the_generated_one_where_a_bracket_has_several_terms(monkeypatch):
     # free(2,5) has two such brackets and a generated basis that is not its own;
     # free(3,3) has one, but its generated basis is the identity
