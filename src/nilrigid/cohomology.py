@@ -8,7 +8,9 @@ on integers with rational results, so every reported number is exact.
 d^2 defect in L's own basis.  Each d_p is built once, in a basis where it is
 sparse, and eliminated once (see ``Cohomology``): Betti numbers count pivots
 of the coboundary bases B^(p+1), and classes take Z^p from the same
-elimination.  Indecomposables come from integer cochain spans, with no class
+elimination; if d_(n-1) = 0, only for p <= (n-1)/2, since Z^q = ann(B^(n-q))
+and B^(q+1) = ann(Z^(n-1-q)) under e_m . e_(comp m) = (-1)^(sum m - k(k-1)/2)
+e_top.  Indecomposables come from integer cochain spans, with no class
 coordinates, grown by products in standard-monomial order (see ``_factors``).
 d and every cup product are computed by the exterior-algebra kernel of
 ``forms``, on monomials as bitmasks: row j of a degree-p cochain is the j-th
@@ -72,6 +74,28 @@ def cochain_matrix(A: SullivanModel, p: int) -> list[dict[int, int]]:
             for mask in _masks(A.dimension, p)]
 
 
+def _annihilator(S: dict[int, dict[int, int]], n: int, k: int) -> dict[int, dict[int, int]]:
+    """The integer reduced basis of ann(S) in Lambda^(n-k), S one in Lambda^k, under
+    e_m . e_(comp m) = eps(m) e_top, eps(m) = (-1)^(sum m - k(k-1)/2).  comp takes
+    the j-th mask of degree k to the (C(n,k)-1-j)-th, so each non-pivot column j
+    of S gives the row at C(n,k)-1-j: L there, -eps(m_c) eps(m_j) x L / a_c at
+    C(n,k)-1-c for each row c of S with x at j, L the lcm of their pivots a_c."""
+    masks, odd = _masks(n, k), sum(1 << i for i in range(1, n, 2))  # (-1)^|m & odd| = (-1)^(sum m)
+    top, holding, out = len(masks) - 1, {}, {}
+    for c, r in S.items():
+        for j, x in r.items():
+            holding.setdefault(j, []).append((c, x))
+    for j in sorted(set(range(top + 1)).difference(S), reverse=True):  # non-pivot columns
+        out[top - j] = row = {top - j: 1}
+        if hits := holding.get(j):  # so no row holding j has its pivot there
+            row[top - j] = L = lcm(*(S[c][c] for c, _ in hits))
+            for c, x in hits:  # -eps(m_c) eps(m_j) x L / a_c
+                v = x * L // S[c][c]
+                row[top - c] = v if ((masks[c] ^ masks[j]) & odd).bit_count() & 1 else -v
+            linalg._remove_content(row)
+    return out
+
+
 def _inverse_images(basis: AdaptedBasis) -> list[Terms]:
     """The rows of D G^-1 as term lists, G the basis columns and D the lcm of
     G^-1's denominators: row a is D phi(f^a), f^a a generator of ``ce_model(L, basis)``."""
@@ -98,11 +122,11 @@ class Cohomology:
     eliminated in the basis that ``lie.sparse_basis`` picks for the model's
     algebra: its generated basis, where d is sparse, or the model's own.
     d^2 = 0 is checked there; a defect is computed again only to name it.
-    Each d_p is built once, on ints as D * d.  Ranks eliminate its column
-    span, B^(p+1), into an integer echelon basis and count its pivots, for
-    p <= (n-1)/2 alone when d_(n-1) = 0 (see ``betti_vector``).  Once a
-    class is asked for, d_p is eliminated with its kernel instead (but not by
-    ``betti_vector``), so twice only if its rank was read before.
+    Each d_p is built once, on ints as D * d.  Ranks count the pivots of an
+    integer echelon basis of B^(p+1); once a class is asked for, d_p is
+    eliminated with its kernel instead (not by ``betti_vector``), so twice
+    only if its rank was read before.  If d_(n-1) = 0, only p <= (n-1)/2 is:
+    above, Z^p = ann(B^(n-p)), B^(p+1) = ann(Z^(n-1-p)) under eps (``_annihilator``).
     The representatives are the rows of the integer reduced basis of Z^p
     whose pivot is not one of B^p, as ints; class coordinates and forms read
     them over their pivot entry, the unique reduced basis.  From the
@@ -166,18 +190,42 @@ class Cohomology:
             self._d[p] = cochain_matrix(self._eliminated, p)
         return self._d[p]
 
+    def _mirrored(self, p: int) -> bool:
+        """Whether d_p is read off d_(n-1-p): p > (n-1)/2 and d_(n-1) = 0 (g unimodular)."""
+        return 2 * p >= (n := self._eliminated.dimension) and not any(self._differential(n - 1))
+
+    def _rank(self, p: int, kernels: bool = True) -> int:
+        """rank d_p; that of d_(n-1-p) if d_p is mirrored and B^(p+1) not cached."""
+        if self._mirrored(p) and p + 1 not in self._echelons:
+            p = self._eliminated.dimension - 1 - p
+        return len(self._boundaries(p + 1, kernels))
+
     def _boundaries(self, p: int, kernels: bool = True) -> dict[int, dict[int, int]]:
-        """The integer echelon basis of B^p = d(Lambda^(p-1)), by pivot.  Once
-        classes are asked for, unless ``kernels`` is False, the elimination of
-        d_(p-1) gives Z^(p-1) too, kept in ``_kernels`` for ``_degree(p - 1)``."""
+        """An integer echelon basis of B^p, by pivot; once classes are asked for (and
+        ``kernels``), ann(Z^(n-p)) if d_(p-1) is mirrored, else with Z^(p-1)."""
         if p not in self._echelons:
-            d = self._differential(p - 1) if p > 0 else []
-            if self._kernels is None or not kernels:
-                self._echelons[p] = linalg.integer_echelon(d) if d else {}
+            n = self._eliminated.dimension
+            if p <= 0:
+                self._echelons[p] = {}
+            elif self._kernels is None or not kernels:
+                self._echelons[p] = linalg.integer_echelon(self._differential(p - 1))
+            elif self._mirrored(p - 1):
+                self._echelons[p] = _annihilator(self._cocycles(n - p), n, n - p) if p <= n else {}
             else:
-                rows = comb(self._eliminated.dimension, max(p, 0))
-                self._echelons[p], self._kernels[p - 1] = linalg.image_and_kernel(d, rows)
+                self._echelons[p], self._kernels[p - 1] = linalg.image_and_kernel(
+                    self._differential(p - 1), comb(n, p))
         return self._echelons[p]
+
+    def _cocycles(self, p: int) -> dict[int, dict[int, int]]:
+        """The integer reduced basis of Z^p: ann(B^(n-p)) if d_p is mirrored, else d_p's kernel."""
+        n = self._eliminated.dimension
+        if self._mirrored(p):
+            return _annihilator(linalg._back_substitute(self._boundaries(n - p)), n, n - p)
+        if p not in self._kernels:  # d_p not eliminated yet, or for its rank alone
+            self._echelons.pop(p + 1, None)
+            self._boundaries(p + 1)
+        keep = p not in self._data and n - p not in self._echelons and self._mirrored(n - 1 - p)
+        return self._kernels[p] if keep else self._kernels.pop(p)  # read by _degree(p), B^(n-p)
 
     def _pivots(self, p: int) -> dict[int, dict[int, int]]:
         """An integer echelon basis of B^p in the model's basis, by pivot."""
@@ -213,10 +261,7 @@ class Cohomology:
         if p in self._data:
             return self._data[p]
         self._kernels = self._kernels or {}  # from now on d_p is eliminated with its kernel
-        if p not in self._kernels:  # d_p not eliminated yet, or for its rank alone
-            self._echelons.pop(p + 1, None)
-            self._boundaries(p + 1)
-        cocycles = self._kernels.pop(p)
+        cocycles = self._cocycles(p)
         if self._basis is not None:  # Z^p in the model's basis, reduced
             cocycles = linalg._back_substitute(linalg.integer_echelon(
                 self._push(cocycles.values(), p)))
@@ -310,25 +355,17 @@ class Cohomology:
     # -- public api --------------------------------------------------------
 
     def betti(self, p: int) -> int:
-        """dim Lambda^p - rank d_p - rank d_(p-1), the ranks being the pivot
-        counts of the integer echelon bases of B^(p+1) and B^p."""
-        if p < 0 or p > self._eliminated.dimension:
-            return 0
-        dim = len(self._differential(p))
-        return dim - len(self._boundaries(p + 1)) - len(self._boundaries(p))
+        """dim Lambda^p - rank d_p - rank d_(p-1), pivot counts (see ``_rank``)."""
+        n = self._eliminated.dimension
+        return comb(n, p) - self._rank(p) - self._rank(p - 1) if 0 <= p <= n else 0
 
     def betti_vector(self) -> tuple[int, ...]:
-        """b_0..b_n from the ranks of d_p.  d_(n-1) = 0 exactly when g is
-        unimodular; then d_(n-1-p) is d_p transposed up to a signed permutation
-        (Hazewinkel 1970): only p <= (n-1)/2 is eliminated, and a rank above
-        that whose B^(p+1) is not cached is read as rank d_(n-1-p)."""
+        """b_0..b_n from the ranks of d_p, for ranks alone.  If d_(n-1) = 0 (g
+        unimodular), d_(n-1-p) is -(-1)^p d_p transposed, twisted by the signs
+        eps of the wedge pairing (Hazewinkel 1970), so ``_rank`` eliminates
+        only p <= (n-1)/2 and reads the rest as rank d_(n-1-p)."""
         n = self._eliminated.dimension
-        mirror = n > 0 and not any(self._differential(n - 1))
-        ranks = [0]  # ranks[p + 1] = rank d_p, p = -1..n
-        for p in range(n):
-            mirrored = mirror and 2 * p > n - 1 and p + 1 not in self._echelons
-            ranks.append(ranks[n - p] if mirrored else len(self._boundaries(p + 1, False)))
-        ranks.append(0)
+        ranks = [0] + [self._rank(p, False) for p in range(n)] + [0]  # ranks[p + 1] = rank d_p
         return tuple(comb(n, p) - ranks[p + 1] - ranks[p] for p in range(n + 1))
 
     def basis(self, p: int) -> list[Form]:

@@ -37,7 +37,7 @@ _ONE = Fraction(1)
 class LieAlgebra:
     """A finite-dimensional Lie algebra given by rational structure constants."""
 
-    __slots__ = ("names", "brackets", "scale", "table")
+    __slots__ = ("names", "brackets", "scale", "table", "by_first")
 
     def __init__(self, names, brackets):
         """brackets maps index pairs (l, k) with l < k to {i: coefficient}."""
@@ -62,9 +62,12 @@ class LieAlgebra:
         self.brackets = clean
         self.scale = scale = lcm(*(c.denominator for vec in clean.values() for c in vec.values()))
         self.table: dict[tuple[int, int], list[tuple[int, int]]] = {}
+        self.by_first: dict[int, list[tuple[int, list[tuple[int, int]]]]] = {}  # l -> [(k, row)]
         for (l, k), vec in clean.items():
             row = [(i, c.numerator * (scale // c.denominator)) for i, c in vec.items()]
             self.table[l, k], self.table[k, l] = row, [(i, -v) for i, v in row]
+        for (l, k), terms in self.table.items():
+            self.by_first.setdefault(l, []).append((k, terms))
 
     @property
     def dimension(self) -> int:
@@ -149,10 +152,10 @@ def jacobi_defect(L: LieAlgebra) -> list[tuple[int, int, int, Vector]]:
 
 
 def _ad(L: LieAlgebra, u: dict[int, int]) -> dict[int, dict[int, int]]:
-    """{k: L.scale [u, e_k]} for the int row u: sparse int rows, one pass over L.table."""
+    """{k: L.scale [u, e_k]} for the int row u: sparse int rows, over u's ``L.by_first``."""
     out: dict[int, dict[int, int]] = {}
-    for (l, k), terms in L.table.items():
-        if f := u.get(l):
+    for l, f in u.items():
+        for k, terms in L.by_first.get(l, ()):
             r = out.setdefault(k, {})
             for i, c in terms:
                 r[i] = r.get(i, 0) + f * c

@@ -287,12 +287,7 @@ def verify_cohomology_ring_iso(
         degrees.append(sdeg)
 
     for p in range(1, n + 1):
-        bs, bd = src.betti(p), dst.betti(p)
-        if bs != bd:
-            return RingIsoResult(False, stage="betti-mismatch", degree=p, detail=f"{bs} != {bd}")
-        if bs == 0:
-            continue
-        src_vecs, pair_vecs = [], []
+        src_vecs, pair_vecs = [], []  # classes before b_p: then one elimination gives both
         for multiset in _generator_products(degrees, p):
             sprod = product(src.model.generators, (src_forms[g] for g in multiset))
             dprod = product(dst.model.generators, (dst_forms[g] for g in multiset))
@@ -300,6 +295,11 @@ def verify_cohomology_ring_iso(
             v = dst.class_coordinates(dprod, p).coordinates
             src_vecs.append(list(u))
             pair_vecs.append(list(u) + list(v))
+        bs, bd = src.betti(p), dst.betti(p)
+        if bs != bd:
+            return RingIsoResult(False, stage="betti-mismatch", degree=p, detail=f"{bs} != {bd}")
+        if bs == 0:
+            continue
         rank_src = linalg.rank(src_vecs, bs)
         if rank_src != bs:
             return RingIsoResult(False, stage="not-generating", degree=p,

@@ -7,6 +7,10 @@ prints one line per model: its name, its dimension n, the seconds taken by
 resident set (``ru_maxrss``, in MB) and the first 16 hex digits of the
 sha256 of the Betti vector, so two versions can be compared by eye.
 
+``fingerprint(M)`` probes the class paths instead: it times
+``fingerprint(lie_from_model(M))`` (representatives, products and
+indecomposables in every degree) and hashes the whole ``Fingerprint``.
+
 ``c_t2k3`` is a file, not a model: theorem2(3) in the basis with entries in
 {-1, 0, 1} of the benchmark's ``structure`` input of that name (the same
 structure constants under the family's names), written without weights.
@@ -18,6 +22,7 @@ way: its entries grow much more in elimination (about 5 s against 0.2 s).
 
     PYTHONPATH=src python3 tests/engine_times.py
     PYTHONPATH=src python3 tests/engine_times.py abelian(20)
+    PYTHONPATH=src python3 tests/engine_times.py "fingerprint(theorem4)"
 
 With arguments, only the named models run.  Like ``report_sweep.py``,
 pytest does not collect it.
@@ -32,18 +37,20 @@ import sys
 import time
 
 MODELS = ("free(3,3)", "theorem1(4)", "theorem2(4)", "abelian(20)", "theorem1(5)", "c_t2k3",
-          "s_t2k3")
+          "s_t2k3", "fingerprint(theorem4)", "fingerprint(theorem1(4))")
 FILES = {"c_t2k3": "conjugate:c_t2k3", "s_t2k3": "c_t2k3"}  # name -> sign_conjugate seed
 
 
 def build(name: str):
     """The Sullivan model called ``name`` in ``MODELS``, or the text of a file of ``FILES``."""
     from nilrigid import (ce_model, free_nilpotent_lie, lie_from_model, theorem1_family,
-                          theorem2_family, trivial_basis)
+                          theorem2_family, theorem4_example, trivial_basis)
     from nilrigid.fileformat import emit_algebra
     from helpers import sign_conjugate
     from oracle import abelian
 
+    if name == "theorem4":
+        return theorem4_example()
     if name in FILES:
         return emit_algebra(sign_conjugate(lie_from_model(theorem2_family(3)), FILES[name]))
     family, args = name.rstrip(")").split("(")
@@ -59,18 +66,23 @@ def build(name: str):
 
 def measure(name: str) -> str:
     """One line of the table, for the model ``name``, in this interpreter."""
-    from nilrigid import Cohomology
+    from nilrigid import Cohomology, fingerprint, lie_from_model
     from nilrigid.fileformat import model_basis, parse_source
 
-    A = build(name)
+    probe = name.startswith("fingerprint(")
+    A = build(name[len("fingerprint("):-1] if probe else name)
+    L = lie_from_model(A) if probe else None
     start = time.perf_counter()
-    if isinstance(A, str):
-        betti = Cohomology.of(*model_basis(parse_source(A))).betti_vector()
+    if probe:
+        result = fingerprint(L)
+        betti = result.betti
+    elif isinstance(A, str):
+        result = betti = Cohomology.of(*model_basis(parse_source(A))).betti_vector()
     else:
-        betti = Cohomology(A).betti_vector()
+        result = betti = Cohomology(A).betti_vector()
     seconds = time.perf_counter() - start
     rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
-    digest = hashlib.sha256(repr(betti).encode()).hexdigest()[:16]
+    digest = hashlib.sha256(repr(result).encode()).hexdigest()[:16]
     return f"{name:<12} n={len(betti) - 1:<3} {seconds:8.3f} s {rss:8.1f} MB  {digest}"
 
 

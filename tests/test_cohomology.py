@@ -34,7 +34,7 @@ from nilrigid import (
 )
 from nilrigid import cohomology, forms, linalg
 from nilrigid.fileformat import emit_algebra, form_to_str, model_basis, parse_source
-from helpers import dense_free_3_3, form_of
+from helpers import SECTION3_RING_MAP_COMPLETED, dense_free_3_3, form_of
 from oracle import (
     abelian,
     direct_sum,
@@ -239,30 +239,37 @@ def test_each_differential_is_built_once(monkeypatch):
     monkeypatch.setattr(linalg, "_back_substitute",
                         lambda basis: back.append(basis) or back_substitute(basis))
     A = theorem1_family(2)
+    n = A.dimension
     H = Cohomology(A)
     H.betti_vector()
-    for p in range(A.dimension + 1):
+    # n = 8: the vector eliminates d_0..d_3 for their ranks; d_7 = 0 is built
+    # as the unimodularity test and not eliminated
+    assert sorted(built) == [0, 1, 2, 3, 7] and len(eliminated) == 4
+    for p in range(n + 1):
         assert sum(H.betti_by_weight(p).values()) == H.betti(p)
-    # Betti numbers and the weight split count pivots of integer eliminations
-    assert len(eliminated) == A.dimension + 1 and with_kernels == reduced == back == []
-    for p in range(A.dimension + 1):
+    # the weight split counts the pivots of the upper B^p too, eliminated for ranks alone
+    assert len(eliminated) == n + 1 and with_kernels == reduced == back == []
+    for p in range(n + 1):
         H.basis(p)
         H.indecomposables(p)
-    assert sorted(built) == list(range(A.dimension + 1))
-    # the ranks kept no kernel, so the classes eliminate every d_p once more,
-    # with its kernel, and no basis is divided into Fractions
+    assert sorted(built) == list(range(n + 1))
+    # the ranks kept no kernel, so the classes eliminate d_0..d_3 once more, with
+    # their kernels; each Z^q above the middle degree is the annihilator of
+    # B^(n-q), so no upper d_q is eliminated again, and no basis is divided
+    # into Fractions
     d = [rows for rows in eliminated if any(rows is d_p for d_p in H._d.values())]
-    assert len(d) == len({id(rows) for rows in d}) == A.dimension + 1
-    assert len(with_kernels) == len({id(rows) for rows in with_kernels}) == A.dimension + 1
-    assert all(any(rows is d_p for d_p in H._d.values()) for rows in with_kernels)
+    assert len(d) == len({id(rows) for rows in d}) == n + 1
+    assert sorted(p for p, d_p in H._d.items() if any(rows is d_p for rows in with_kernels)) == [
+        0, 1, 2, 3]
+    assert len(with_kernels) == 4
     assert reduced == [] and H._kernels == {}
-    # one integer basis of each B^p, p = 0..n+1, is kept: kernels, products
-    # and solvers back-substitute their own bases, none of B^p's
-    assert sorted(H._echelons) == list(range(A.dimension + 2))
-    assert back and not any(b is e for b in back for e in H._echelons.values())
+    # one integer basis of each B^p, p = 0..n+1, is kept; the lower B^p that
+    # the upper Z^q annihilate are reduced in place, and no other is
+    assert sorted(H._echelons) == list(range(n + 2))
+    assert sorted(p for p, e in H._echelons.items() if any(b is e for b in back)) == [0, 1, 2, 3, 4]
     # every monomial of the exterior algebra is differentiated exactly once,
     # by the integer kernel and never through a Form
-    assert len(derived) == len(set(derived)) == 2 ** A.dimension
+    assert len(derived) == len(set(derived)) == 2 ** n
     assert differentiated == []
 
 
@@ -281,18 +288,23 @@ def test_betti_vector_eliminates_half_the_complex(monkeypatch):
 
     # n = 8: d_7 = 0 is the unimodularity test, and B^1..B^4 are the ranks of d_0..d_3
     assert fresh("betti_vector") == ([0, 1, 2, 3, 7], [1, 2, 3, 4])
-    # a single degree mirrors nothing: betti(p) builds d_(p-1) and d_p, and
-    # indecomposables(p) the differentials of the degrees its products read
-    products = {0: [], 7: [0, 1, 5, 6, 7], 8: [0, 1, 6, 7, 8]}
+    # a single degree mirrors too: betti(p) reads rank d_q, q = p - 1, p, as rank
+    # d_(n-1-q) when 2q > n - 1, and takes dim Lambda^p from comb, so it builds
+    # no d_p above the middle degree but d_7; so do indecomposables(p), whose
+    # classes read Z^q and B^(q+1) above the middle degree off the lower half
+    betti = {0: ([0], [0, 1]), 1: ([0, 1], [1, 2]), 2: ([1, 2], [2, 3]), 3: ([2, 3], [3, 4]),
+             4: ([3, 7], [4]), 5: ([2, 3, 7], [3, 4]), 6: ([1, 2, 7], [2, 3]),
+             7: ([0, 1, 7], [1, 2]), 8: ([0, 7], [0, 1])}
+    products = {0: [], 1: [0, 1, 7], 2: [0, 1, 2, 7], 7: [0, 1, 2, 7], 8: [0, 1, 7]}
     for p in range(n + 1):
-        assert fresh("betti", p) == (list(range(max(p - 1, 0), p + 1)), [p, p + 1])
-        assert fresh("indecomposables", p)[0] == products.get(p, list(range(p + 1))), p
+        assert fresh("betti", p) == betti[p], p
+        assert fresh("indecomposables", p)[0] == products.get(p, [0, 1, 2, 3, 7]), p
     # after a single degree, the vector eliminates only the lower half it lacks
     H = Cohomology(A)
     H.betti(6)
     built.clear()
     assert H.betti_vector() == (1, 4, 10, 13, 12, 13, 10, 4, 1)
-    assert sorted(built) == [0, 1, 2, 3, 7] and sorted(H._echelons) == [1, 2, 3, 4, 6, 7]
+    assert sorted(built) == [0, 3] and sorted(H._echelons) == [1, 2, 3, 4]
 
 
 def test_single_term_inputs_compute_no_series(monkeypatch, tmp_path, capsys):
@@ -504,15 +516,18 @@ def counted_eliminations(monkeypatch):
 
 def test_class_paths_eliminate_each_differential_once(monkeypatch, tmp_path, capsys):
     # fingerprint and generators take B^(p+1) and Z^p from one elimination of
-    # d_p, and the Betti vector reads the ranks of those eliminations
+    # d_p for p <= (n-1)/2 and read them off that half above it, and the Betti
+    # vector reads the ranks of those eliminations; n = 10, so d_0..d_4 are
+    # eliminated and d_9 = 0 is built as the unimodularity test alone
     from nilrigid.cli import main
     A = theorem4_example()
+    lower = {0, 1, 2, 3, 4}
     path = tmp_path / "t4.alg"
     path.write_text(emit_algebra(lie_from_model(A), A.weights))
     built, counts = counted_eliminations(monkeypatch)
     fingerprint(lie_from_model(A))
-    assert sorted(p for _, p in built.values()) == list(range(A.dimension + 1))
-    assert sorted(counts) == sorted((key, "kernel") for key in built)
+    assert sorted(p for _, p in built.values()) == [*sorted(lower), 9]
+    assert sorted(counts) == sorted((key, "kernel") for key, (_, p) in built.items() if p in lower)
     assert set(counts.values()) == {1}
     # below a degree bound the ranks above it are eliminated alone, with no kernel
     built.clear()
@@ -529,8 +544,11 @@ def test_class_paths_eliminate_each_differential_once(monkeypatch, tmp_path, cap
         capsys.readouterr()
         assert counts and {kind for _, kind in counts} == {"kernel"}, argv
         assert set(counts.values()) == {1}, argv
+        assert {p for _, p in built.values()} <= lower | {9}, argv
+        assert {built[key][1] for key, _ in counts} <= lower, argv
     # the rank paths keep no kernel: betti and betti_vector eliminate no
-    # kernel on a fresh Cohomology, and each d_p at most once
+    # kernel on a fresh Cohomology, each d_p at most once, and above the
+    # middle degree none (d_0..d_4 for n = 10 and 9)
     for A in (theorem4_example(), theorem2_family(2)):
         built.clear()
         counts.clear()
@@ -542,6 +560,26 @@ def test_class_paths_eliminate_each_differential_once(monkeypatch, tmp_path, cap
         capsys.readouterr()
         assert counts and {kind for _, kind in counts} == {"rank"}
         assert set(counts.values()) == {1}
+        assert {built[key][1] for key, _ in counts} <= lower
+
+
+def test_ring_check_eliminates_each_differential_once(monkeypatch, tmp_path, capsys):
+    # verify-ring-iso asks for the classes of a degree before its Betti
+    # numbers, so the elimination that gives Z^p gives rank d_p too
+    from nilrigid.cli import main
+    first, second = tmp_path / "s3a.alg", tmp_path / "s3b.alg"
+    for path, A in zip((first, second), section3_pair()):
+        path.write_text(emit_algebra(lie_from_model(A), A.weights))
+    ring = tmp_path / "map8"
+    ring.write_text("generators a1 a2 b c d\n" + "".join(
+        f"class {s} -> {d}\n" for s, d in SECTION3_RING_MAP_COMPLETED))
+    built, counts = counted_eliminations(monkeypatch)
+    assert main(["verify-ring-iso", str(first), str(second), str(ring)]) == 0
+    assert capsys.readouterr().out.strip() == "ok"
+    # two Cohomologys of n = 5, each eliminating d_0..d_2 once, with its kernel
+    assert sorted(p for _, p in built.values()) == [0, 0, 1, 1, 2, 2, 4, 4]
+    assert sorted(counts) == sorted((key, "kernel") for key, (_, p) in built.items() if p < 4)
+    assert set(counts.values()) == {1}
 
 
 # theorem4's oracle_indecomposables for p = 1..10, about 15 s to recompute

@@ -14,6 +14,7 @@ denominators, seeded and drawn.
 import random
 from collections import Counter
 from fractions import Fraction
+from itertools import combinations
 from math import comb
 
 import pytest
@@ -24,6 +25,8 @@ from nilrigid import ce_model, check_d_squared, cochain_matrix
 from nilrigid import adapted_basis, change_basis, generated_basis, jacobi_defect, lower_central_series
 from nilrigid import apply_differential, monomial_basis, trivial_basis
 from nilrigid import free_nilpotent_lie, lie_from_model, theorem1_family, theorem2_family
+from nilrigid import section3_pair, theorem4_example
+from nilrigid import cohomology, linalg
 from nilrigid.lie import sparse_basis
 from nilrigid.linalg import dense, echelon, rank
 from oracle import (
@@ -270,6 +273,87 @@ def test_drawn_conjugates_match_the_oracle(L):
         for i in range(H.betti(p)):
             v = H.unit_class(p, i)
             assert H.class_coordinates(H.form_of(v), p) == v
+
+
+def epsilon(m: tuple[int, ...]) -> int:
+    """The sign of e_m . e_(comp m) = eps(m) e_top: (-1)^(sum m - k(k-1)/2)."""
+    return -1 if (sum(m) - len(m) * (len(m) - 1) // 2) % 2 else 1
+
+
+def assert_duality_matches_elimination(A):
+    # above the middle degree the class path reads Z^q = ann(B^(n-q)) and
+    # B^(q+1) = ann(Z^(n-1-q)) off the lower half; eliminating d_q itself
+    # gives the same integer reduced bases, key for key
+    H = Cohomology(A)
+    H.basis(0)  # classes asked for: from now on kernels are kept
+    M = H._eliminated
+    n = M.dimension
+    assert H._mirrored(n)  # d_(n-1) = 0
+    for q in range(n + 1):
+        if 2 * q <= n - 1:
+            continue
+        image, kernel = linalg.image_and_kernel(cochain_matrix(M, q), comb(n, q + 1))
+        cocycles, boundaries = H._cocycles(q), H._boundaries(q + 1)
+        assert list(cocycles.items()) == list(kernel.items()), (n, q)
+        assert list(boundaries.items()) == list(linalg._back_substitute(image).items()), (n, q)
+
+
+@pytest.mark.parametrize("A", [theorem1_family(2), theorem2_family(2), theorem4_example(),
+                               *section3_pair()], ids=["t1k2", "t2k2", "t4", "s3a", "s3b"])
+def test_duality_matches_elimination_on_the_families(A):
+    assert_duality_matches_elimination(A)
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(st.one_of(drawn_conjugates(),
+                 st.integers(0, 10**6).map(lambda seed: random_nilpotent(random.Random(seed)))))
+def test_duality_matches_elimination_on_drawn_algebras(L):
+    assert_duality_matches_elimination(ce_model(L, trivial_basis(L)))
+
+
+@pytest.mark.parametrize("A", [theorem1_family(2), theorem4_example(),
+                               ce_model(BASES[-1], trivial_basis(BASES[-1]))], ids=["t1k2", "t4", "base"])
+def test_upper_differentials_are_the_signed_transposes_of_the_lower(A):
+    # on unimodular g, <d a, b> = -(-1)^p <a, d b> for a of degree p and b of
+    # degree n-1-p under the wedge pairing, so entry (C(n,p)-1-j, l) of
+    # d_(n-1-p) is -(-1)^p eps(m_j) eps(comp m'_l) times entry (C(n,p+1)-1-l, j) of d_p
+    n = A.dimension
+    for p in range(n):
+        lower, upper = cochain_matrix(A, p), cochain_matrix(A, n - 1 - p)
+        here, above = list(combinations(range(n), p)), list(combinations(range(n), p + 1))
+        assert len(lower) == len(here) and len(upper) == len(above)
+        for l in range(len(above)):
+            i = len(above) - 1 - l
+            expected = {}
+            for j, column in enumerate(lower):
+                if i in column:
+                    sign = -(-1) ** p * epsilon(here[j]) * epsilon(above[i])
+                    expected[len(here) - 1 - j] = sign * column[i]
+            assert upper[l] == expected, (p, l)
+
+
+@pytest.mark.parametrize("L", [
+    LieAlgebra(("x", "y"), {(0, 1): {1: Fraction(1)}}),
+    LieAlgebra(("x", "y", "z"), {(0, 1): {1: Fraction(1)}, (0, 2): {1: Fraction(1), 2: Fraction(1)}}),
+], ids=["r2", "r3"])
+def test_non_unimodular_class_paths_eliminate_every_degree(L, monkeypatch):
+    # d_(n-1) != 0, so no degree is read off its dual: every d_p is eliminated
+    # with its kernel, and the classes match the oracle's
+    eliminated, annihilated = [], []
+    both, annihilator = linalg.image_and_kernel, cohomology._annihilator
+    monkeypatch.setattr(linalg, "image_and_kernel",
+                        lambda columns, nrows: eliminated.append(columns) or both(columns, nrows))
+    monkeypatch.setattr(cohomology, "_annihilator",
+                        lambda *args: annihilated.append(args) or annihilator(*args))
+    H = Cohomology(ce_model(L, trivial_basis(L)))
+    n = L.dimension
+    for p in range(n + 1):
+        assert H.indecomposables(p)[0] == oracle_indecomposables(L, p), p
+        assert oracle_class_rank(L, p, [f.terms for f in H.basis(p)]) == H.betti(p), p
+    assert tuple(H.betti(p) for p in range(n + 1)) == oracle_betti(L)
+    assert not H._mirrored(n) and annihilated == []  # d_(n-1) != 0
+    assert sorted(p for p, d in H._d.items() if any(d is rows for rows in eliminated)) == list(
+        range(n + 1))
 
 
 def assert_generated_basis_is_adapted_and_bracket_generated(L):
