@@ -10,8 +10,10 @@ sparse, and eliminated once (see ``Cohomology``): Betti numbers count pivots
 of the coboundary bases B^(p+1), and classes take Z^p from the same
 elimination; if d_(n-1) = 0, only for p <= (n-1)/2, since Z^q = ann(B^(n-q))
 and B^(q+1) = ann(Z^(n-1-q)) under e_m . e_(comp m) = (-1)^(sum m - k(k-1)/2)
-e_top.  Indecomposables come from integer cochain spans, with no class
-coordinates, grown by products in standard-monomial order (see ``_factors``).
+e_top; the weight split counts rank d_q leaving weight s as the pivots of
+B^(n-q) at W - s, W the weight of e_top.  Indecomposables come from integer
+cochain spans, with no class coordinates, grown by products in
+standard-monomial order (see ``_factors``).
 d and every cup product are computed by the exterior-algebra kernel of
 ``forms``, on monomials as bitmasks: row j of a degree-p cochain is the j-th
 mask of ``_masks``, each column of d is one ``_derive`` and each product one
@@ -23,7 +25,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import combinations
 from math import comb, lcm
 
@@ -70,8 +72,7 @@ def cochain_matrix(A: SullivanModel, p: int) -> list[dict[int, int]]:
     if not A.live and p >= 0:
         return [{} for _ in range(comb(A.dimension, p))]
     index = _mask_index(A.dimension, p + 1)
-    return [{index[m]: v for m, v in _derive(A, mask).items() if v}
-            for mask in _masks(A.dimension, p)]
+    return [_derive(A, mask, index) for mask in _masks(A.dimension, p)]
 
 
 def _annihilator(S: dict[int, dict[int, int]], n: int, k: int) -> dict[int, dict[int, int]]:
@@ -438,20 +439,28 @@ class Cohomology:
     def betti_by_weight(self, p: int) -> dict[int, int]:
         """H^p split by total lower degree; requires a Carnot-homogeneous d.
 
-        d then maps weight w of Lambda^p to weight w - 1 of Lambda^(p+1), so
-        the pivot set of B^(p+1), which does not depend on the echelon basis
-        it is read from, is the union of those of the weight blocks: the
-        rank of d_p on weight w is the number of its pivots at weight w - 1,
-        that of d_(p-1) into weight w of B^p's.
+        d then maps weight s of Lambda^q to weight s - 1 of Lambda^(q+1), so the pivot
+        set of B^(q+1), which does not depend on the echelon basis it is read from, is
+        the union of those of the weight blocks: the rank of d_q leaving weight s is the
+        number of its pivots at weight s - 1.  If d_q is mirrored (see ``_rank``),
+        pairing weight w with W - w, W the sum of the weights, takes that block to the
+        one of d_(n-1-q) leaving W - s + 1: the pivots of B^(n-q) at W - s.
         """
         A = self.model
         if not is_carnot_homogeneous(A):
             raise ModelError("differential is not Carnot-homogeneous")
-        here, above = ([sum(c) for c in combinations(A.weights, q)] if 0 <= q <= A.dimension else []
-                       for q in (p, p + 1))  # in the order of _masks
-        dims = Counter(here)
-        for c in self._pivots(p):
-            dims[here[c]] -= 1
-        for c in self._pivots(p + 1):
-            dims[above[c] + 1] -= 1
+        n, top = A.dimension, sum(A.weights)
+        if not 0 <= p <= n:
+            return {}
+
+        @cache
+        def weights(k: int) -> list[int]:  # of Lambda^k, in the order of _masks
+            return [sum(c) for c in combinations(A.weights, k)]
+
+        dims = Counter(weights(p))
+        for q in (p, p - 1):  # rank d_q leaving weight s, taken from weight s + q - p
+            if self._mirrored(q):
+                dims.subtract(top - weights(n - q)[c] + q - p for c in self._pivots(n - q))
+            else:
+                dims.subtract(weights(q + 1)[c] + 1 + q - p for c in self._pivots(q + 1))
         return {w: dim for w, dim in sorted(dims.items()) if dim}

@@ -11,7 +11,8 @@ kernel on masks (``_mask_terms``): every sign is the parity of a popcount.  A
 SullivanModel keeps d as an integer table: ``scale`` is the lcm D of the
 denominators in the d v_i (1 for d = 0), ``table[i]`` holds (mask of v_a v_b,
 parity mask of (i, a, b), D * c) for each term c v_a v_b of d v_i, and ``live``
-masks the i with d v_i != 0.  ``_derive`` returns D * d(mask) as {mask: int};
+masks the i with d v_i != 0.  ``_derive`` returns D * d(mask) as {index[mask]:
+int}, ``index`` the row of each mask (``_mask_index``) or its tuple (``_Monomials``);
 apply_differential and check_d_squared divide by D only at the end.
 """
 
@@ -306,25 +307,26 @@ class SullivanModel:
         return f"SullivanModel({gens})"
 
 
-def _derive(model: SullivanModel, mono: int) -> dict[int, int]:
-    """model.scale * d(mono) as {mask: int}, mono a mask, cancelled terms
-    kept as 0.  Only the bits of mono in ``model.live`` have terms.
+def _derive(model: SullivanModel, mono: int, index) -> dict:
+    """model.scale * d(mono) as {index[mask]: int}, ``index`` a ``_mask_index``, a
+    ``_Monomials`` or a range; cancelled entries deleted, bits off ``model.live`` skipped.
 
     A term (ab, q, c) of d v_i, i a bit of mono, replaces v_i by v_a v_b in
     mono: zero if the rest of mono holds a or b, and otherwise of the sign
     (-1)^(pos + i' + j'), pos, i' and j' the counts of the rest's indices
     below i, a and b, which is the parity of the popcount of rest & q."""
-    out: dict[int, int] = {}
-    table = model.table
-    bits = mono & model.live
+    out, table, bits = {}, model.table, mono & model.live
     while bits:
         low = bits & -bits
         bits ^= low
         rest = mono ^ low
         for ab, q, c in table[low.bit_length() - 1]:
             if not rest & ab:
-                m = rest | ab
-                out[m] = out.get(m, 0) + (-c if (rest & q).bit_count() & 1 else c)
+                j = index[rest | ab]
+                if v := out.get(j, 0) + (-c if (rest & q).bit_count() & 1 else c):
+                    out[j] = v
+                else:
+                    del out[j]
     return out
 
 
@@ -332,12 +334,11 @@ def apply_differential(model: SullivanModel, f: Form) -> Form:
     """Extend the generator differential to f as a degree +1 derivation."""
     if f.gens != model.generators:
         raise DomainMismatchError("form does not live over the model's generators")
-    terms: dict[int, Fraction] = {}
+    terms, monos = {}, _Monomials()
     for mask, _, coeff in _kernel_terms(f.terms.items()):
-        for m, v in _derive(model, mask).items():
+        for m, v in _derive(model, mask, monos).items():
             terms[m] = terms.get(m, 0) + coeff * v
-    monos = _Monomials()
-    return Form(model.generators, {monos[m]: c / model.scale for m, c in terms.items()})
+    return Form(model.generators, {m: c / model.scale for m, c in terms.items()})
 
 
 def check_d_squared(model: SullivanModel) -> list[tuple[Generator, Form]]:
@@ -352,14 +353,14 @@ def check_d_squared(model: SullivanModel) -> list[tuple[Generator, Form]]:
     for i, terms in enumerate(model.table):
         for ab, _, c in terms:
             uses.setdefault(ab, []).append((i, c))
-    dd: list[dict[int, int]] = [{} for _ in model.table]
+    dd, masks = [{} for _ in model.table], range(1 << len(model.table))  # masks[m] is m
     for ab, targets in uses.items():
-        derived = _derive(model, ab)
+        derived = _derive(model, ab, masks)
         for i, c in targets:
             acc = dd[i]
             for m, v in derived.items():
                 acc[m] = acc.get(m, 0) + c * v
-    square, monos = model.scale**2, _Monomials()
+    square, monos = model.scale**2, _Monomials()  # a valid model makes no tuple
     return [
         (g, Form(model.generators, {monos[m]: Fraction(v, square) for m, v in acc.items() if v}))
         for g, acc in zip(model.generators, dd)

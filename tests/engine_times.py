@@ -10,6 +10,8 @@ sha256 of the Betti vector, so two versions can be compared by eye.
 ``fingerprint(M)`` probes the class paths instead: it times
 ``fingerprint(lie_from_model(M))`` (representatives, products and
 indecomposables in every degree) and hashes the whole ``Fingerprint``.
+``by_weight(M, p)`` probes the weight split: it times
+``Cohomology(M).betti_by_weight(p)`` and hashes the dict.
 
 ``c_t2k3`` is a file, not a model: theorem2(3) in the basis with entries in
 {-1, 0, 1} of the benchmark's ``structure`` input of that name (the same
@@ -23,6 +25,7 @@ way: its entries grow much more in elimination (about 5 s against 0.2 s).
     PYTHONPATH=src python3 tests/engine_times.py
     PYTHONPATH=src python3 tests/engine_times.py abelian(20)
     PYTHONPATH=src python3 tests/engine_times.py "fingerprint(theorem4)"
+    PYTHONPATH=src python3 tests/engine_times.py "by_weight(theorem1(4), 8)"
 
 With arguments, only the named models run.  Like ``report_sweep.py``,
 pytest does not collect it.
@@ -37,7 +40,8 @@ import sys
 import time
 
 MODELS = ("free(3,3)", "theorem1(4)", "theorem2(4)", "abelian(20)", "theorem1(5)", "c_t2k3",
-          "s_t2k3", "fingerprint(theorem4)", "fingerprint(theorem1(4))")
+          "s_t2k3", "fingerprint(theorem4)", "fingerprint(theorem1(4))",
+          "by_weight(theorem1(4), 8)")
 FILES = {"c_t2k3": "conjugate:c_t2k3", "s_t2k3": "c_t2k3"}  # name -> sign_conjugate seed
 
 
@@ -69,21 +73,29 @@ def measure(name: str) -> str:
     from nilrigid import Cohomology, fingerprint, lie_from_model
     from nilrigid.fileformat import model_basis, parse_source
 
-    probe = name.startswith("fingerprint(")
-    A = build(name[len("fingerprint("):-1] if probe else name)
+    probe, split = name.startswith("fingerprint("), name.startswith("by_weight(")
+    model = name[name.index("(") + 1:-1] if probe or split else name
+    if split:
+        model, degree = model.rsplit(", ", 1)
+    A = build(model)
     L = lie_from_model(A) if probe else None
     start = time.perf_counter()
     if probe:
         result = fingerprint(L)
-        betti = result.betti
+        n = len(result.betti) - 1
+    elif split:
+        result = Cohomology(A).betti_by_weight(int(degree))
+        n = A.dimension
     elif isinstance(A, str):
-        result = betti = Cohomology.of(*model_basis(parse_source(A))).betti_vector()
+        result = Cohomology.of(*model_basis(parse_source(A))).betti_vector()
+        n = len(result) - 1
     else:
-        result = betti = Cohomology(A).betti_vector()
+        result = Cohomology(A).betti_vector()
+        n = len(result) - 1
     seconds = time.perf_counter() - start
     rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
     digest = hashlib.sha256(repr(result).encode()).hexdigest()[:16]
-    return f"{name:<12} n={len(betti) - 1:<3} {seconds:8.3f} s {rss:8.1f} MB  {digest}"
+    return f"{name:<12} n={n:<3} {seconds:8.3f} s {rss:8.1f} MB  {digest}"
 
 
 def run(names: list[str]) -> int:

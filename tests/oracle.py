@@ -10,6 +10,7 @@ and ranks them modulo a large prime, with no code of ``nilrigid.linalg``.
 Agreement with the library is therefore meaningful evidence.
 """
 
+from collections import Counter
 from fractions import Fraction
 from functools import partial
 from itertools import combinations
@@ -188,6 +189,39 @@ def oracle_betti(L) -> tuple:
         below = ranks[p - 1] if p else 0
         out.append(dim - ranks[p] - below)
     return tuple(out)
+
+
+def oracle_betti_by_weight(L, weights, p) -> dict:
+    """H^p split by weight, brute force: {weight: dimension}, nonzero only.
+
+    ``weights[i]`` is that of the dual of basis vector i, and d must map
+    weight s to weight s - 1, as in a Carnot-graded model.  Each weight block
+    of every d_q (its columns of one weight) is ranked densely, also above
+    the middle degree, where the library reads these ranks off pivots of the
+    lower half: H^p at weight s is dim Lambda^p there less the rank of d_p on
+    weight s and that of d_(p-1) on weight s + 1."""
+    n = L.dimension
+    if not 0 <= p <= n:
+        return {}
+
+    def weight(mono):
+        return sum(weights[i] for i in mono)
+
+    def block_ranks(q):  # weight s of Lambda^q -> rank of d_q on it
+        if q < 0:
+            return {}
+        rows, _ = _differential_matrix(L, q)
+        blocks = {}
+        for j, mono in enumerate(combinations(range(n), q)):
+            blocks.setdefault(weight(mono), []).append(j)
+        return {s: _forward_rank([r for r in ([row[j] for j in cols] for row in rows) if any(r)],
+                                 len(cols))
+                for s, cols in blocks.items()}
+
+    dims = Counter(weight(mono) for mono in combinations(range(n), p))
+    dims.subtract(block_ranks(p))
+    dims.subtract({s - 1: r for s, r in block_ranks(p - 1).items()})
+    return {w: b for w, b in sorted(dims.items()) if b}
 
 
 def oracle_extend(basis, row):

@@ -58,7 +58,8 @@ def test_abelian_betti_binomial():
         assert Cohomology(A).betti_vector() == tuple(comb(n, p) for p in range(n + 1))
     # no generator is live, so no monomial derives to anything
     assert A.live == 0
-    assert all(cohomology._derive(A, mask) == {} for mask in range(2**A.dimension))
+    assert all(cohomology._derive(A, mask, forms._Monomials()) == {}
+               for mask in range(2**A.dimension))
 
 
 def test_zero_differential_lists_no_masks(monkeypatch):
@@ -210,9 +211,9 @@ def test_each_differential_is_built_once(monkeypatch):
         built.append(p)
         return build(A, p)
 
-    def counting_derive(A, mono):
+    def counting_derive(A, mono, index):
         derived.append(mono)
-        return derive(A, mono)
+        return derive(A, mono, index)
 
     def counting_differentiate(A, f):
         differentiated.append(f)
@@ -247,29 +248,31 @@ def test_each_differential_is_built_once(monkeypatch):
     assert sorted(built) == [0, 1, 2, 3, 7] and len(eliminated) == 4
     for p in range(n + 1):
         assert sum(H.betti_by_weight(p).values()) == H.betti(p)
-    # the weight split counts the pivots of the upper B^p too, eliminated for ranks alone
-    assert len(eliminated) == n + 1 and with_kernels == reduced == back == []
+    # the weight split reads the ranks of the upper d_q by weight off the pivots of
+    # the lower B^(n-q), so it builds and eliminates nothing more
+    assert sorted(built) == [0, 1, 2, 3, 7] and len(eliminated) == 4
+    assert with_kernels == reduced == back == []
     for p in range(n + 1):
         H.basis(p)
         H.indecomposables(p)
-    assert sorted(built) == list(range(n + 1))
+    assert sorted(built) == [0, 1, 2, 3, 7]
     # the ranks kept no kernel, so the classes eliminate d_0..d_3 once more, with
     # their kernels; each Z^q above the middle degree is the annihilator of
-    # B^(n-q), so no upper d_q is eliminated again, and no basis is divided
+    # B^(n-q), so no upper d_q is built or eliminated, and no basis is divided
     # into Fractions
     d = [rows for rows in eliminated if any(rows is d_p for d_p in H._d.values())]
-    assert len(d) == len({id(rows) for rows in d}) == n + 1
+    assert len(d) == len({id(rows) for rows in d}) == 4
     assert sorted(p for p, d_p in H._d.items() if any(rows is d_p for rows in with_kernels)) == [
         0, 1, 2, 3]
     assert len(with_kernels) == 4
     assert reduced == [] and H._kernels == {}
-    # one integer basis of each B^p, p = 0..n+1, is kept; the lower B^p that
+    # one integer basis of each B^p, p = 0..n, is kept; the lower B^p that
     # the upper Z^q annihilate are reduced in place, and no other is
-    assert sorted(H._echelons) == list(range(n + 2))
+    assert sorted(H._echelons) == list(range(n + 1))
     assert sorted(p for p, e in H._echelons.items() if any(b is e for b in back)) == [0, 1, 2, 3, 4]
-    # every monomial of the exterior algebra is differentiated exactly once,
-    # by the integer kernel and never through a Form
-    assert len(derived) == len(set(derived)) == 2 ** n
+    # every monomial of the degrees built is differentiated exactly once, by
+    # the integer kernel and never through a Form
+    assert len(derived) == len(set(derived)) == sum(comb(n, q) for q in (0, 1, 2, 3, 7))
     assert differentiated == []
 
 
@@ -298,6 +301,8 @@ def test_betti_vector_eliminates_half_the_complex(monkeypatch):
     products = {0: [], 1: [0, 1, 7], 2: [0, 1, 2, 7], 7: [0, 1, 2, 7], 8: [0, 1, 7]}
     for p in range(n + 1):
         assert fresh("betti", p) == betti[p], p
+        # the weight split counts pivots of the same B^(q+1), or B^(n-q) if mirrored
+        assert fresh("betti_by_weight", p) == betti[p], p
         assert fresh("indecomposables", p)[0] == products.get(p, [0, 1, 2, 3, 7]), p
     # after a single degree, the vector eliminates only the lower half it lacks
     H = Cohomology(A)

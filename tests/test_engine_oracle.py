@@ -25,7 +25,7 @@ from nilrigid import ce_model, check_d_squared, cochain_matrix
 from nilrigid import adapted_basis, change_basis, generated_basis, jacobi_defect, lower_central_series
 from nilrigid import apply_differential, monomial_basis, trivial_basis
 from nilrigid import free_nilpotent_lie, lie_from_model, theorem1_family, theorem2_family
-from nilrigid import section3_pair, theorem4_example
+from nilrigid import AdaptedBasis, associated_graded_model, section3_pair, theorem4_example
 from nilrigid import cohomology, linalg
 from nilrigid.lie import sparse_basis
 from nilrigid.linalg import dense, echelon, rank
@@ -33,15 +33,18 @@ from oracle import (
     DENOMINATORS,
     base_algebras,
     corrupt,
+    heisenberg,
     jacobiator,
     modular_ranks,
     oracle_betti,
+    oracle_betti_by_weight,
     oracle_class_rank,
     oracle_bracket,
     oracle_columns,
     oracle_d_squared,
     oracle_indecomposables,
     oracle_lcs_dimensions,
+    random_invertible,
     random_nilpotent,
     rational_conjugate,
 )
@@ -354,6 +357,49 @@ def test_non_unimodular_class_paths_eliminate_every_degree(L, monkeypatch):
     assert not H._mirrored(n) and annihilated == []  # d_(n-1) != 0
     assert sorted(p for p, d in H._d.items() if any(d is rows for rows in eliminated)) == list(
         range(n + 1))
+
+
+def weighted(L, weights):
+    return ce_model(L, trivial_basis(L, weights))
+
+
+def layer_conjugate(A, seed):
+    """A Carnot-graded model A in a basis drawn from ``seed`` that mixes each
+    weight layer densely and keeps the weights: d stays homogeneous, and its
+    brackets of basis vectors have several terms."""
+    L, rng, n = lie_from_model(A), random.Random(seed), A.dimension
+    cols = [[Fraction(0)] * n for _ in range(n)]
+    for w in set(A.weights):
+        layer = [i for i in range(n) if A.weights[i] == w]
+        for a, column in zip(layer, random_invertible(rng, len(layer))):
+            for i, x in zip(layer, column):
+                cols[a][i] = x
+    M = change_basis(L, AdaptedBasis(tuple(map(tuple, cols)), A.weights, L.names))
+    return weighted(M, A.weights)
+
+
+r2 = LieAlgebra(("x", "y"), {(0, 1): {1: Fraction(1)}})
+free24, free32 = free_nilpotent_lie(2, 4), free_nilpotent_lie(3, 2)
+
+
+@pytest.mark.parametrize("A, pushed", [
+    (weighted(heisenberg(), (0, 0, 1)), False), (theorem1_family(2), False),
+    (theorem1_family(3), False), (weighted(free24.algebra, free24.weights), False),
+    (weighted(free32.algebra, free32.weights), False),
+    (associated_graded_model(theorem2_family(2)), False),
+    (associated_graded_model(theorem4_example()), False),
+    (layer_conjugate(theorem1_family(2), "t1k2"), True), (weighted(r2, (-1, 0)), False),
+], ids=["heisenberg", "t1k2", "t1k3", "free24", "free32", "t2k2", "t4", "conj_t1k2", "r2"])
+def test_weight_split_matches_the_oracle(A, pushed):
+    # betti_by_weight counts pivots of B^(q+1), read off B^(n-q) at weight W - s
+    # above the middle degree of a unimodular model (not r2: d_(n-1) != 0); the
+    # oracle ranks every weight block of every d_q densely.  n is odd and even,
+    # and the conjugate's pivots are those pushed from its generated basis
+    H, n = Cohomology(A), A.dimension
+    for p in range(-1, n + 2):
+        assert H.betti_by_weight(p) == oracle_betti_by_weight(lie_from_model(A), A.weights, p), p
+    assert H._mirrored(n) == (n > 2)
+    assert (H._basis is not None) == pushed
 
 
 def assert_generated_basis_is_adapted_and_bracket_generated(L):

@@ -14,6 +14,7 @@ from nilrigid import (
     SullivanModel,
     apply_differential,
     check_d_squared,
+    cochain_matrix,
     monomial_basis,
     theorem1_family,
     theorem2_family,
@@ -21,7 +22,7 @@ from nilrigid import (
     section3_pair,
     wedge,
 )
-from nilrigid.forms import _masks, product
+from nilrigid.forms import _derive, _masks, _Monomials, product
 
 
 GENS = tuple(Generator(f"e{i}", i) for i in range(6))
@@ -137,6 +138,25 @@ def test_d_squared_detects_invalid_model():
     ]
     defects = check_d_squared(SullivanModel(gens, diff))
     assert [g.name for g, _ in defects] == ["m"]
+
+
+def test_derive_drops_terms_that_cancel():
+    # d v1 = v0 v1 and d v2 = -v0 v2, so the two terms of d(v1 v2) cancel at
+    # v0 v1 v2: no column, Form or d^2 defect holds that monomial, not even as 0
+    gens = tuple(Generator(f"v{i}", i) for i in range(5))
+
+    def form(terms):
+        return Form(gens, terms)
+
+    A = SullivanModel(gens, [form({}), form({(0, 1): 1}), form({(0, 2): -1}),
+                             form({(1, 2): 1, (1, 4): 1}), form({(0, 4): 1})])
+    assert _derive(A, 0b110, _Monomials()) == {}
+    assert _derive(A, 0b10010, _Monomials()) == {(0, 1, 4): 2}
+    assert cochain_matrix(A, 2)[_masks(5, 2).index(0b110)] == {}
+    assert all(v for p in range(6) for column in cochain_matrix(A, p) for v in column.values())
+    assert apply_differential(A, form({(1, 2): 1, (1, 4): 1})).terms == {(0, 1, 4): 2}
+    # d^2 v3 = d(v1 v2) + d(v1 v4): the first cancels, the second is the defect
+    assert [(g.name, f.terms) for g, f in check_d_squared(A)] == [("v3", {(0, 1, 4): 2})]
 
 
 def test_monomial_basis_counts_and_order():
