@@ -1,9 +1,14 @@
 """Free nilpotent Lie algebras on Lyndon-word bases.
 
-Bracketings are expanded in the tensor algebra and rewritten into the Lyndon
-basis by repeatedly stripping the lexicographically smallest word, which is
-the leading term of its standard bracketing.  Words of length m carry lower
-degree m - 1, so the algebras come out Carnot-homogeneous.
+Bracketings are expanded in the tensor algebra with int coefficients and
+rewritten into the Lyndon basis by stripping, in place, the lexicographically
+smallest word, which is the leading term, with coefficient 1, of its standard
+bracketing; the Lyndon basis is a Z-basis of the free Lie ring (Chen, Fox &
+Lyndon, 1958), so every coordinate is an int, and ``LieAlgebra`` makes the
+Fractions.  Words of length m carry lower degree m - 1, so the algebras come
+out Carnot-homogeneous.  The top words are central, so a Theorem 3 quotient
+keeps each bracket's lower words and projects its top part onto the chosen
+subspace along a standard complement.
 """
 
 from __future__ import annotations
@@ -14,12 +19,9 @@ from string import ascii_lowercase
 
 from . import linalg
 from .errors import SizeCapError
-from .lie import AdaptedBasis, LieAlgebra, change_basis
+from .lie import LieAlgebra
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
-
-TensorPoly = dict[str, Fraction]
+TensorPoly = dict[str, int]
 
 
 def is_lyndon(w: str) -> bool:
@@ -62,6 +64,8 @@ def standard_factorization(w: str) -> tuple[str, str]:
 
 def witt_dimension(l: int, n: int) -> int:
     """Dimension of the length-n component of the free Lie algebra on l letters."""
+    if l < 1 or n < 1:
+        raise ValueError("need at least one letter and length 1")
 
     def mobius(m: int) -> int:
         if m == 1:
@@ -87,31 +91,15 @@ def witt_dimension(l: int, n: int) -> int:
     return total // n
 
 
-def _poly_add(a: TensorPoly, b: TensorPoly, scale: Fraction = Fraction(1)) -> TensorPoly:
-    out = dict(a)
-    for w, c in b.items():
-        v = out.get(w, _ZERO) + scale * c
-        if v:
-            out[w] = v
-        else:
-            out.pop(w, None)
-    return out
-
-
 def _poly_commutator(a: TensorPoly, b: TensorPoly, maxlen: int) -> TensorPoly:
     out: TensorPoly = {}
     for wa, ca in a.items():
         for wb, cb in b.items():
-            if len(wa) + len(wb) > maxlen:
-                continue
-            c = ca * cb
-            for word, sign in ((wa + wb, 1), (wb + wa, -1)):
-                v = out.get(word, _ZERO) + sign * c
-                if v:
-                    out[word] = v
-                else:
-                    out.pop(word, None)
-    return out
+            if len(wa) + len(wb) <= maxlen:
+                c = ca * cb
+                out[wa + wb] = out.get(wa + wb, 0) + c
+                out[wb + wa] = out.get(wb + wa, 0) - c
+    return {w: c for w, c in out.items() if c}
 
 
 class LyndonBasis:
@@ -130,28 +118,33 @@ class LyndonBasis:
         if w in self._expansion:
             return self._expansion[w]
         if len(w) == 1:
-            poly = {w: Fraction(1)}
+            poly = {w: 1}
         else:
             u, v = standard_factorization(w)
             poly = _poly_commutator(self.expansion(u), self.expansion(v), self.c)
         self._expansion[w] = poly
         return poly
 
-    def to_coordinates(self, poly: TensorPoly) -> dict[str, Fraction]:
-        """Lyndon coordinates of a Lie element given as a tensor polynomial.
+    def to_coordinates(self, poly: TensorPoly) -> dict[str, int]:
+        """Lyndon coordinates of a Lie element given as a tensor polynomial,
+        in increasing word order.
 
         Works because the expansion of a Lyndon bracketing is its word plus
-        lexicographically larger rearrangements.
+        lexicographically larger rearrangements, so c times it strips the
+        leading word w, of coefficient c, from a copy of ``poly`` in place.
         """
         poly = {w: c for w, c in poly.items() if len(w) <= self.c and c}
-        coords: dict[str, Fraction] = {}
+        coords: dict[str, int] = {}
         while poly:
             w = min(poly)
-            c = poly[w]
             if w not in self.index:
                 raise ValueError(f"leading word {w!r} is not Lyndon; input is not a Lie element")
-            coords[w] = c
-            poly = _poly_add(poly, self.expansion(w), scale=-c)
+            c = coords[w] = poly[w]
+            for u, x in self.expansion(w).items():
+                if v := poly.get(u, 0) - c * x:
+                    poly[u] = v
+                else:
+                    del poly[u]
         return coords
 
 
@@ -185,10 +178,8 @@ def free_nilpotent_lie(l: int, c: int, max_dim: int = 64) -> FreeNilpotentAlgebr
             if len(u) + len(v) > c:
                 continue
             poly = _poly_commutator(basis.expansion(u), basis.expansion(v), c)
-            coords = basis.to_coordinates(poly)
-            entries = {basis.index[w]: cf for w, cf in coords.items() if cf}
-            if entries:
-                brackets[(a, b)] = entries
+            if coords := basis.to_coordinates(poly):
+                brackets[(a, b)] = {basis.index[w]: cf for w, cf in coords.items()}
     return FreeNilpotentAlgebra(
         l=l,
         nilpotency_class=c,
@@ -200,10 +191,12 @@ def free_nilpotent_lie(l: int, c: int, max_dim: int = 64) -> FreeNilpotentAlgebr
 def theorem3_family(l: int, k: int, subspace, max_dim: int = 64) -> LieAlgebra:
     """Free-to-lower-degree-k algebra whose top component is a chosen subspace.
 
-    The input spans a subspace of the length-(k+2) Lyndon component; the
+    The input spans a subspace S of the length-(k+2) Lyndon component; the
     algebra is the free nilpotent one of class k+2 with the top component
-    quotiented down to that subspace (every complement is central, so the
-    quotient is automatic).
+    quotiented down to S.  The top words are central, so each free bracket
+    keeps its lower words, and its top part becomes its S coordinates: one
+    ``ColumnSolver`` over (S | complement), the complement standard vectors
+    completing S, whose coordinates are dropped.
     """
     free = free_nilpotent_lie(l, k + 2, max_dim=max_dim)
     top_words = [w for w in free.words if len(w) == k + 2]
@@ -214,11 +207,13 @@ def theorem3_family(l: int, k: int, subspace, max_dim: int = 64) -> LieAlgebra:
         if len(vec) != width:
             raise ValueError(f"subspace vectors must have {width} coordinates")
     span: dict[int, dict[int, int]] = {}
-    for vec in svecs:
-        if not linalg.integer_extend(span, linalg.sparse(vec)):
+    columns = [linalg.sparse(vec) for vec in svecs]
+    for col in columns:
+        if not linalg.integer_extend(span, col):
             raise ValueError("subspace vectors are linearly dependent")
     # complete S to the top component by standard coordinates
-    comp = [j for j in range(width) if linalg.integer_extend(span, {j: 1})]
+    columns += [{j: 1} for j in range(width) if linalg.integer_extend(span, {j: 1})]
+    solver = linalg.ColumnSolver(columns, width)
 
     names = list(free.words[:base])
     used = set(names)
@@ -233,23 +228,11 @@ def theorem3_family(l: int, k: int, subspace, max_dim: int = 64) -> LieAlgebra:
         used.add(name)
         names.append(name)
 
-    # rewrite the free algebra in the basis (lower words | S | complement) and
-    # drop the complement, which is central, so the quotient is a restriction
-    n_new = len(names)
-    dim = len(free.words)
-    columns = [linalg.dense({j: _ONE}, dim) for j in range(base)]
-    columns += [[_ZERO] * base + vec for vec in svecs]
-    columns += [linalg.dense({base + j: _ONE}, dim) for j in comp]
-    full = change_basis(
-        free.algebra,
-        AdaptedBasis(
-            columns=tuple(map(tuple, columns)),
-            weights=(0,) * dim,
-            names=tuple(names) + tuple(top_words[j] for j in comp),
-        ),
-    )
     brackets = {}
-    for (a, b), vec in full.brackets.items():
-        if b < n_new:
-            brackets[(a, b)] = {i: c for i, c in vec.items() if i < n_new}
+    for (a, b), vec in free.algebra.brackets.items():
+        out = {i: c for i, c in vec.items() if i < base}
+        if top := {i - base: c for i, c in vec.items() if i >= base}:
+            x = solver.solve(top)
+            out.update((base + s, x[s]) for s in range(len(svecs)) if x[s])
+        brackets[(a, b)] = out
     return LieAlgebra(tuple(names), brackets)

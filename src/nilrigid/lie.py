@@ -164,11 +164,12 @@ def _ad(L: LieAlgebra, u: dict[int, int]) -> dict[int, dict[int, int]]:
 
 def _series(L: LieAlgebra) -> tuple[list[dict[int, Vec]], bool]:
     """Echelon bases of g = g^(0) >= [g,g] >= ..., and whether they reach 0
-    (else the list ends where the series stabilizes).  [g,g] is spanned by
-    the rows of ``L.table``, g^(w+1) by the ``_ad`` rows of those of g^(w),
-    all [u, e_k], Jacobi or not: grown shortest first by ``reduced_extend``,
-    then ``to_rref``, in pivot order, so each stage is ``echelon``'s."""
-    stages = [linalg.echelon({i: 1} for i in range(L.dimension))]
+    (else the list ends where the series stabilizes).  g^(0) is the identity
+    rows; [g,g] is spanned by the rows of ``L.table``, g^(w+1) by the ``_ad``
+    rows of those of g^(w), all [u, e_k], Jacobi or not: grown shortest first
+    by ``reduced_extend``, then ``to_rref``, in pivot order, so each stage is
+    ``echelon``'s."""
+    stages = [{i: {i: _ONE} for i in range(L.dimension)}]
     rows = [dict(terms) for (l, k), terms in L.table.items() if l < k]
     while True:
         span: dict[int, dict[int, int]] = {}

@@ -17,7 +17,7 @@ from itertools import combinations
 from math import comb
 import random
 
-from nilrigid.lie import LieAlgebra, change_basis, trivial_basis, jacobi_defect
+from nilrigid.lie import AdaptedBasis, LieAlgebra, change_basis, trivial_basis, jacobi_defect
 from nilrigid.free_nilpotent import free_nilpotent_lie
 
 ZERO = Fraction(0)
@@ -501,3 +501,52 @@ def corrupt(rng, L):
     vec = brackets.setdefault((l, k), {})
     vec[i] = vec.get(i, ZERO) + Fraction(rng.randint(1, 3))
     return LieAlgebra(L.names, brackets)
+
+
+def oracle_theorem3(l, k, subspace):
+    """``theorem3_family`` by a change of basis of the whole free algebra to
+    (lower words | S | standard complement of S), dropping the complement,
+    which is central, so the quotient is a restriction.  Ranks are dense
+    ``_forward_rank``s; the validation and the names of the S vectors are
+    ``theorem3_family``'s."""
+    free = free_nilpotent_lie(l, k + 2)
+    top_words = [w for w in free.words if len(w) == k + 2]
+    dim, width = len(free.words), len(top_words)
+    base = dim - width
+    svecs = [[Fraction(x) for x in vec] for vec in subspace]
+    if any(len(vec) != width for vec in svecs):
+        raise ValueError(f"subspace vectors must have {width} coordinates")
+    if _forward_rank(svecs, width) < len(svecs):
+        raise ValueError("subspace vectors are linearly dependent")
+    rows, comp = list(svecs), []
+    for j in range(width):
+        unit = [Fraction(int(i == j)) for i in range(width)]
+        if _forward_rank(rows + [unit], width) > len(rows):
+            rows.append(unit)
+            comp.append(j)
+
+    names = list(free.words[:base])
+    used = set(names)
+    for i, vec in enumerate(svecs):
+        nonzero = [j for j, x in enumerate(vec) if x]
+        if len(nonzero) == 1 and vec[nonzero[0]] == 1 and top_words[nonzero[0]] not in used:
+            name = top_words[nonzero[0]]
+        else:
+            name = f"s{i + 1}"
+            while name in used:
+                name += "_"
+        used.add(name)
+        names.append(name)
+
+    def unit(j):
+        return tuple(Fraction(int(i == j)) for i in range(dim))
+
+    columns = [unit(j) for j in range(base)]
+    columns += [(ZERO,) * base + tuple(vec) for vec in svecs]
+    columns += [unit(base + j) for j in comp]
+    full = change_basis(free.algebra, AdaptedBasis(
+        tuple(columns), (0,) * dim, tuple(names) + tuple(top_words[j] for j in comp)))
+    n = len(names)
+    brackets = {(a, b): {i: c for i, c in vec.items() if i < n}
+                for (a, b), vec in full.brackets.items() if b < n}
+    return LieAlgebra(tuple(names), brackets)

@@ -19,7 +19,10 @@ directory, together with the dense and invalid inputs pinned in
   copies of X, seeded by X's name: ``rational_conjugate`` of X, which passes,
   and of ``corrupt`` X, which mostly fails and names its defects; ``betti``
   and ``fingerprint`` on the corrupt copy, which name a d^2 defect too;
-- ``decomposable`` on the pinned ``forms`` input.
+- ``decomposable`` on the pinned ``forms`` input;
+- ``family free`` for each (gens, class) of ``FREE``, and ``family theorem3``
+  on each subspace file of ``SUBSPACES``, written here: full, empty, proper
+  with rational entries, dependent and of the wrong width.
 
 Prints one line per call, ``<sha256>  <argv>``, the hash being that of
 (stdout, stderr, exit code); a final line gives the number of calls.  Run it
@@ -67,6 +70,19 @@ REPORTS = json.loads((Path(__file__).parent / "data" / "text_reports.json").read
 INLINE = {
     "gl2": "generators e f h z\nbracket [e,f] = h\nbracket [h,e] = 2 e\nbracket [h,f] = - 2 f\n",
     "nojacobi": "generators a b c d\nbracket [a,b] = c\nbracket [a,c] = d\nbracket [c,d] = c\n",
+}
+
+# family free as (gens, class)
+FREE = (("2", "5"), ("2", "6"), ("3", "3"), ("3", "4"), ("4", "3"))
+# family theorem3 as name: (gens, k, vector lines); the top component of
+# (2 gens, k = 2) has 3 coordinates and that of (3 gens, k = 1) has 8
+SUBSPACES = {
+    "full": ("2", "2", "vector 1 0 0\nvector 0 1/2 0\nvector 1 1 1\n"),
+    "empty": ("2", "1", ""),
+    "proper": ("3", "1", "vector 1/2 0 -2/3 0 0 0 0 1\nvector 0 0 1 0 0 0 0 0\n"
+                         "vector 0 3 0 0 7/5 0 0 0\n"),
+    "dependent": ("2", "2", "vector 1 2 0\nvector -1/2 -1 0\n"),
+    "width": ("2", "2", "vector 1 2\n"),
 }
 
 
@@ -155,6 +171,10 @@ def sweep():
     for path in pinned:
         commands += class_commands(path) + form_commands(path)
     commands.append(("decomposable", "forms.alg"))
+    commands += [("family", "free", "--gens", gens, "--class", c) for gens, c in FREE]
+    for name, (gens, k, vectors) in SUBSPACES.items():
+        Path(f"{name}.sub").write_text("generators a b\n" + vectors)
+        commands.append(("family", "theorem3", "--gens", gens, "--k", k, "--subspace", f"{name}.sub"))
     for command in commands:
         for fmt in ("text", "json"):
             argv = ("--format", fmt, *command)

@@ -1,7 +1,9 @@
 """Lyndon bases, Witt dimensions, free nilpotent algebras and quotients."""
 
+from collections import Counter
 from fractions import Fraction
 
+from hypothesis import given, settings, strategies as st
 import pytest
 
 from nilrigid import (
@@ -18,7 +20,8 @@ from nilrigid import (
     trivial_basis,
     witt_dimension,
 )
-from nilrigid.free_nilpotent import is_lyndon
+from nilrigid.free_nilpotent import LyndonBasis, is_lyndon
+from oracle import oracle_theorem3
 
 
 def test_lyndon_words_small():
@@ -43,6 +46,12 @@ def test_lyndon_counts_match_witt():
             assert len(words[n]) == witt_dimension(l, n)
     assert [witt_dimension(2, n) for n in range(1, 6)] == [2, 1, 2, 3, 6]
     assert [witt_dimension(3, n) for n in range(1, 6)] == [3, 3, 8, 18, 48]
+
+
+@pytest.mark.parametrize("l, n", [(2, 0), (-1, 2), (0, 3)])
+def test_witt_dimension_rejects_no_letters_and_length_below_1(l, n):
+    with pytest.raises(ValueError, match="need at least one letter and length 1"):
+        witt_dimension(l, n)
 
 
 def test_standard_factorization():
@@ -73,6 +82,48 @@ def test_bracket_to_basis_jacobi_combination():
     assert bracket(5, "b", "aab") == {"aabb": -one}
     # [[a,abb],b] = [a,[abb,b]] + [[a,b],abb] = aabbb + ababb
     assert bracket(5, "aabb", "b") == {"aabbb": one, "ababb": one}
+
+
+def _product(p, q):
+    """The product of two tensor polynomials, summed independently of the library."""
+    out = Counter()
+    for u, x in p.items():
+        for v, y in q.items():
+            out[u + v] += x * y
+    return out
+
+
+@pytest.mark.parametrize("l, c", [(2, 5), (3, 3)])
+def test_bracket_coordinates_are_ints_that_rebuild_the_commutator(l, c):
+    # every bracket [u, v] of two Lyndon words: [P_u, P_v] = sum_w coords[w] P_w,
+    # P_w the expansion of w's standard bracketing, over the integers
+    basis, free = LyndonBasis(l, c), free_nilpotent_lie(l, c)
+    words = basis.words
+    for a, u in enumerate(words):
+        for b in range(a + 1, len(words)):
+            v = words[b]
+            if len(u) + len(v) > c:
+                continue
+            eu, ev = basis.expansion(u), basis.expansion(v)
+            commutator = _product(eu, ev)
+            commutator.subtract(_product(ev, eu))
+            commutator = {w: x for w, x in commutator.items() if x}
+            coords = basis.to_coordinates(commutator)
+            assert all(type(x) is int for x in coords.values())
+            rebuilt = Counter()
+            for w, x in coords.items():
+                for word, y in basis.expansion(w).items():
+                    rebuilt[word] += x * y
+            assert {w: x for w, x in rebuilt.items() if x} == commutator
+            assert free.algebra.brackets.get((a, b), {}) == {
+                basis.index[w]: x for w, x in coords.items()}
+
+
+def test_to_coordinates_rejects_what_is_not_a_lie_element():
+    basis = LyndonBasis(2, 3)
+    for poly in ({"ba": 1}, {"ab": 1}, {"aab": 2, "aba": 1}):
+        with pytest.raises(ValueError, match="not a Lie element"):
+            basis.to_coordinates(poly)
 
 
 def test_free_nilpotent_algebra_valid():
@@ -117,6 +168,46 @@ def test_theorem3_proper_subspace():
 def test_theorem3_rejects_dependent_subspace():
     with pytest.raises(ValueError):
         theorem3_family(2, 1, [[1, 0], [2, 0]])
+
+
+_ENTRIES = st.one_of(st.just(0), st.just(1), st.fractions(-3, 3, max_denominator=5))
+
+
+@st.composite
+def _theorem3_inputs(draw):
+    """(l, k, vectors): empty, proper or full subspaces of rational vectors,
+    some multiples of one top word, sometimes made dependent by a multiple of
+    one of them, or given a vector of the wrong width."""
+    l, k = draw(st.sampled_from((2, 3))), draw(st.sampled_from((0, 1, 2)))
+    width = witt_dimension(l, k + 2)
+    size = draw(st.sampled_from((0, width)) | st.integers(0, width))
+    row = st.lists(_ENTRIES, min_size=width, max_size=width)
+    vectors = draw(st.lists(row, min_size=size, max_size=size))
+    if vectors and draw(st.booleans()):  # a multiple of a top word, which may name it
+        j = draw(st.integers(0, width - 1))
+        vectors[-1] = [draw(_ENTRIES) if i == j else 0 for i in range(width)]
+    flaw = draw(st.sampled_from((None, None, "dependent", "width")))
+    if flaw == "dependent":
+        scale = draw(_ENTRIES)
+        vectors.append([scale * x for x in vectors[0]] if vectors else [0] * width)
+    elif flaw == "width":
+        vectors.append(draw(st.lists(_ENTRIES, min_size=width + 1, max_size=width + 1)))
+    return l, k, draw(st.permutations(vectors))
+
+
+def _outcome(family, l, k, vectors):
+    """Names and brackets, in order, of the algebra, or the ValueError message."""
+    try:
+        L = family(l, k, vectors)
+    except ValueError as err:
+        return str(err)
+    return L.names, list(L.brackets.items())
+
+
+@settings(max_examples=60, deadline=None)
+@given(_theorem3_inputs())
+def test_theorem3_matches_the_change_of_basis_oracle(inputs):
+    assert _outcome(theorem3_family, *inputs) == _outcome(oracle_theorem3, *inputs)
 
 
 def test_theorem3_zero_weight_relations():
