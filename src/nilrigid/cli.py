@@ -408,11 +408,7 @@ def _cmd_family(args, report):
     elif name == "theorem3":
         if args.gens is None or args.k is None or args.subspace is None:
             raise ParseError("family theorem3 needs --gens, --k and --subspace")
-        sub_af = _parse(args.subspace)
-        vectors = [entries for entries, _ in sub_af.vectors]
-        if not vectors:
-            raise ParseError("subspace file declares no vector lines")
-        L = theorem3_family(args.gens, args.k, vectors)
+        L = theorem3_family(args.gens, args.k, [v for v, _ in _parse(args.subspace).vectors])
         # weights are declared only when the file's own basis is adapted
         basis = adapted_basis(L)
         report["algebra_file"] = emit_algebra(L, basis.weights if basis.is_identity() else None)

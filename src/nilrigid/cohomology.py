@@ -12,8 +12,8 @@ elimination; if d_(n-1) = 0, only for p <= (n-1)/2, since Z^q = ann(B^(n-q))
 and B^(q+1) = ann(Z^(n-1-q)) under e_m . e_(comp m) = (-1)^(sum m - k(k-1)/2)
 e_top; the weight split counts rank d_q leaving weight s as the pivots of
 B^(n-q) at W - s, W the weight of e_top.  Indecomposables come from integer
-cochain spans, with no class coordinates, grown by products in
-standard-monomial order (see ``_factors``).
+cochain spans, grown by products in standard-monomial order, none of a torus
+weight whose classes are spanned (see ``_factors``, ``_grading``).
 d and every cup product are computed by the exterior-algebra kernel of
 ``forms``, on monomials as bitmasks: row j of a degree-p cochain is the j-th
 mask of ``_masks``, each column of d is one ``_derive`` and each product one
@@ -28,6 +28,7 @@ from fractions import Fraction
 from functools import cache, cached_property
 from itertools import combinations
 from math import comb, lcm
+from operator import add, itemgetter, mul, sub
 
 from . import linalg
 from .errors import DomainMismatchError, ModelError, NotClosedError
@@ -95,6 +96,29 @@ def _annihilator(S: dict[int, dict[int, int]], n: int, k: int) -> dict[int, dict
                 row[top - c] = v if ((masks[c] ^ masks[j]) & odd).bit_count() & 1 else -v
             linalg._remove_content(row)
     return out
+
+
+def _grading(A: SullivanModel) -> list[list[int]]:
+    """An integer basis of A's maximal diagonal grading, the w with w_i = w_a + w_b for
+    each term v_a v_b of d v_i (Favre 1973): w_i is w_a + w_b by d v_i's first term if
+    a, b < i, else a parameter, and the other terms are integer rows on the parameters,
+    whose kernel w runs over; empty once they reach full rank, as on dense conjugates."""
+    n, W, basis = A.dimension, [], {}
+    for i, terms in enumerate(A.table):
+        ab = terms[0][0] if terms else 1 << i
+        W.append([0] * i + [1] + [0] * (n - i - 1) if ab >> i  # w_i over the parameters
+                 else list(map(add, W[(ab & -ab).bit_length() - 1], W[ab.bit_length() - 1])))
+    params = [i for i, w in enumerate(W) if w[i]]
+    for i, terms in enumerate(A.table):
+        for ab, _, _ in terms[not W[i][i]:]:  # w_a + w_b - w_i on the parameters
+            row = map(sub, map(add, W[(ab & -ab).bit_length() - 1], W[ab.bit_length() - 1]), W[i])
+            if linalg.integer_extend(basis, dict(filter(itemgetter(1), enumerate(row)))) \
+                    and len(basis) == len(params):
+                return []
+    L = lcm(*(r[c] for c, r in linalg._back_substitute(basis).items()))
+    kernel = [[L if x == f else -basis[x].get(f, 0) * L // basis[x][x] if x in basis else 0
+               for x in range(n)] for f in params if f not in basis]  # k, one per free f
+    return [[sum(map(mul, w, k)) for w in W] for k in kernel]
 
 
 def _inverse_images(basis: AdaptedBasis) -> list[Terms]:
@@ -177,12 +201,28 @@ class Cohomology:
         self._kernels: dict[int, dict[int, dict[int, int]]] | None = None  # None: ranks alone
         self._data: dict[int, _Classes] = {}
         self._units: dict[int, list[int]] = {}
-        self._grown: dict[int, list[tuple[tuple[int, int], Terms]]] = {}
+        self._grown: dict[int, list[tuple[tuple[int, int], Terms, int]]] = {}
 
     @cached_property
     def model(self) -> SullivanModel:
         """The model whose cohomology this is, in its own basis."""
         return self._build()
+
+    @cached_property
+    def _keys(self) -> list[int]:
+        """Each generator's weight under ``_grading(model)`` as one int in base 2nM + 1, M
+        its largest entry: sums of n weights, in [-nM, nM], share a key only if equal."""
+        grading, n = _grading(self.model), self.model.dimension
+        base = 2 * n * max((abs(x) for w in grading for x in w), default=0) + 1
+        return [sum(w[x] * base**k for k, w in enumerate(grading)) for x in range(n)]
+
+    def _weight(self, mask: int) -> int:
+        """The packed weight of a monomial: the sum of its generators' keys."""
+        keys, w = self._keys, 0
+        while mask:
+            w += keys[(low := mask & -mask).bit_length() - 1]
+            mask ^= low
+        return w
 
     # -- internal ----------------------------------------------------------
 
@@ -287,35 +327,36 @@ class Cohomology:
             raise NotClosedError("form is not closed", differential=self.model.d(f))
         return ClassVector(p, tuple(y * r[c] for y, (c, r) in zip(x, data.vectors.items())))
 
-    def _terms(self, p: int) -> list[Terms]:
-        """The representatives of degree p as primitive integer kernel terms."""
+    def _terms(self, p: int) -> list[tuple[Terms, int]]:
+        """The representatives of degree p as primitive integer kernel terms, with weights."""
         data = self._degree(p)
-        if data.terms is None:
+        if data.terms is None:  # a representative is homogeneous: any mask has its weight
             masks = list(data.masks)
-            data.terms = [_mask_terms((masks[j], c) for j, c in v.items())
-                          for v in data.vectors.values()]
+            data.terms = [(t := _mask_terms((masks[j], c) for j, c in v.items()),
+                           self._weight(t[0][0])) for v in data.vectors.values()]
         return data.terms
 
-    def _factors(self, p: int):
-        """(label, a, b): kernel terms a of an indecomposable g of degree i <= p / 2
-        and b of a class h of degree p - i, label (i, g) (degree, position): the
-        products g . h span H^+ . H^+ in degree p, as do the products of two or
-        more indecomposables, least factor first.  Once ``_products(p - i)``
-        has split H^(p-i), h runs over its indecomposables and the products
-        that grew its span, labelled by themselves and by their least factor
-        g', and only when that label is >= (i, g), > for odd i: if (i', g') <
+    def _factors(self, p: int, missing: dict[int, int]):
+        """(label, a, b, w): kernel terms a of an indecomposable g of degree i <= p / 2
+        and b of a class h of degree p - i, label (i, g) (degree, position), w the
+        weight of g . h: the products g . h span H^+ . H^+ in degree p, as do the
+        products of two or more indecomposables, least factor first.  Once
+        ``_products(p - i)`` has split H^(p-i), h runs over its indecomposables and
+        the products that grew its span, labelled by themselves and by their least
+        factor g', and only when that label is >= (i, g), > for odd i: if (i', g') <
         (i, g), g . (g' . h') = +-g' . (g . h') is spanned, by induction on the
         label.  Elsewhere h runs over the unit classes; if 3i > p, only the
-        indecomposables of degree p - i are needed, and it is split first."""
+        indecomposables of degree p - i are needed, and it is split first.  A pair
+        is skipped if ``missing`` has no class at w: g . h would not grow the span."""
         for i in range(1, p // 2 + 1):
             q = p - i
             units = self._products(q) if 3 * i > p or q in self._units else range(self.betti(q))
-            seconds = [((q, u), self._terms(q)[u]) for u in units] + self._grown.get(q, [])
+            seconds = [((q, u), *self._terms(q)[u]) for u in units] + self._grown.get(q, [])
             for g in self._products(i) if seconds else ():
-                a, least = self._terms(i)[g], (i, g + i % 2)
-                for label, b in seconds:
-                    if label >= least:
-                        yield (i, g), a, b
+                (a, v), least = self._terms(i)[g], (i, g + i % 2)
+                for label, b, u in seconds:
+                    if label >= least and missing.get(v + u):
+                        yield (i, g), a, b, v + u
 
     def _products(self, p: int) -> list[int]:
         """Positions of the indecomposables of degree p among its unit classes.
@@ -325,10 +366,11 @@ class Cohomology:
         Each product of ``_factors(p)`` is one ``_multiply`` of integer kernel
         terms, which ``linalg.reduced_extend`` clears in one pass and adds if
         it grows the span, until it has dim Z^p = len(B^p) + b_p rows; those
-        that grow it are kept in ``_grown``, labelled.  A product whose terms
-        all lie on rows e_j of the span, offered as products of one term, is
-        skipped.  The unit classes whose cocycles extend the span, in order,
-        represent H^p / (H^+ . H^+), and it ends as Z^p exactly when every
+        that grow it are kept in ``_grown``, labelled and with their weight; by
+        weight, ``missing`` counts representatives less those products.  A product
+        whose terms all lie on rows e_j of the span, offered as products of one
+        term, is skipped.  The unit classes whose cocycles extend the span, in
+        order, represent H^p / (H^+ . H^+), and it ends as Z^p exactly when every
         product in it is closed, else NotClosedError is raised.
         """
         if p in self._units:
@@ -337,16 +379,18 @@ class Cohomology:
         span = linalg._back_substitute({c: dict(r) for c, r in self._pivots(p).items()})
         full = len(span) + len(data.vectors)
         masks, grown, known = list(data.masks), [], set()  # known: rows j with e_j in the span
-        for label, a, b in self._factors(p) if data.vectors else ():
-            if len(span) == full:
-                break
+        missing = dict(Counter(self._weight(masks[c]) for c in data.vectors))
+        for label, a, b, w in self._factors(p, missing) if data.vectors else ():
             v = _multiply(a, b, data.masks)
             if known.issuperset(v):  # zero, or each e_j in the span
                 continue
             if len(v) == 1:
                 known.update(v)
             if linalg.reduced_extend(span, v):
-                grown.append((label, _mask_terms((masks[j], c) for j, c in v.items())))
+                grown.append((label, _mask_terms((masks[j], c) for j, c in v.items()), w))
+                missing[w] -= 1
+                if len(span) == full:
+                    break
         units = [j for j, v in enumerate(data.vectors.values()) if linalg.reduced_extend(span, v)]
         if len(span) != full:
             raise NotClosedError(f"a product of classes in degree {p} is not closed")
@@ -428,7 +472,7 @@ class Cohomology:
         self._products(p)
         index = self._degree(p).masks
         rows = [list(self._coordinates({index[m]: c for m, _, c in b}, p).coordinates)
-                for _, b in self._grown[p]]
+                for _, b, _ in self._grown[p]]
         return linalg.rref(rows, self.betti(p))[0]
 
     def indecomposables(self, p: int) -> tuple[int, tuple[ClassVector, ...]]:

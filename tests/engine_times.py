@@ -10,6 +10,9 @@ sha256 of the Betti vector, so two versions can be compared by eye.
 ``fingerprint(M)`` probes the class paths instead: it times
 ``fingerprint(lie_from_model(M))`` (representatives, products and
 indecomposables in every degree) and hashes the whole ``Fingerprint``.
+``graded(M)`` is M's Carnot model, ``associated_graded_model(M)``, so
+``fingerprint(theorem4)`` and ``fingerprint(graded(theorem4))`` time the two
+halves of ``compare`` on theorem4 and its Carnot model.
 ``by_weight(M, p)`` probes the weight split: it times
 ``Cohomology(M).betti_by_weight(p)`` and hashes the dict.
 
@@ -25,6 +28,7 @@ way: its entries grow much more in elimination (about 5 s against 0.2 s).
     PYTHONPATH=src python3 tests/engine_times.py
     PYTHONPATH=src python3 tests/engine_times.py abelian(20)
     PYTHONPATH=src python3 tests/engine_times.py "fingerprint(theorem4)"
+    PYTHONPATH=src python3 tests/engine_times.py "fingerprint(graded(theorem4))"
     PYTHONPATH=src python3 tests/engine_times.py "by_weight(theorem1(4), 8)"
 
 With arguments, only the named models run.  Like ``report_sweep.py``,
@@ -40,21 +44,24 @@ import sys
 import time
 
 MODELS = ("free(3,3)", "theorem1(4)", "theorem2(4)", "abelian(20)", "theorem1(5)", "c_t2k3",
-          "s_t2k3", "fingerprint(theorem4)", "fingerprint(theorem1(4))",
+          "s_t2k3", "fingerprint(theorem4)", "fingerprint(graded(theorem4))",
+          "fingerprint(theorem1(4))",
           "by_weight(theorem1(4), 8)")
 FILES = {"c_t2k3": "conjugate:c_t2k3", "s_t2k3": "c_t2k3"}  # name -> sign_conjugate seed
 
 
 def build(name: str):
     """The Sullivan model called ``name`` in ``MODELS``, or the text of a file of ``FILES``."""
-    from nilrigid import (ce_model, free_nilpotent_lie, lie_from_model, theorem1_family,
-                          theorem2_family, theorem4_example, trivial_basis)
+    from nilrigid import (associated_graded_model, ce_model, free_nilpotent_lie, lie_from_model,
+                          theorem1_family, theorem2_family, theorem4_example, trivial_basis)
     from nilrigid.fileformat import emit_algebra
     from helpers import sign_conjugate
     from oracle import abelian
 
     if name == "theorem4":
         return theorem4_example()
+    if name.startswith("graded("):
+        return associated_graded_model(build(name[len("graded("):-1]))
     if name in FILES:
         return emit_algebra(sign_conjugate(lie_from_model(theorem2_family(3)), FILES[name]))
     family, args = name.rstrip(")").split("(")

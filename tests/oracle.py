@@ -115,6 +115,21 @@ def oracle_bracket(L, u, v):
     return out
 
 
+def oracle_grading_rank(L) -> int:
+    """The rank of the maximal diagonal grading of L in its own basis: n less
+    the rank of the rows e_l + e_k - e_i, one per structure constant c^i_lk != 0."""
+    n, rows = L.dimension, []
+    for (l, k), vec in L.brackets.items():
+        for i, c in vec.items():
+            if c:
+                row = [ZERO] * n
+                row[l] += 1
+                row[k] += 1
+                row[i] -= 1
+                rows.append(row)
+    return n - _forward_rank(rows, n)
+
+
 def oracle_lcs_dimensions(L):
     """(dimensions of g = g^(0) >= [g,g] >= ..., nilpotent), brute force.
 

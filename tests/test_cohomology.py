@@ -20,6 +20,7 @@ from nilrigid import (
     ModelError,
     NotClosedError,
     apply_differential,
+    associated_graded_model,
     ce_model,
     cochain_matrix,
     fingerprint,
@@ -41,9 +42,11 @@ from oracle import (
     filiform4,
     heisenberg,
     oracle_betti,
+    oracle_grading_rank,
     oracle_indecomposables,
     random_nilpotent,
     rational_conjugate,
+    _forward_rank,
     _wedge,
 )
 
@@ -462,37 +465,135 @@ def test_indecomposables_and_decomposables_are_pinned(case):
 
 
 def test_indecomposables_check_that_products_are_closed(monkeypatch):
+    # a product plus one monomial that is not closed grows the span past Z^p, so
+    # the final count refuses it: the first such monomial of each degree, or,
+    # in degree 3 and in degree 7, where every class is decomposable, one of the
+    # product's own torus weight and one of another weight
     A = theorem2_family(2)
-    loose = {}  # per degree, a monomial with nonzero differential
+    weight = Cohomology(A)._weight
+    first, loose = {}, {}  # per degree, and per degree and weight, a monomial with d != 0
     for p in range(1, A.dimension + 1):
         for mono in monomial_basis(A, p):
             if not apply_differential(A, A.form({mono: 1})).is_zero():
-                loose[p] = mono
-                break
+                mask = sum(1 << x for x in mono)
+                first.setdefault(p, mask)
+                loose.setdefault((p, weight(mask)), mask)
     multiply = cohomology._multiply
+    for degree, case in ((3, "first"), (3, "own"), (3, "other"), (7, "own"), (7, "other")):
+        added = []
 
-    def loose_product(a, b, index):
-        # a . b plus one monomial that is not closed
-        out = multiply(a, b, index)
-        j = index[sum(1 << x for x in loose[a[0][0].bit_count() + b[0][0].bit_count()])]
-        out[j] = out.get(j, 0) + 1
-        return {i: c for i, c in out.items() if c}
+        def loose_product(a, b, index):
+            out = multiply(a, b, index)
+            p, w = a[0][0].bit_count() + b[0][0].bit_count(), weight(a[0][0]) + weight(b[0][0])
+            pick = first[p] if case == "first" else None if p != degree else next(
+                (m for (q, u), m in loose.items() if q == p and (u == w) == (case == "own")), None)
+            if pick is not None:
+                added.append(pick)
+                out[index[pick]] = out.get(index[pick], 0) + 1
+            return {i: c for i, c in out.items() if c}
 
-    monkeypatch.setattr(cohomology, "_multiply", loose_product)
-    with pytest.raises(NotClosedError):
-        Cohomology(A).indecomposables(3)
+        monkeypatch.setattr(cohomology, "_multiply", loose_product)
+        with pytest.raises(NotClosedError):
+            Cohomology(A).indecomposables(degree)
+        assert added, (degree, case)
 
 
 def test_fingerprint_stops_forming_products_at_a_full_span(monkeypatch):
     # once B^p and the products span Z^p, no further product is formed, in
     # degree 2i only one of g . h and h . g is (5279 products when both were),
-    # and g . h only when h's least factor is not below g (4888 when every
-    # class of a lower degree was a second factor)
+    # g . h only when h's least factor is not below g (4888 when every class
+    # of a lower degree was a second factor), and only when the span lacks
+    # classes of g . h's torus weight (2818 for theorem4 and 2720 for its
+    # Carnot model when every weight was offered)
     calls = []
     multiply = cohomology._multiply
     monkeypatch.setattr(cohomology, "_multiply", lambda *args: calls.append(1) or multiply(*args))
     fingerprint(lie_from_model(theorem4_example()))
-    assert 0 < len(calls) <= 2818
+    assert 0 < len(calls) <= 1478
+    calls.clear()
+    fingerprint(lie_from_model(associated_graded_model(theorem4_example())))
+    assert 0 < len(calls) <= 635
+
+
+def grading_models() -> dict:
+    """The families, their Carnot models and seeded ``random_nilpotent`` draws, by name."""
+    free = free_nilpotent_lie(2, 4)
+    families = {"theorem1(1)": theorem1_family(1), "theorem1(2)": theorem1_family(2),
+                "theorem1(3)": theorem1_family(3), "theorem2(2)": theorem2_family(2),
+                "theorem2(3)": theorem2_family(3), "theorem4": theorem4_example(),
+                "section3 first": section3_pair()[0], "section3 second": section3_pair()[1],
+                "free(2,4)": model_of(free.algebra, free.weights)}
+    rng = random.Random(17)
+    carnot = {f"carnot {name}": associated_graded_model(A) for name, A in families.items()}
+    drawn = {f"random {j}": model_of(random_nilpotent(rng)) for j in range(12)}
+    return {**families, **carnot, **drawn}
+
+
+def test_grading_is_the_maximal_torus_of_the_model():
+    # every term v_a v_b of d v_i has w_a + w_b = w_i, the weight vectors are
+    # independent, and there are n less the rank of those constraints of them,
+    # as the dense oracle counts on the structure constants
+    for name, A in grading_models().items():
+        grading, n = cohomology._grading(A), A.dimension
+        assert len(grading) == oracle_grading_rank(lie_from_model(A)), name
+        assert _forward_rank([[Fraction(x) for x in w] for w in grading], n) == len(grading), name
+        for w in grading:
+            for i, terms in enumerate(A.table):
+                for ab, _, _ in terms:
+                    assert w[i] == sum(w[x] for x in range(n) if ab >> x & 1), (name, i)
+    assert len(cohomology._grading(model_of(abelian(4)))) == 4
+    # theorem4's one weight is proportional to (1,1,1,2, 2,2,2,3,3,3) on x1..x4, n1..n5, m
+    A = theorem4_example()
+    (w,) = cohomology._grading(A)
+    assert [g.name for g in A.generators] == ["x1", "x2", "x3", "x4", "n1", "n2", "n3", "n4",
+                                              "n5", "m"]
+    assert w[0] and [x * w[0] for x in (1, 1, 1, 2, 2, 2, 2, 3, 3, 3)] == w
+
+
+def test_packed_weights_tell_multidegrees_apart():
+    # by brute force over the monomials of every model with n <= 8: two
+    # monomials share a packed key exactly when they share a multidegree
+    models = {name: A for name, A in grading_models().items() if A.dimension <= 8}
+    assert any(len(cohomology._grading(A)) > 1 for A in models.values())
+    for name, A in models.items():
+        grading, keys, n = cohomology._grading(A), Cohomology(A)._keys, A.dimension
+        degrees = {}
+        for mask in range(1 << n):
+            bits = [x for x in range(n) if mask >> x & 1]
+            degree = tuple(sum(w[x] for x in bits) for w in grading)
+            assert degrees.setdefault(sum(keys[x] for x in bits), degree) == degree, name
+        assert len(degrees) == len(set(degrees.values())), name
+
+
+def test_products_see_homogeneous_spans_and_representatives(monkeypatch):
+    # reduced integer rows of a graded subspace are homogeneous, so each
+    # representative has the weight of its pivot mask and each row of the span
+    # that _products grows has one weight; with every lower degree split, each
+    # span _products(p) extends is degree p's
+    spans, extend = {}, linalg.reduced_extend
+
+    def spied_extend(basis, row):
+        spans[id(basis)] = basis
+        return extend(basis, row)
+
+    monkeypatch.setattr(linalg, "reduced_extend", spied_extend)
+    for A in (theorem4_example(), associated_graded_model(theorem4_example()),
+              theorem1_family(2), theorem2_family(2)):
+        H, grown = Cohomology(A), 0
+        for p in range(1, A.dimension + 1):
+            spans.clear()
+            H.indecomposables(p)
+            masks, data = forms._masks(A.dimension, p), H._degree(p)
+            rows = [*data.vectors.values(), *(r for span in spans.values() for r in span.values())]
+            for row in rows:
+                assert len({H._weight(masks[j]) for j in row}) == 1, p
+            if data.terms is not None:  # as a factor: the weights of the pivot masks
+                pivots = [H._weight(masks[c]) for c in data.vectors]
+                assert [w for _, w in data.terms] == pivots, p
+            grown += len(H._grown[p])
+            for _, b, w in H._grown[p]:
+                assert {H._weight(m) for m, _, _ in b} == {w}, p
+        assert grown, A.generators
 
 
 def counted_eliminations(monkeypatch):
