@@ -10,10 +10,11 @@ sparse, and eliminated once (see ``Cohomology``): Betti numbers count pivots
 of the coboundary bases B^(p+1), and classes take Z^p from the same
 elimination; if d_(n-1) = 0, only for p <= (n-1)/2, since Z^q = ann(B^(n-q))
 and B^(q+1) = ann(Z^(n-1-q)) under e_m . e_(comp m) = (-1)^(sum m - k(k-1)/2)
-e_top; the weight split counts rank d_q leaving weight s as the pivots of
-B^(n-q) at W - s, W the weight of e_top.  Indecomposables come from integer
-cochain spans, grown by products in standard-monomial order, none of a torus
-weight whose classes are spanned (see ``_factors``, ``_grading``).
+e_top, which pairs weight s with W - s, W the weight of e_top: the weight split
+counts rank d_q leaving s as the pivots of B^(n-q) at W - s, and the self-dual
+rank, 2q + 1 = n, is read off one torus block of each pair.  Indecomposables come
+from integer cochain spans, grown by products in standard-monomial order, none
+of a torus weight whose classes are spanned (see ``_factors``, ``_grading``).
 d and every cup product are computed by the exterior-algebra kernel of
 ``forms``, on monomials as bitmasks: row j of a degree-p cochain is the j-th
 mask of ``_masks``, each column of d is one ``_derive`` and each product one
@@ -26,7 +27,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
-from itertools import combinations
+from itertools import chain, combinations
 from math import comb, lcm
 from operator import add, itemgetter, mul, sub
 
@@ -115,10 +116,22 @@ def _grading(A: SullivanModel) -> list[list[int]]:
             if linalg.integer_extend(basis, dict(filter(itemgetter(1), enumerate(row)))) \
                     and len(basis) == len(params):
                 return []
+    if not basis:  # no constraint: a weight per parameter
+        return [[w[f] for w in W] for f in params]
     L = lcm(*(r[c] for c, r in linalg._back_substitute(basis).items()))
     kernel = [[L if x == f else -basis[x].get(f, 0) * L // basis[x][x] if x in basis else 0
                for x in range(n)] for f in params if f not in basis]  # k, one per free f
     return [[sum(map(mul, w, k)) for w in W] for k in kernel]
+
+
+def _packed(A: SullivanModel) -> list[int]:
+    """Each generator's weight under ``_grading(A)`` as one int in base 2nM + 1, M its
+    largest entry: sums of n weights, in [-nM, nM], share a key only if equal."""
+    grading, n = _grading(A), A.dimension
+    base, keys = 2 * n * max(map(abs, chain.from_iterable(grading)), default=0) + 1, [0] * n
+    for w in reversed(grading):  # Horner's rule
+        keys = [key * base + x for key, x in zip(keys, w)]
+    return keys
 
 
 def _inverse_images(basis: AdaptedBasis) -> list[Terms]:
@@ -133,10 +146,9 @@ def _inverse_images(basis: AdaptedBasis) -> list[Terms]:
 
 
 class _Classes:
-    """Representatives of one degree as int rows by pivot (see ``Cohomology``);
-    the solver and their kernel terms are built on first use."""
+    """One degree's representatives as int rows by pivot; solver, weights, terms built on use."""
 
-    __slots__ = ("masks", "vectors", "solver", "terms")
+    __slots__ = ("masks", "vectors", "solver", "weights", "terms")
 
 
 class Cohomology:
@@ -209,12 +221,8 @@ class Cohomology:
         return self._build()
 
     @cached_property
-    def _keys(self) -> list[int]:
-        """Each generator's weight under ``_grading(model)`` as one int in base 2nM + 1, M
-        its largest entry: sums of n weights, in [-nM, nM], share a key only if equal."""
-        grading, n = _grading(self.model), self.model.dimension
-        base = 2 * n * max((abs(x) for w in grading for x in w), default=0) + 1
-        return [sum(w[x] * base**k for k, w in enumerate(grading)) for x in range(n)]
+    def _keys(self) -> list[int]:  # each generator's packed weight in the model (``_packed``)
+        return _packed(self.model)
 
     def _weight(self, mask: int) -> int:
         """The packed weight of a monomial: the sum of its generators' keys."""
@@ -236,10 +244,31 @@ class Cohomology:
         return 2 * p >= (n := self._eliminated.dimension) and not any(self._differential(n - 1))
 
     def _rank(self, p: int, kernels: bool = True) -> int:
-        """rank d_p; that of d_(n-1-p) if d_p is mirrored and B^(p+1) not cached."""
+        """rank d_p, of d_(n-1-p) if mirrored, else ``_middle_rank`` (2p + 1 = n, ranks alone)."""
         if self._mirrored(p) and p + 1 not in self._echelons:
             p = self._eliminated.dimension - 1 - p
+        elif 2 * p + 1 == self._eliminated.dimension and p + 1 not in self._echelons \
+                and (self._kernels is None or not kernels) and self._middle_rank is not None:
+            return self._middle_rank
         return len(self._boundaries(p + 1, kernels))
+
+    @cached_property
+    def _middle_rank(self) -> int | None:
+        """rank d_q, 2q + 1 = n, by torus blocks if d_(n-1) = 0 and the model eliminated is
+        graded, else None: d_q is its own transpose twisted by eps, which pairs weight s of
+        Lambda^q with W - s of Lambda^(q+1), so the blocks at s and W - s have one rank; of
+        each pair, the one with fewer columns (ties: the smaller key) is eliminated, twice."""
+        A, n = self._eliminated, self._eliminated.dimension
+        keys = self._keys if self._basis is None else _packed(A)  # self._keys: A is the model
+        if not A.live or any(self._differential(n - 1)) or not any(keys):
+            return None if A.live else 0  # d = 0: no mask is listed
+        weights, top, columns = list(map(sum, combinations(keys, n // 2))), sum(keys), ([], [])
+        sizes, index = Counter(weights), _mask_index(n, n // 2 + 1)  # no columns at W - s: no rows
+        kept = {w for w, k in sizes.items() if (k, w) <= (sizes.get(top - w, 0), top - w)}
+        for mask, w in zip(_masks(n, n // 2), weights):
+            if w in kept:  # blocks have disjoint rows; one at s = W - s is counted once
+                columns[2 * w == top].append(_derive(A, mask, index))
+        return 2 * len(linalg.integer_echelon(columns[0])) + len(linalg.integer_echelon(columns[1]))
 
     def _boundaries(self, p: int, kernels: bool = True) -> dict[int, dict[int, int]]:
         """An integer echelon basis of B^p, by pivot; once classes are asked for (and
@@ -310,7 +339,7 @@ class Cohomology:
         data = _Classes()
         data.masks = _mask_index(self._eliminated.dimension, p)  # the rows of cochains
         data.vectors = {c: v for c, v in cocycles.items() if c not in coboundaries}
-        data.solver = data.terms = None
+        data.solver = data.weights = data.terms = None
         self._data[p] = data
         return data
 
@@ -327,13 +356,19 @@ class Cohomology:
             raise NotClosedError("form is not closed", differential=self.model.d(f))
         return ClassVector(p, tuple(y * r[c] for y, (c, r) in zip(x, data.vectors.items())))
 
+    def _weights(self, p: int, masks: list[int]) -> list[int]:
+        """The packed weight of each (homogeneous) representative of degree p: its pivot's."""
+        data = self._degree(p)
+        data.weights = data.weights or [self._weight(masks[c]) for c in data.vectors]
+        return data.weights
+
     def _terms(self, p: int) -> list[tuple[Terms, int]]:
         """The representatives of degree p as primitive integer kernel terms, with weights."""
         data = self._degree(p)
-        if data.terms is None:  # a representative is homogeneous: any mask has its weight
+        if data.terms is None:
             masks = list(data.masks)
-            data.terms = [(t := _mask_terms((masks[j], c) for j, c in v.items()),
-                           self._weight(t[0][0])) for v in data.vectors.values()]
+            data.terms = [(_mask_terms((masks[j], c) for j, c in v.items()), w)
+                          for v, w in zip(data.vectors.values(), self._weights(p, masks))]
         return data.terms
 
     def _factors(self, p: int, missing: dict[int, int]):
@@ -379,7 +414,7 @@ class Cohomology:
         span = linalg._back_substitute({c: dict(r) for c, r in self._pivots(p).items()})
         full = len(span) + len(data.vectors)
         masks, grown, known = list(data.masks), [], set()  # known: rows j with e_j in the span
-        missing = dict(Counter(self._weight(masks[c]) for c in data.vectors))
+        missing = dict(Counter(self._weights(p, masks)))
         for label, a, b, w in self._factors(p, missing) if data.vectors else ():
             v = _multiply(a, b, data.masks)
             if known.issuperset(v):  # zero, or each e_j in the span
@@ -405,10 +440,10 @@ class Cohomology:
         return comb(n, p) - self._rank(p) - self._rank(p - 1) if 0 <= p <= n else 0
 
     def betti_vector(self) -> tuple[int, ...]:
-        """b_0..b_n from the ranks of d_p, for ranks alone.  If d_(n-1) = 0 (g
-        unimodular), d_(n-1-p) is -(-1)^p d_p transposed, twisted by the signs
-        eps of the wedge pairing (Hazewinkel 1970), so ``_rank`` eliminates
-        only p <= (n-1)/2 and reads the rest as rank d_(n-1-p)."""
+        """b_0..b_n from the ranks of d_p, for ranks alone.  If d_(n-1) = 0 (g unimodular),
+        d_(n-1-p) is -(-1)^p d_p transposed, twisted by the signs eps of the wedge pairing
+        (Hazewinkel 1970), so ``_rank`` eliminates only p <= (n-1)/2 and reads the rest as
+        rank d_(n-1-p); if n is odd, d_q, q = (n-1)/2, on one torus block of each pair."""
         n = self._eliminated.dimension
         ranks = [0] + [self._rank(p, False) for p in range(n)] + [0]  # ranks[p + 1] = rank d_p
         return tuple(comb(n, p) - ranks[p + 1] - ranks[p] for p in range(n + 1))

@@ -7,6 +7,10 @@ prints one line per model: its name, its dimension n, the seconds taken by
 resident set (``ru_maxrss``, in MB) and the first 16 hex digits of the
 sha256 of the Betti vector, so two versions can be compared by eye.
 
+``theorem2(3)`` (n = 13) is the model of the ``betti t2k3`` job of the
+benchmark's ``betti-graded`` workload, whose self-dual degree d_6 is most of
+its elimination, so that job's engine time can be read alone.
+
 ``fingerprint(M)`` probes the class paths instead: it times
 ``fingerprint(lie_from_model(M))`` (representatives, products and
 indecomposables in every degree) and hashes the whole ``Fingerprint``.
@@ -27,6 +31,7 @@ way: its entries grow much more in elimination (about 5 s against 0.2 s).
 
     PYTHONPATH=src python3 tests/engine_times.py
     PYTHONPATH=src python3 tests/engine_times.py abelian(20)
+    PYTHONPATH=src python3 tests/engine_times.py "theorem2(3)"
     PYTHONPATH=src python3 tests/engine_times.py "fingerprint(theorem4)"
     PYTHONPATH=src python3 tests/engine_times.py "fingerprint(graded(theorem4))"
     PYTHONPATH=src python3 tests/engine_times.py "by_weight(theorem1(4), 8)"
@@ -43,7 +48,7 @@ import subprocess
 import sys
 import time
 
-MODELS = ("free(3,3)", "theorem1(4)", "theorem2(4)", "abelian(20)", "theorem1(5)", "c_t2k3",
+MODELS = ("free(3,3)", "theorem1(4)", "theorem2(3)", "theorem2(4)", "abelian(20)", "theorem1(5)", "c_t2k3",
           "s_t2k3", "fingerprint(theorem4)", "fingerprint(graded(theorem4))",
           "fingerprint(theorem1(4))",
           "by_weight(theorem1(4), 8)")

@@ -22,6 +22,7 @@ from nilrigid import (
     apply_differential,
     associated_graded_model,
     ce_model,
+    change_basis,
     cochain_matrix,
     fingerprint,
     free_nilpotent_lie,
@@ -35,7 +36,7 @@ from nilrigid import (
 )
 from nilrigid import cohomology, forms, linalg
 from nilrigid.fileformat import emit_algebra, form_to_str, model_basis, parse_source
-from helpers import SECTION3_RING_MAP_COMPLETED, dense_free_3_3, form_of
+from helpers import SECTION3_RING_MAP_COMPLETED, dense_free_3_3, form_of, sign_conjugate
 from oracle import (
     abelian,
     direct_sum,
@@ -158,6 +159,89 @@ def test_non_unimodular_input_eliminates_every_degree():
         b = Cohomology(model_of(L)).betti_vector()
         assert b == oracle_betti(L) == expected
         assert b != b[::-1]
+
+
+def middle_degree_models():
+    """Odd-n models with a torus grading: Heisenberg (z, at W/2, is a block paired with
+    itself), section3's pair, free(2,3), theorem2(2) and (3), their Carnot models and
+    theorem2(2) with its basis vectors rescaled, which keeps the grading."""
+    free = free_nilpotent_lie(2, 3)
+    s3a, s3b = section3_pair()
+    models = {"heisenberg": model_of(heisenberg(), (0, 0, 1)), "s3a": s3a, "s3b": s3b,
+              "free(2,3)": model_of(free.algebra, free.weights),
+              "theorem2(2)": theorem2_family(2), "theorem2(3)": theorem2_family(3)}
+    models.update({f"carnot {name}": associated_graded_model(A) for name, A in models.items()})
+    L = lie_from_model(theorem2_family(2))
+    n, basis = L.dimension, trivial_basis(L)
+    diagonal = tuple(tuple(Fraction(a + 2, 3) * (i == a) for i in range(n)) for a in range(n))
+    scaled = change_basis(L, type(basis)(columns=diagonal, weights=basis.weights, names=L.names))
+    return {**models, "rescaled theorem2(2)": model_of(scaled)}
+
+
+def test_middle_rank_is_read_off_torus_blocks(monkeypatch):
+    # in the self-dual degree q = (n-1)/2, the block of d_q at torus weight s has the
+    # rank of the one at W - s: one of each pair is eliminated, for ranks alone, and
+    # neither d_q nor B^(q+1) is kept; the rank is that of all of d_q
+    eliminated, eliminate = [], linalg.integer_echelon
+
+    def counting_eliminate(rows):
+        eliminated.append(rows := list(rows))
+        return eliminate(rows)
+
+    monkeypatch.setattr(linalg, "integer_echelon", counting_eliminate)
+    paired = self_paired = 0
+    for name, A in middle_degree_models().items():
+        q, H = A.dimension // 2, Cohomology(A)
+        eliminated.clear()
+        assert H.betti_vector() == oracle_betti(lie_from_model(A)), name
+        blocks = eliminated[-2:]  # the paired and the self-paired blocks of d_q come last
+        assert H._middle_rank == len(eliminate(cochain_matrix(A, q))), name
+        assert q not in H._d and q + 1 not in H._echelons, name
+        paired, self_paired = paired + len(blocks[0]), self_paired + len(blocks[1])
+        # a class query eliminates all of d_q, with its kernel
+        assert len(H.basis(q)) == H.betti(q) and q + 1 in H._echelons, name
+    assert paired and self_paired
+    # d_(n-1) != 0: r2 + R (n = 3) has a grading but no duality, so all of d_1 is eliminated
+    L = direct_sum(LieAlgebra(("x", "y"), {(0, 1): {1: Fraction(1)}}), abelian(1))
+    H = Cohomology(model_of(L))
+    assert H.betti_vector() == oracle_betti(L) and H._middle_rank is None
+    assert cohomology._grading(H.model) and 2 in H._echelons
+
+
+def test_middle_degree_derives_only_the_smaller_blocks(monkeypatch):
+    derived, derive = [], cohomology._derive
+    monkeypatch.setattr(cohomology, "_derive",
+                        lambda A, mask, index: derived.append(mask) or derive(A, mask, index))
+
+    def middle(H):
+        derived.clear()
+        H.betti_vector()
+        n = H._eliminated.dimension
+        return sum(mask.bit_count() == n // 2 for mask in derived), comb(n, n // 2)
+
+    # theorem2(3), n = 13: 433 of the 1,716 columns of d_6
+    assert middle(Cohomology(theorem2_family(3))) == (433, 1716)
+    # conjugates whose grading is empty derive every column of d_q
+    t2k2, t2k3 = (lie_from_model(theorem2_family(k)) for k in (2, 3))
+    for H in (Cohomology(model_of(rational_conjugate(random.Random(34), t2k2))),
+              Cohomology.of(sign_conjugate(t2k3, "conjugate:c_t2k3"))):
+        assert cohomology._grading(H._eliminated) == [], H.model
+        derived_q, all_q = middle(H)
+        assert derived_q == all_q, H.model
+
+
+def test_odd_abelian_middle_degree_lists_no_masks(monkeypatch):
+    # d = 0: the self-dual rank is 0 with no mask listed, as cochain_matrix lists none
+    calls = Counter()
+    for name in ("_masks", "_mask_index", "_derive"):
+        f = getattr(cohomology, name)
+        monkeypatch.setattr(cohomology, name,
+                            lambda *args, name=name, f=f: calls.update([name]) or f(*args))
+    for n in (5, 7):
+        H = Cohomology(model_of(abelian(n)))
+        assert H.betti_vector() == tuple(comb(n, p) for p in range(n + 1))
+        assert H._middle_rank == 0
+    assert calls == Counter()
 
 
 def test_theorem1_k4_betti_is_pinned():
@@ -594,6 +678,18 @@ def test_products_see_homogeneous_spans_and_representatives(monkeypatch):
             for _, b, w in H._grown[p]:
                 assert {H._weight(m) for m, _, _ in b} == {w}, p
         assert grown, A.generators
+
+
+def test_each_representative_weight_is_packed_once(monkeypatch):
+    # _products(p) and _terms(p) share the weights of degree p's representatives,
+    # so no monomial's weight is packed twice
+    calls, weight = [], Cohomology._weight
+    monkeypatch.setattr(Cohomology, "_weight",
+                        lambda H, mask: calls.append(mask) or weight(H, mask))
+    for A in (theorem4_example(), associated_graded_model(theorem4_example()), theorem2_family(2)):
+        calls.clear()
+        fingerprint(lie_from_model(A))
+        assert calls and len(calls) == len(set(calls)), A.generators
 
 
 def counted_eliminations(monkeypatch):
