@@ -9,8 +9,9 @@ JSON envelope carries ``"schema": "nilrigid-report/1"`` and validates against
 ``ok``: 0 when it is true, 1 when it is false (a mathematical refutation; the
 report carries the witness).  Usage and parse errors exit 2, and so does an
 internal error, reported on one line without a traceback.
-``check`` tests Jacobi and d^2 = 0 in the basis of ``lie.sparse_basis``, the
-one ``Cohomology`` eliminates in, and names defects in the file's basis.
+``check`` tests Jacobi and d^2 = 0 in the file's ``adapted_basis`` when a
+bracket has several terms (it eliminates nothing, so it needs no
+``lie.sparse_basis``), and names defects in the file's basis.
 ``betti``, ``cohomology`` and ``generators`` call ``Cohomology.of`` on the
 file's ``model_basis``, ``fingerprint`` and ``compare`` on its algebra alone:
 no algebra is rebuilt from a model, and a d^2 defect is named in the file's
@@ -27,14 +28,14 @@ from typing import Callable, NamedTuple
 
 from . import __version__
 from .cohomology import Cohomology
-from .errors import FamilyShapeError, ModelError, NilrigidError, ParseError
+from .errors import FamilyShapeError, ModelError, NilrigidError, NotNilpotentError, ParseError
 from .families import section3_pair, theorem1_family, theorem2_family, theorem4_example
 from .fileformat import (build_form, emit_algebra, form_to_str, lie_algebra, model, model_basis,
                          parse_source)
 from .forms import Form, check_d_squared
 from .free_nilpotent import free_nilpotent_lie, theorem3_family
-from .lie import (adapted_basis, carnot, ce_model, change_basis, jacobi_defect, lie_from_model,
-                  lower_central_series, sparse_basis, trivial_basis)
+from .lie import (_in_basis, adapted_basis, carnot, ce_model, jacobi_defect, lie_from_model,
+                  lower_central_series, trivial_basis)
 from .morphisms import (GeneratorMap, fingerprint, is_decomposable_2form, normalize_perturbation,
                         verify_cdga_morphism, verify_cohomology_ring_iso)
 
@@ -89,12 +90,17 @@ def _defects(L):
 
 
 def _cmd_check(args, report):
-    L = _lie(args.file)
+    L = M = _lie(args.file)
     # the Jacobiator is a tensor and d^2 on generators its transpose, so both vanish in
-    # every basis or in none: tested in the sparse one, named in the file's
-    basis = sparse_basis(L)
-    jd, d2 = _defects(L if basis is None else change_basis(L, basis))
-    if basis is not None and (jd or d2):
+    # every basis or in none: tested in the adapted one when a bracket has several
+    # terms, named in the file's
+    if any(len(vec) > 1 for vec in L.brackets.values()):
+        try:
+            M = _in_basis(L, adapted_basis(L))
+        except NotNilpotentError:
+            pass
+    jd, d2 = _defects(M)
+    if M is not L and (jd or d2):
         jd, d2 = _defects(L)
     report["jacobi_defects"] = [
         {"triple": [L.names[i], L.names[j], L.names[k]], "defect": _vec(v)}

@@ -10,8 +10,9 @@ and sum and eliminate its brackets as int rows, with no Fraction per bracket,
 and a bracket already in a stage's integer reduced span costs one pass.
 ``generated_basis`` is made of brackets; basis-free answers, such as
 ``Cohomology.of(L)``, are computed in it.  ``sparse_basis`` is the one rule
-for when: ``Cohomology`` eliminates d, and the CLI's ``check`` tests Jacobi
-and d^2 = 0, in the basis it picks.  ``associated_graded_model`` is the one
+for when: ``Cohomology`` eliminates d in the basis it picks.  The CLI's
+``check``, which eliminates nothing, tests Jacobi and d^2 = 0 in the cheaper
+``adapted_basis``.  ``associated_graded_model`` is the one
 Carnot cut, keeping the part of weight w - 1 of each d v of weight w;
 ``carnot`` and ``is_carnot_homogeneous`` are read off it.
 """
@@ -264,10 +265,9 @@ def generated_basis(L: LieAlgebra) -> AdaptedBasis:
 
 
 def sparse_basis(L: LieAlgebra) -> AdaptedBasis | None:
-    """The basis that ``Cohomology`` eliminates in and ``check`` tests in:
-    ``generated_basis(L)`` when a bracket of two basis vectors has several
-    terms, or None, for L's own, when none has, L is not nilpotent or that
-    basis is the identity."""
+    """The basis that ``Cohomology`` eliminates in: ``generated_basis(L)``
+    when a bracket of two basis vectors has several terms, or None, for L's
+    own, when none has, L is not nilpotent or that basis is the identity."""
     if all(len(vec) == 1 for vec in L.brackets.values()):
         return None
     try:

@@ -286,11 +286,14 @@ def verify_cohomology_ring_iso(
         dst_forms.append(dform)
         degrees.append(sdeg)
 
+    # multiset -> its (source, image) products, each its prefix's times its last factor
+    products = {(): (Form.unit(src.model.generators), Form.unit(dst.model.generators))}
     for p in range(1, n + 1):
         src_vecs, pair_vecs = [], []  # classes before b_p: then one elimination gives both
         for multiset in _generator_products(degrees, p):
-            sprod = product(src.model.generators, (src_forms[g] for g in multiset))
-            dprod = product(dst.model.generators, (dst_forms[g] for g in multiset))
+            (sprefix, dprefix), g = products[multiset[:-1]], multiset[-1]
+            sprod, dprod = wedge(sprefix, src_forms[g]), wedge(dprefix, dst_forms[g])
+            products[multiset] = sprod, dprod
             u = src.class_coordinates(sprod, p).coordinates
             v = dst.class_coordinates(dprod, p).coordinates
             src_vecs.append(list(u))

@@ -28,6 +28,9 @@ Its time is that of the front door, the parse included:
 ``s_t2k3`` is the same algebra in the {-1, 0, 1} basis that
 ``helpers.sign_conjugate`` draws from the seed ``"c_t2k3"``, timed the same
 way: its entries grow much more in elimination (about 5 s against 0.2 s).
+``check(c_t2k3)`` probes the ``check`` command of the benchmark's
+``structure`` workload on that file: it times ``cli.main(["check", file])``,
+the parse included, and hashes the report it prints.
 
     PYTHONPATH=src python3 tests/engine_times.py
     PYTHONPATH=src python3 tests/engine_times.py abelian(20)
@@ -35,6 +38,7 @@ way: its entries grow much more in elimination (about 5 s against 0.2 s).
     PYTHONPATH=src python3 tests/engine_times.py "fingerprint(theorem4)"
     PYTHONPATH=src python3 tests/engine_times.py "fingerprint(graded(theorem4))"
     PYTHONPATH=src python3 tests/engine_times.py "by_weight(theorem1(4), 8)"
+    PYTHONPATH=src python3 tests/engine_times.py "check(c_t2k3)"
 
 With arguments, only the named models run.  Like ``report_sweep.py``,
 pytest does not collect it.
@@ -42,16 +46,20 @@ pytest does not collect it.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
+import os
 import resource
 import subprocess
 import sys
+import tempfile
 import time
 
 MODELS = ("free(3,3)", "theorem1(4)", "theorem2(3)", "theorem2(4)", "abelian(20)", "theorem1(5)", "c_t2k3",
           "s_t2k3", "fingerprint(theorem4)", "fingerprint(graded(theorem4))",
           "fingerprint(theorem1(4))",
-          "by_weight(theorem1(4), 8)")
+          "by_weight(theorem1(4), 8)", "check(c_t2k3)")
 FILES = {"c_t2k3": "conjugate:c_t2k3", "s_t2k3": "c_t2k3"}  # name -> sign_conjugate seed
 
 
@@ -86,13 +94,23 @@ def measure(name: str) -> str:
     from nilrigid.fileformat import model_basis, parse_source
 
     probe, split = name.startswith("fingerprint("), name.startswith("by_weight(")
-    model = name[name.index("(") + 1:-1] if probe or split else name
+    check = name.startswith("check(")
+    model = name[name.index("(") + 1:-1] if probe or split or check else name
     if split:
         model, degree = model.rsplit(", ", 1)
     A = build(model)
     L = lie_from_model(A) if probe else None
+    if check:
+        from nilrigid import cli
+        with tempfile.NamedTemporaryFile("w", suffix=".alg", delete=False) as f:
+            f.write(A)
+        n, report = len(parse_source(A).generators), io.StringIO()
     start = time.perf_counter()
-    if probe:
+    if check:
+        with contextlib.redirect_stdout(report):
+            cli.main(["check", f.name])
+        result = report.getvalue()
+    elif probe:
         result = fingerprint(L)
         n = len(result.betti) - 1
     elif split:
@@ -105,6 +123,8 @@ def measure(name: str) -> str:
         result = Cohomology(A).betti_vector()
         n = len(result) - 1
     seconds = time.perf_counter() - start
+    if check:
+        os.unlink(f.name)
     rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
     digest = hashlib.sha256(repr(result).encode()).hexdigest()[:16]
     return f"{name:<12} n={n:<3} {seconds:8.3f} s {rss:8.1f} MB  {digest}"

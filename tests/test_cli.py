@@ -16,18 +16,21 @@ import nilrigid
 from nilrigid import (
     Cohomology,
     LieAlgebra,
+    adapted_basis,
     ce_model,
     change_basis,
     check_d_squared,
+    free_nilpotent_lie,
     generated_basis,
     jacobi_defect,
     theorem1_family,
     trivial_basis,
 )
-from nilrigid import cli, cohomology
+from nilrigid import cli, cohomology, lie
+from nilrigid.errors import NotNilpotentError
 from nilrigid.fileformat import emit_algebra, form_to_str, lie_algebra, parse_source
 from nilrigid.cli import main
-from nilrigid.lie import _lie_of, sparse_basis
+from nilrigid.lie import _lie_of
 from helpers import dense_free_3_3
 from oracle import base_algebras, corrupt, random_nilpotent, rational_conjugate
 
@@ -295,22 +298,54 @@ def test_check_matches_both_tests_in_the_file_basis(run, tmp_path):
         L = lie_algebra(parse_source(path.read_text()))[0]
         code, out, err = run("--format", "json", "check", str(path))
         assert (code, json.loads(out), err) == (*file_basis_check(L), ""), emit_algebra(L)
-        paths[code, sparse_basis(L) is not None] += 1
-    # both verdicts are reached in both bases, so refutations are named after a sparse test
+        paths[code, checked_in_adapted_basis(L)] += 1
+    # both verdicts are reached in both bases, so refutations are named after an adapted test
     assert set(paths) == {(0, False), (0, True), (1, False), (1, True)}, paths
+
+
+def checked_in_adapted_basis(L) -> bool:
+    """Whether check tests L in another basis: its adapted one, when a bracket has
+    several terms, L is nilpotent and that basis is not the identity."""
+    if all(len(vec) == 1 for vec in L.brackets.values()):
+        return False
+    try:
+        return not adapted_basis(L).is_identity()
+    except NotNilpotentError:
+        return False
+
+
+def spy_on_both_tests(monkeypatch) -> tuple[list, list]:
+    """The algebras check hands to the Jacobi test and whose models it hands to d^2."""
+    tested, modelled = [], []
+    jacobi, d_squared = cli.jacobi_defect, cli.check_d_squared
+    monkeypatch.setattr(cli, "jacobi_defect", lambda M: tested.append(M) or jacobi(M))
+    monkeypatch.setattr(cli, "check_d_squared", lambda A: modelled.append(_lie_of(A)) or d_squared(A))
+    return tested, modelled
 
 
 def test_check_on_a_dense_valid_file_never_tests_the_file_basis(run, monkeypatch, tmp_path):
     path = dense_free_3_3(tmp_path)
     L = lie_algebra(parse_source(Path(path).read_text()))[0]
-    tested, modelled = [], []
-    jacobi, d_squared = cli.jacobi_defect, cli.check_d_squared
-    monkeypatch.setattr(cli, "jacobi_defect", lambda M: tested.append(M) or jacobi(M))
-    monkeypatch.setattr(cli, "check_d_squared", lambda A: modelled.append(_lie_of(A)) or d_squared(A))
+    tested, modelled = spy_on_both_tests(monkeypatch)
     assert run("check", path) == (0, "ok: Jacobi identity holds and d^2 = 0\n", "")
     assert len(tested) == len(modelled) == 1
     assert tested[0] != L and modelled[0] != L
-    assert tested[0] == modelled[0] == change_basis(L, generated_basis(L))
+    assert tested[0] == modelled[0] == change_basis(L, adapted_basis(L))
+
+
+@pytest.mark.parametrize("gens, step", [(2, 5), (3, 3)])
+def test_check_builds_no_basis_on_a_free_nilpotent_file(run, monkeypatch, tmp_path, gens, step):
+    # free(2,5) and free(3,3) have multi-term brackets, but their adapted basis is
+    # the identity: check tests them as they are, building no other basis
+    L = free_nilpotent_lie(gens, step).algebra
+    path = tmp_path / "free.alg"
+    path.write_text(emit_algebra(L))
+    for name in ("generated_basis", "change_basis"):
+        monkeypatch.setattr(lie, name, lambda *args, name=name: pytest.fail(f"{name} called"))
+    tested, modelled = spy_on_both_tests(monkeypatch)
+    assert any(len(vec) > 1 for vec in L.brackets.values())
+    assert run("check", str(path)) == (0, "ok: Jacobi identity holds and d^2 = 0\n", "")
+    assert tested == modelled == [L]
 
 
 def test_verify_iso_lists_the_source_generators_for_an_unknown_one(run, tmp_path):
