@@ -5,10 +5,10 @@ indecomposable (algebra generator) counts and the weight refinement for
 Carnot-homogeneous differentials.  All elimination is exact, fraction-free
 on integers with rational results, so every reported number is exact.
 ``Cohomology.of(L, basis)`` is the one entry from a Lie algebra; it names a
-d^2 defect in L's own basis.  Each d_p is built once, in a basis where it is
-sparse, and eliminated once (see ``Cohomology``): Betti numbers count pivots
-of the coboundary bases B^(p+1), and classes take Z^p from the same
-elimination; if d_(n-1) = 0, only for p <= (n-1)/2, since Z^q = ann(B^(n-q))
+d^2 defect in L's own basis.  Each d_p is built in a basis where it is sparse
+(see ``Cohomology``): a Betti number alone eliminates d_p for its rank and keeps
+that int; classes eliminate d_p with its kernel and keep B^(p+1), whose pivots
+are the rank, and Z^p; if d_(n-1) = 0, only p <= (n-1)/2, since Z^q = ann(B^(n-q))
 and B^(q+1) = ann(Z^(n-1-q)) under e_m . e_(comp m) = (-1)^(sum m - k(k-1)/2)
 e_top, which pairs weight s with W - s, W the weight of e_top: the weight split
 counts rank d_q leaving s as the pivots of B^(n-q) at W - s, and the self-dual
@@ -159,11 +159,11 @@ class Cohomology:
     eliminated in the basis that ``lie.sparse_basis`` picks for the model's
     algebra: its generated basis, where d is sparse, or the model's own.
     d^2 = 0 is checked there; a defect is computed again only to name it.
-    Each d_p is built once, on ints as D * d.  Ranks count the pivots of an
-    integer echelon basis of B^(p+1); once a class is asked for, d_p is
-    eliminated with its kernel instead (not by ``betti_vector``), so twice
-    only if its rank was read before.  If d_(n-1) = 0, only p <= (n-1)/2 is:
-    above, Z^p = ann(B^(n-p)), B^(p+1) = ann(Z^(n-1-p)) under eps (``_annihilator``).
+    d_p is built on ints as D * d.  A rank asked for alone is counted from an
+    integer echelon basis of B^(p+1) and kept as an int, the rest dropped;
+    classes eliminate d_p once, with its kernel, and keep B^(p+1), whose pivots
+    are then the rank, and Z^p until read.  If d_(n-1) = 0, only p <= (n-1)/2
+    is: above, Z^p = ann(B^(n-p)), B^(p+1) = ann(Z^(n-1-p)) under eps (``_annihilator``).
     The representatives are the rows of the integer reduced basis of Z^p
     whose pivot is not one of B^p, as ints; class coordinates and forms read
     them over their pivot entry, the unique reduced basis.  From the
@@ -208,9 +208,9 @@ class Cohomology:
             defects = check_d_squared(named())
             names = ", ".join(g.name for g, _ in defects)
             raise ModelError(f"d^2 != 0 on {names}", defects=defects)
-        self._d: dict[int, list[dict[int, int]]] = {}
-        self._echelons: dict[int, dict[int, dict[int, int]]] = {}
-        self._kernels: dict[int, dict[int, dict[int, int]]] | None = None  # None: ranks alone
+        self._ranks = {-1: 0, self._eliminated.dimension: 0}  # rank d_p alone; d_-1, d_n are 0
+        self._echelons: dict[int, dict[int, dict[int, int]]] = {}  # B^p, for classes
+        self._kernels: dict[int, dict[int, dict[int, int]]] = {}  # Z^p, until read
         self._data: dict[int, _Classes] = {}
         self._units: dict[int, list[int]] = {}
         self._grown: dict[int, list[tuple[tuple[int, int], Terms, int]]] = {}
@@ -234,56 +234,58 @@ class Cohomology:
 
     # -- internal ----------------------------------------------------------
 
-    def _differential(self, p: int) -> list[dict[int, int]]:
-        if p not in self._d:
-            self._d[p] = cochain_matrix(self._eliminated, p)
-        return self._d[p]
+    @cached_property
+    def _unimodular(self) -> bool:
+        """Whether d_(n-1) = 0 (g unimodular); its rank, 0 or 1 (one row), is kept."""
+        n = self._eliminated.dimension
+        self._ranks[n - 1] = int(any(cochain_matrix(self._eliminated, n - 1)))
+        return not self._ranks[n - 1]
 
     def _mirrored(self, p: int) -> bool:
         """Whether d_p is read off d_(n-1-p): p > (n-1)/2 and d_(n-1) = 0 (g unimodular)."""
-        return 2 * p >= (n := self._eliminated.dimension) and not any(self._differential(n - 1))
+        return 2 * p >= self._eliminated.dimension and self._unimodular
 
-    def _rank(self, p: int, kernels: bool = True) -> int:
-        """rank d_p, of d_(n-1-p) if mirrored, else ``_middle_rank`` (2p + 1 = n, ranks alone)."""
-        if self._mirrored(p) and p + 1 not in self._echelons:
-            p = self._eliminated.dimension - 1 - p
-        elif 2 * p + 1 == self._eliminated.dimension and p + 1 not in self._echelons \
-                and (self._kernels is None or not kernels) and self._middle_rank is not None:
-            return self._middle_rank
-        return len(self._boundaries(p + 1, kernels))
+    def _rank(self, p: int) -> int:
+        """rank d_p: the pivots of B^(p+1) if classes eliminated d_p, rank d_(n-1-p) if
+        mirrored, else ``_rank_alone(p)``, kept in ``_ranks``."""
+        if p + 1 in self._echelons:
+            return len(self._echelons[p + 1])
+        if self._mirrored(p):
+            return self._rank(self._eliminated.dimension - 1 - p)
+        if p not in self._ranks:
+            self._ranks[p] = self._rank_alone(p)
+        return self._ranks[p]
 
-    @cached_property
-    def _middle_rank(self) -> int | None:
-        """rank d_q, 2q + 1 = n, by torus blocks if d_(n-1) = 0 and the model eliminated is
-        graded, else None: d_q is its own transpose twisted by eps, which pairs weight s of
-        Lambda^q with W - s of Lambda^(q+1), so the blocks at s and W - s have one rank; of
-        each pair, the one with fewer columns (ties: the smaller key) is eliminated, twice."""
+    def _rank_alone(self, p: int) -> int:
+        """rank d_p from an elimination that keeps nothing.  In the self-dual degree,
+        2p + 1 = n, it is read off torus blocks if d_(n-1) = 0 and the model eliminated is
+        graded: d_p is its own transpose twisted by eps, which pairs weight s of Lambda^p
+        with W - s of Lambda^(p+1), so the blocks at s and W - s have one rank; of each
+        pair, the one with fewer columns (ties: the smaller key) is eliminated, twice."""
         A, n = self._eliminated, self._eliminated.dimension
-        keys = self._keys if self._basis is None else _packed(A)  # self._keys: A is the model
-        if not A.live or any(self._differential(n - 1)) or not any(keys):
-            return None if A.live else 0  # d = 0: no mask is listed
-        weights, top, columns = list(map(sum, combinations(keys, n // 2))), sum(keys), ([], [])
-        sizes, index = Counter(weights), _mask_index(n, n // 2 + 1)  # no columns at W - s: no rows
+        if 2 * p + 1 != n or not A.live or not self._unimodular \
+                or not any(keys := self._keys if self._basis is None else _packed(A)):
+            return len(linalg.integer_echelon(cochain_matrix(A, p)))  # d = 0: no mask listed
+        weights, top, columns = list(map(sum, combinations(keys, p))), sum(keys), ([], [])
+        sizes, index = Counter(weights), _mask_index(n, p + 1)  # no columns at W - s: no rows
         kept = {w for w, k in sizes.items() if (k, w) <= (sizes.get(top - w, 0), top - w)}
-        for mask, w in zip(_masks(n, n // 2), weights):
+        for mask, w in zip(_masks(n, p), weights):
             if w in kept:  # blocks have disjoint rows; one at s = W - s is counted once
                 columns[2 * w == top].append(_derive(A, mask, index))
         return 2 * len(linalg.integer_echelon(columns[0])) + len(linalg.integer_echelon(columns[1]))
 
-    def _boundaries(self, p: int, kernels: bool = True) -> dict[int, dict[int, int]]:
-        """An integer echelon basis of B^p, by pivot; once classes are asked for (and
-        ``kernels``), ann(Z^(n-p)) if d_(p-1) is mirrored, else with Z^(p-1)."""
+    def _boundaries(self, p: int) -> dict[int, dict[int, int]]:
+        """An integer echelon basis of B^p, by pivot, for classes: ann(Z^(n-p)) if
+        d_(p-1) is mirrored, else from one elimination of d_(p-1) with its kernel Z^(p-1)."""
         if p not in self._echelons:
             n = self._eliminated.dimension
             if p <= 0:
                 self._echelons[p] = {}
-            elif self._kernels is None or not kernels:
-                self._echelons[p] = linalg.integer_echelon(self._differential(p - 1))
             elif self._mirrored(p - 1):
                 self._echelons[p] = _annihilator(self._cocycles(n - p), n, n - p) if p <= n else {}
             else:
                 self._echelons[p], self._kernels[p - 1] = linalg.image_and_kernel(
-                    self._differential(p - 1), comb(n, p))
+                    cochain_matrix(self._eliminated, p - 1), comb(n, p))
         return self._echelons[p]
 
     def _cocycles(self, p: int) -> dict[int, dict[int, int]]:
@@ -291,8 +293,7 @@ class Cohomology:
         n = self._eliminated.dimension
         if self._mirrored(p):
             return _annihilator(linalg._back_substitute(self._boundaries(n - p)), n, n - p)
-        if p not in self._kernels:  # d_p not eliminated yet, or for its rank alone
-            self._echelons.pop(p + 1, None)
+        if p not in self._kernels:  # d_p not eliminated yet
             self._boundaries(p + 1)
         keep = p not in self._data and n - p not in self._echelons and self._mirrored(n - 1 - p)
         return self._kernels[p] if keep else self._kernels.pop(p)  # read by _degree(p), B^(n-p)
@@ -330,7 +331,6 @@ class Cohomology:
     def _degree(self, p: int) -> _Classes:
         if p in self._data:
             return self._data[p]
-        self._kernels = self._kernels or {}  # from now on d_p is eliminated with its kernel
         cocycles = self._cocycles(p)
         if self._basis is not None:  # Z^p in the model's basis, reduced
             cocycles = linalg._back_substitute(linalg.integer_echelon(
@@ -385,7 +385,8 @@ class Cohomology:
         is skipped if ``missing`` has no class at w: g . h would not grow the span."""
         for i in range(1, p // 2 + 1):
             q = p - i
-            units = self._products(q) if 3 * i > p or q in self._units else range(self.betti(q))
+            units = self._products(q) if 3 * i > p or q in self._units else range(
+                len(self._degree(q).vectors))
             seconds = [((q, u), *self._terms(q)[u]) for u in units] + self._grown.get(q, [])
             for g in self._products(i) if seconds else ():
                 (a, v), least = self._terms(i)[g], (i, g + i % 2)
@@ -435,18 +436,16 @@ class Cohomology:
     # -- public api --------------------------------------------------------
 
     def betti(self, p: int) -> int:
-        """dim Lambda^p - rank d_p - rank d_(p-1), pivot counts (see ``_rank``)."""
+        """dim Lambda^p - rank d_p - rank d_(p-1) (see ``_rank``).  If d_(n-1) = 0 (g
+        unimodular), d_(n-1-p) is -(-1)^p d_p transposed, twisted by the signs eps of the
+        wedge pairing (Hazewinkel 1970), so only p <= (n-1)/2 is eliminated, the rest read
+        as rank d_(n-1-p); if n is odd, d_q, q = (n-1)/2, on one torus block of each pair."""
         n = self._eliminated.dimension
         return comb(n, p) - self._rank(p) - self._rank(p - 1) if 0 <= p <= n else 0
 
     def betti_vector(self) -> tuple[int, ...]:
-        """b_0..b_n from the ranks of d_p, for ranks alone.  If d_(n-1) = 0 (g unimodular),
-        d_(n-1-p) is -(-1)^p d_p transposed, twisted by the signs eps of the wedge pairing
-        (Hazewinkel 1970), so ``_rank`` eliminates only p <= (n-1)/2 and reads the rest as
-        rank d_(n-1-p); if n is odd, d_q, q = (n-1)/2, on one torus block of each pair."""
-        n = self._eliminated.dimension
-        ranks = [0] + [self._rank(p, False) for p in range(n)] + [0]  # ranks[p + 1] = rank d_p
-        return tuple(comb(n, p) - ranks[p + 1] - ranks[p] for p in range(n + 1))
+        """b_0..b_n (see ``betti``)."""
+        return tuple(map(self.betti, range(self._eliminated.dimension + 1)))
 
     def basis(self, p: int) -> list[Form]:
         """Closed representative forms mapping to a basis of H^p."""
@@ -495,7 +494,7 @@ class Cohomology:
         return self._coordinates(_multiply(a, b, self._degree(p).masks), p)
 
     def unit_class(self, p: int, i: int) -> ClassVector:
-        b = self.betti(p)
+        b = len(self._degree(p).vectors) if 0 <= p <= self._eliminated.dimension else 0
         if not 0 <= i < b:
             raise IndexError(f"class {i} of degree {p}: b_{p} = {b}")
         return ClassVector(p, (linalg._ZERO,) * i + (linalg._ONE,) + (linalg._ZERO,) * (b - i - 1))
@@ -532,14 +531,15 @@ class Cohomology:
         if not 0 <= p <= n:
             return {}
 
-        @cache
-        def weights(k: int) -> list[int]:  # of Lambda^k, in the order of _masks
-            return [sum(c) for c in combinations(A.weights, k)]
+        @cache  # n = 2p reads B^p twice
+        def pivots(k: int) -> list[int]:  # the weights of the pivots of the model's B^k
+            weights = [sum(c) for c in combinations(A.weights, k)]  # in the order of _masks
+            return [weights[c] for c in linalg.integer_echelon(cochain_matrix(A, k - 1))]
 
-        dims = Counter(weights(p))
+        dims = Counter(map(sum, combinations(A.weights, p)))
         for q in (p, p - 1):  # rank d_q leaving weight s, taken from weight s + q - p
             if self._mirrored(q):
-                dims.subtract(top - weights(n - q)[c] + q - p for c in self._pivots(n - q))
+                dims.subtract(top - w + q - p for w in pivots(n - q))
             else:
-                dims.subtract(weights(q + 1)[c] + 1 + q - p for c in self._pivots(q + 1))
+                dims.subtract(w + 1 + q - p for w in pivots(q + 1))
         return {w: dim for w, dim in sorted(dims.items()) if dim}

@@ -23,9 +23,9 @@ coordinates 0" rule lies in where it puts e_j) or a span (products, bases).
 ``image_and_kernel``, ``nullspace`` and ``ColumnSolver`` take a matrix as a
 list of sparse columns, the form in which the cochain complexes and changes
 of basis are built.  The dense views ``rref``, ``rank``, ``in_rowspan``,
-``invert`` and ``identity`` take lists of rows of Fraction; they serve tests
-and the benchmark's input generation, plus the small dense rank checks in
-``morphisms`` and the dense basis of ``Cohomology.decomposable_subspace``.
+``invert`` and ``identity`` take lists of rows of Fraction; they serve tests,
+the benchmark's input generation, ``morphisms.verify_cohomology_ring_iso``'s
+rank checks and ``Cohomology.decomposable_subspace``'s dense basis.
 """
 
 from __future__ import annotations

@@ -72,8 +72,8 @@ def verify_cdga_morphism(
     if len(src.generators) != len(dst.generators):
         return MorphismResult(False, stage="invertibility")
     n = len(src.generators)
-    rows = [[phi.images[i].coefficient((j,)) for j in range(n)] for i in range(n)]
-    if linalg.rank(rows, n) != n:
+    rows = ({j: c for (j,), c in img.terms.items()} for img in phi.images)  # 1-forms or 0
+    if len(linalg.integer_echelon(rows)) != n:
         return MorphismResult(False, stage="invertibility")
     return MorphismResult(True)
 
@@ -182,7 +182,7 @@ def is_decomposable_2form(w: Form) -> Decomposability:
     for (a, b), c in w.terms.items():
         mat[a][b] = c
         mat[b][a] = -c
-    r = linalg.rank(mat, n)
+    r = len(linalg.integer_echelon(map(linalg.sparse, mat)))
     if r > 2:
         return Decomposability(False, r, None, square)
     if r == 0:

@@ -1,8 +1,10 @@
 """Cohomology: Betti numbers, representatives, cup products, indecomposables."""
 
+import gc
 import hashlib
 import json
 import random
+import weakref
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
@@ -84,13 +86,47 @@ def test_dead_generators_match_the_oracle():
         assert Cohomology(A).betti_vector() == oracle_betti(L)
 
 
-def test_cached_differentials_equal_fresh_ones():
-    # elimination copies each int column before it reduces it, so the
-    # cached columns of d stay those cochain_matrix builds
-    A = theorem2_family(2)
+def test_elimination_leaves_the_built_columns_unchanged(monkeypatch):
+    # elimination copies each int column before it reduces it, so the columns
+    # of d that ranks and classes eliminate stay those cochain_matrix builds
+    A, built, build = theorem2_family(2), [], cohomology.cochain_matrix
+    monkeypatch.setattr(cohomology, "cochain_matrix",
+                        lambda A, p: built.append((p, d := build(A, p))) or d)
     H = Cohomology(A)
     H.betti_vector()
-    assert H._d and all(d == cochain_matrix(A, p) for p, d in H._d.items())
+    for p in range(A.dimension + 1):
+        H.basis(p)
+    assert len(built) > A.dimension and all(d == build(A, p) for p, d in built)
+
+
+def test_ranks_keep_no_columns(monkeypatch):
+    # a rank asked for alone keeps only its int: after betti_vector, or betti(p)
+    # for every p, no basis of B^p or Z^p is kept and no column of d, whole
+    # (cochain_matrix) or in torus blocks (_derive), is referenced
+    class Columns(list):  # lists and dicts that can be weakly referenced
+        pass
+
+    class Column(dict):
+        pass
+
+    made, build, derive = [], cohomology.cochain_matrix, cohomology._derive
+
+    def tracked(kind, result):
+        made.append(weakref.ref(result := kind(result)))
+        return result
+
+    monkeypatch.setattr(cohomology, "cochain_matrix", lambda A, p: tracked(Columns, build(A, p)))
+    monkeypatch.setattr(cohomology, "_derive", lambda *args: tracked(Column, derive(*args)))
+    for A in (theorem2_family(3), theorem1_family(3)):  # n = 13, with a self-dual degree, and 12
+        n = A.dimension
+        for ask in (Cohomology.betti_vector, lambda H: [H.betti(p) for p in range(-1, n + 2)]):
+            made.clear()
+            H = Cohomology(A)
+            ask(H)
+            gc.collect()
+            assert H._echelons == H._kernels == {}, n
+            assert made and all(ref() is None for ref in made), n
+            assert all(isinstance(rank, int) for rank in H._ranks.values()), n
 
 
 def test_cochain_matrices_are_pinned():
@@ -181,7 +217,7 @@ def middle_degree_models():
 def test_middle_rank_is_read_off_torus_blocks(monkeypatch):
     # in the self-dual degree q = (n-1)/2, the block of d_q at torus weight s has the
     # rank of the one at W - s: one of each pair is eliminated, for ranks alone, and
-    # neither d_q nor B^(q+1) is kept; the rank is that of all of d_q
+    # only that int is kept; the rank is that of all of d_q
     eliminated, eliminate = [], linalg.integer_echelon
 
     def counting_eliminate(rows):
@@ -195,17 +231,19 @@ def test_middle_rank_is_read_off_torus_blocks(monkeypatch):
         eliminated.clear()
         assert H.betti_vector() == oracle_betti(lie_from_model(A)), name
         blocks = eliminated[-2:]  # the paired and the self-paired blocks of d_q come last
-        assert H._middle_rank == len(eliminate(cochain_matrix(A, q))), name
-        assert q not in H._d and q + 1 not in H._echelons, name
+        assert H._ranks[q] == len(eliminate(cochain_matrix(A, q))), name
+        assert H._echelons == {}, name
         paired, self_paired = paired + len(blocks[0]), self_paired + len(blocks[1])
-        # a class query eliminates all of d_q, with its kernel
-        assert len(H.basis(q)) == H.betti(q) and q + 1 in H._echelons, name
+        # a class query eliminates all of d_q, with its kernel, and the rank is
+        # then read off its pivots
+        assert len(H.basis(q)) == H.betti(q) and len(H._echelons[q + 1]) == H._ranks[q], name
     assert paired and self_paired
     # d_(n-1) != 0: r2 + R (n = 3) has a grading but no duality, so all of d_1 is eliminated
     L = direct_sum(LieAlgebra(("x", "y"), {(0, 1): {1: Fraction(1)}}), abelian(1))
     H = Cohomology(model_of(L))
-    assert H.betti_vector() == oracle_betti(L) and H._middle_rank is None
-    assert cohomology._grading(H.model) and 2 in H._echelons
+    eliminated.clear()
+    assert H.betti_vector() == oracle_betti(L) and not H._unimodular
+    assert cohomology._grading(H.model) and [len(rows) for rows in eliminated] == [1, 3]
 
 
 def test_middle_degree_derives_only_the_smaller_blocks(monkeypatch):
@@ -240,7 +278,7 @@ def test_odd_abelian_middle_degree_lists_no_masks(monkeypatch):
     for n in (5, 7):
         H = Cohomology(model_of(abelian(n)))
         assert H.betti_vector() == tuple(comb(n, p) for p in range(n + 1))
-        assert H._middle_rank == 0
+        assert H._ranks[n // 2] == 0
     assert calls == Counter()
 
 
@@ -290,13 +328,15 @@ def test_theorem1_k2_representatives_are_pinned():
 
 
 def test_each_differential_is_built_once(monkeypatch):
+    # ranks build each d_p at most once and keep ints; classes build each d_p
+    # at most once more, and eliminate it with its kernel
     built, derived, differentiated = [], [], []
     build, derive = cohomology.cochain_matrix, cohomology._derive
     differentiate = forms.apply_differential
 
     def counting_build(A, p):
-        built.append(p)
-        return build(A, p)
+        built.append((p, d := build(A, p)))
+        return d
 
     def counting_derive(A, mono, index):
         derived.append(mono)
@@ -330,36 +370,41 @@ def test_each_differential_is_built_once(monkeypatch):
     n = A.dimension
     H = Cohomology(A)
     H.betti_vector()
-    # n = 8: the vector eliminates d_0..d_3 for their ranks; d_7 = 0 is built
-    # as the unimodularity test and not eliminated
-    assert sorted(built) == [0, 1, 2, 3, 7] and len(eliminated) == 4
+    # n = 8: the vector eliminates d_0..d_3 for their ranks and keeps those ints;
+    # d_7 = 0 is built as the unimodularity test, its rank whether it is 0, and
+    # not eliminated; d_(-1) and d_8 map to 0 and are not built
+    assert sorted(p for p, _ in built) == [0, 1, 2, 3, 7]
+    assert list(map(id, eliminated)) == [id(d) for p, d in built if p < 7]
+    assert sorted(H._ranks) == [-1, 0, 1, 2, 3, 7, 8] and H._echelons == H._kernels == {}
+    assert len(derived) == len(set(derived)) == sum(comb(n, q) for q in (0, 1, 2, 3, 7))
+    # the weight split eliminates the model's own B^k for its pivots, each at
+    # most once a call (B^4 serves both q = 3 and q = 4), and keeps nothing
     for p in range(n + 1):
+        built.clear()
         assert sum(H.betti_by_weight(p).values()) == H.betti(p)
-    # the weight split reads the ranks of the upper d_q by weight off the pivots of
-    # the lower B^(n-q), so it builds and eliminates nothing more
-    assert sorted(built) == [0, 1, 2, 3, 7] and len(eliminated) == 4
-    assert with_kernels == reduced == back == []
+        assert len(built) == len({q for q, _ in built}) <= 2, p
+    assert H._echelons == H._kernels == {} and with_kernels == reduced == back == []
+    built.clear()
+    derived.clear()
+    eliminated.clear()
     for p in range(n + 1):
         H.basis(p)
         H.indecomposables(p)
-    assert sorted(built) == [0, 1, 2, 3, 7]
-    # the ranks kept no kernel, so the classes eliminate d_0..d_3 once more, with
-    # their kernels; each Z^q above the middle degree is the annihilator of
-    # B^(n-q), so no upper d_q is built or eliminated, and no basis is divided
-    # into Fractions
-    d = [rows for rows in eliminated if any(rows is d_p for d_p in H._d.values())]
-    assert len(d) == len({id(rows) for rows in d}) == 4
-    assert sorted(p for p, d_p in H._d.items() if any(rows is d_p for rows in with_kernels)) == [
-        0, 1, 2, 3]
-    assert len(with_kernels) == 4
+    # the ranks kept no kernel, so the classes build and eliminate d_0..d_3 once
+    # more, each with its kernel; each Z^q above the middle degree is the
+    # annihilator of B^(n-q), so no upper d_q is built or eliminated, and no
+    # basis is divided into Fractions
+    assert sorted(p for p, _ in built) == [0, 1, 2, 3]
+    assert len(with_kernels) == 4 and all(any(rows is d for rows in with_kernels) for _, d in built)
+    assert not any(rows is d for rows in eliminated for _, d in built)
     assert reduced == [] and H._kernels == {}
     # one integer basis of each B^p, p = 0..n, is kept; the lower B^p that
-    # the upper Z^q annihilate are reduced in place, and no other is
+    # the upper Z^q annihilate are reduced in place, and no other
     assert sorted(H._echelons) == list(range(n + 1))
     assert sorted(p for p, e in H._echelons.items() if any(b is e for b in back)) == [0, 1, 2, 3, 4]
-    # every monomial of the degrees built is differentiated exactly once, by
-    # the integer kernel and never through a Form
-    assert len(derived) == len(set(derived)) == sum(comb(n, q) for q in (0, 1, 2, 3, 7))
+    # every monomial of the degrees built is differentiated once more, by the
+    # integer kernel and never through a Form
+    assert len(derived) == len(set(derived)) == sum(comb(n, q) for q in (0, 1, 2, 3))
     assert differentiated == []
 
 
@@ -374,29 +419,37 @@ def test_betti_vector_eliminates_half_the_complex(monkeypatch):
         built.clear()
         H = Cohomology(A)
         getattr(H, query)(*args)
-        return sorted(built), sorted(H._echelons)
+        return sorted(built), H
 
-    # n = 8: d_7 = 0 is the unimodularity test, and B^1..B^4 are the ranks of d_0..d_3
-    assert fresh("betti_vector") == ([0, 1, 2, 3, 7], [1, 2, 3, 4])
+    # n = 8: d_7 = 0 is the unimodularity test, and the ranks of d_0..d_3 are
+    # kept as ints, with no basis of any B^p
+    degrees, H = fresh("betti_vector")
+    assert degrees == [0, 1, 2, 3, 7] and sorted(H._ranks) == [-1, 0, 1, 2, 3, 7, 8]
+    assert H._echelons == {}
     # a single degree mirrors too: betti(p) reads rank d_q, q = p - 1, p, as rank
     # d_(n-1-q) when 2q > n - 1, and takes dim Lambda^p from comb, so it builds
-    # no d_p above the middle degree but d_7; so do indecomposables(p), whose
-    # classes read Z^q and B^(q+1) above the middle degree off the lower half
-    betti = {0: ([0], [0, 1]), 1: ([0, 1], [1, 2]), 2: ([1, 2], [2, 3]), 3: ([2, 3], [3, 4]),
-             4: ([3, 7], [4]), 5: ([2, 3, 7], [3, 4]), 6: ([1, 2, 7], [2, 3]),
-             7: ([0, 1, 7], [1, 2]), 8: ([0, 7], [0, 1])}
+    # no d_p above the middle degree but d_7; so does the weight split, which
+    # counts pivots of the model's own B^(q+1), or B^(n-q) if mirrored, and keeps
+    # none (B^0 = 0, at p = 0 and 8, has an empty list of columns); and so do
+    # indecomposables(p), whose classes read Z^q and B^(q+1) above the middle
+    # degree off the lower half
+    betti = {0: [0], 1: [0, 1], 2: [1, 2], 3: [2, 3], 4: [3, 7], 5: [2, 3, 7], 6: [1, 2, 7],
+             7: [0, 1, 7], 8: [0, 7]}
     products = {0: [], 1: [0, 1, 7], 2: [0, 1, 2, 7], 7: [0, 1, 2, 7], 8: [0, 1, 7]}
     for p in range(n + 1):
-        assert fresh("betti", p) == betti[p], p
-        # the weight split counts pivots of the same B^(q+1), or B^(n-q) if mirrored
-        assert fresh("betti_by_weight", p) == betti[p], p
-        assert fresh("indecomposables", p)[0] == products.get(p, [0, 1, 2, 3, 7]), p
+        degrees, H = fresh("betti", p)
+        assert degrees == betti[p] and set(H._ranks) == {-1, n, *degrees}, p
+        assert H._echelons == {}, p
+        degrees, H = fresh("betti_by_weight", p)
+        assert [q for q in degrees if q >= 0] == betti[p] and H._echelons == {}, p
+        degrees, H = fresh("indecomposables", p)
+        assert degrees == products.get(p, [0, 1, 2, 3, 7]), p
     # after a single degree, the vector eliminates only the lower half it lacks
     H = Cohomology(A)
     H.betti(6)
     built.clear()
     assert H.betti_vector() == (1, 4, 10, 13, 12, 13, 10, 4, 1)
-    assert sorted(built) == [0, 3] and sorted(H._echelons) == [1, 2, 3, 4]
+    assert sorted(built) == [0, 3] and H._echelons == {}
 
 
 def test_single_term_inputs_compute_no_series(monkeypatch, tmp_path, capsys):

@@ -340,10 +340,13 @@ def test_upper_differentials_are_the_signed_transposes_of_the_lower(A):
     LieAlgebra(("x", "y", "z"), {(0, 1): {1: Fraction(1)}, (0, 2): {1: Fraction(1), 2: Fraction(1)}}),
 ], ids=["r2", "r3"])
 def test_non_unimodular_class_paths_eliminate_every_degree(L, monkeypatch):
-    # d_(n-1) != 0, so no degree is read off its dual: every d_p is eliminated
-    # with its kernel, and the classes match the oracle's
-    eliminated, annihilated = [], []
-    both, annihilator = linalg.image_and_kernel, cohomology._annihilator
+    # d_(n-1) != 0, so no degree is read off its dual: every d_p is built and
+    # eliminated once with its kernel, and the classes match the oracle's
+    built, eliminated, annihilated = [], [], []
+    build, annihilator = cohomology.cochain_matrix, cohomology._annihilator
+    both = linalg.image_and_kernel
+    monkeypatch.setattr(cohomology, "cochain_matrix",
+                        lambda A, p: built.append((p, d := build(A, p))) or d)
     monkeypatch.setattr(linalg, "image_and_kernel",
                         lambda columns, nrows: eliminated.append(columns) or both(columns, nrows))
     monkeypatch.setattr(cohomology, "_annihilator",
@@ -355,8 +358,8 @@ def test_non_unimodular_class_paths_eliminate_every_degree(L, monkeypatch):
         assert oracle_class_rank(L, p, [f.terms for f in H.basis(p)]) == H.betti(p), p
     assert tuple(H.betti(p) for p in range(n + 1)) == oracle_betti(L)
     assert not H._mirrored(n) and annihilated == []  # d_(n-1) != 0
-    assert sorted(p for p, d in H._d.items() if any(d is rows for rows in eliminated)) == list(
-        range(n + 1))
+    assert sorted(p for p, d in built if any(d is rows for rows in eliminated)) == list(range(n + 1))
+    assert len(eliminated) == n + 1
 
 
 def weighted(L, weights):
