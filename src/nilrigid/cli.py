@@ -9,9 +9,10 @@ JSON envelope carries ``"schema": "nilrigid-report/1"`` and validates against
 ``ok``: 0 when it is true, 1 when it is false (a mathematical refutation; the
 report carries the witness).  Usage and parse errors exit 2, and so does an
 internal error, reported on one line without a traceback.
-``check`` tests Jacobi and d^2 = 0 in the file's ``adapted_basis`` when a
-bracket has several terms (it eliminates nothing, so it needs no
-``lie.sparse_basis``), and names defects in the file's basis.
+``check`` runs one test, ``jacobi_defect``, in the file's ``adapted_basis``
+when a bracket has several terms (it eliminates nothing, so it needs no
+``lie.sparse_basis``), and names defects in the file's basis; d^2 on
+generators is the Jacobiator transposed, so no Sullivan model is built.
 ``betti``, ``cohomology`` and ``generators`` call ``Cohomology.of`` on the
 file's ``model_basis``, ``fingerprint`` and ``compare`` on its algebra alone:
 no algebra is rebuilt from a model, and a d^2 defect is named in the file's
@@ -32,10 +33,10 @@ from .errors import FamilyShapeError, ModelError, NilrigidError, NotNilpotentErr
 from .families import section3_pair, theorem1_family, theorem2_family, theorem4_example
 from .fileformat import (build_form, emit_algebra, form_to_str, lie_algebra, model, model_basis,
                          parse_source)
-from .forms import Form, check_d_squared
+from .forms import Form, Generator
 from .free_nilpotent import free_nilpotent_lie, theorem3_family
-from .lie import (_in_basis, adapted_basis, carnot, ce_model, jacobi_defect, lie_from_model,
-                  lower_central_series, trivial_basis)
+from .lie import (_in_basis, adapted_basis, carnot, jacobi_defect, lie_from_model,
+                  lower_central_series)
 from .morphisms import (GeneratorMap, fingerprint, is_decomposable_2form, normalize_perturbation,
                         verify_cdga_morphism, verify_cohomology_ring_iso)
 
@@ -84,30 +85,26 @@ def _joined(values) -> str:
 # -- subcommands: a handler returns the verdict ok, a renderer gives text lines
 
 
-def _defects(L):
-    """Jacobi defects of L and, found on their own, d^2 defects of L's model."""
-    return jacobi_defect(L), check_d_squared(ce_model(L, trivial_basis(L)))
-
-
 def _cmd_check(args, report):
     L = M = _lie(args.file)
-    # the Jacobiator is a tensor and d^2 on generators its transpose, so both vanish in
-    # every basis or in none: tested in the adapted one when a bracket has several
-    # terms, named in the file's
+    # the Jacobiator is a tensor, so it vanishes in every basis or in none: tested in
+    # the adapted one when a bracket has several terms, named in the file's.  d^2 on
+    # generators is its transpose (Chevalley-Eilenberg 1948): d^2 e^m is the sum of
+    # v[m] e^i e^j e^k over the defects v at (i, j, k), so no model is built
     if any(len(vec) > 1 for vec in L.brackets.values()):
         try:
             M = _in_basis(L, adapted_basis(L))
         except NotNilpotentError:
             pass
-    jd, d2 = _defects(M)
-    if M is not L and (jd or d2):
-        jd, d2 = _defects(L)
-    report["jacobi_defects"] = [
-        {"triple": [L.names[i], L.names[j], L.names[k]], "defect": _vec(v)}
-        for i, j, k, v in jd
-    ]
-    report["d2_defects"] = [{"generator": g.name, "defect": form_to_str(f)} for g, f in d2]
-    return not jd and not d2
+    if (jd := jacobi_defect(M)) and M is not L:
+        jd = jacobi_defect(L)
+    report["jacobi_defects"] = [{"triple": [L.names[x] for x in (i, j, k)], "defect": _vec(v)}
+                                for i, j, k, v in jd]
+    gens = tuple(Generator(name, m) for m, name in enumerate(L.names)) if jd else ()
+    d2 = [(g, Form(gens, {(i, j, k): v[g.index] for i, j, k, v in jd})) for g in gens]
+    report["d2_defects"] = [{"generator": g.name, "defect": form_to_str(f)}
+                            for g, f in d2 if not f.is_zero()]
+    return not jd
 
 
 def _text_check(report):
@@ -318,7 +315,13 @@ def _cmd_verify_ring_iso(args, report):
         (build_form(s, src, lineno), build_form(d, dst, lineno))
         for s, d, lineno in af.classes
     ]
-    result = verify_cohomology_ring_iso(Cohomology(src), Cohomology(dst), pairs)
+    try:
+        rings = Cohomology(src), Cohomology(dst)
+    except ModelError:  # found in the models' basis, named in the files', as betti names it
+        for path in (args.src, args.dst):
+            _cohomology(path)
+        raise
+    result = verify_cohomology_ring_iso(*rings, pairs)
     report["stage"] = result.stage
     report["degree"] = result.degree
     report["detail"] = result.detail

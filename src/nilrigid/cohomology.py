@@ -137,12 +137,9 @@ def _packed(A: SullivanModel) -> list[int]:
 def _inverse_images(basis: AdaptedBasis) -> list[Terms]:
     """The rows of D G^-1 as term lists, G the basis columns and D the lcm of
     G^-1's denominators: row a is D phi(f^a), f^a a generator of ``ce_model(L, basis)``."""
-    n = len(basis.columns)
-    solver = linalg.ColumnSolver([linalg.sparse(c) for c in basis.columns], n)
-    inverse = [solver.solve({i: 1}) for i in range(n)]  # the columns of G^-1
-    D = lcm(*(x.denominator for column in inverse for x in column))
-    return [_mask_terms((1 << i, int(inverse[i][a] * D)) for i in range(n) if inverse[i][a])
-            for a in range(n)]
+    inverse = linalg.invert(list(zip(*basis.columns)))  # the rows of G^-1
+    D = lcm(*(x.denominator for row in inverse for x in row))
+    return [_mask_terms((1 << i, int(x * D)) for i, x in enumerate(row) if x) for row in inverse]
 
 
 class _Classes:

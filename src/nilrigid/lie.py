@@ -11,8 +11,8 @@ and a bracket already in a stage's integer reduced span costs one pass.
 ``generated_basis`` is made of brackets; basis-free answers, such as
 ``Cohomology.of(L)``, are computed in it.  ``sparse_basis`` is the one rule
 for when: ``Cohomology`` eliminates d in the basis it picks.  The CLI's
-``check``, which eliminates nothing, tests Jacobi and d^2 = 0 in the cheaper
-``adapted_basis``.  ``associated_graded_model`` is the one
+``check``, which eliminates nothing, computes the Jacobiator, d^2 transposed,
+in the cheaper ``adapted_basis``.  ``associated_graded_model`` is the one
 Carnot cut, keeping the part of weight w - 1 of each d v of weight w;
 ``carnot`` and ``is_carnot_homogeneous`` are read off it.
 """
@@ -31,7 +31,6 @@ from .forms import Form, Generator, SullivanModel, check_d_squared, monomial_wei
 Vector = list[Fraction]
 Vec = linalg.Vec
 
-_ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
@@ -138,6 +137,8 @@ def jacobi_defect(L: LieAlgebra) -> list[tuple[int, int, int, Vector]]:
 
     Defects are summed in ints over L.table and divided by L.scale^2.  Only
     L's own table is read, so this stays independent of check_d_squared.
+    d^2 on generators is this list transposed, d^2 e^m the sum of v[m] e^i e^j e^k
+    over the defects v at (i, j, k): the CLI's ``check`` reads its d^2 list off it.
     """
     n = L.dimension
     defects = []
@@ -279,11 +280,8 @@ def sparse_basis(L: LieAlgebra) -> AdaptedBasis | None:
 
 def trivial_basis(L: LieAlgebra, weights=None) -> AdaptedBasis:
     """Identity change of basis with declared (default zero) weights."""
-    n = L.dimension
-    if weights is None:
-        weights = (0,) * n
-    cols = tuple(tuple(_ONE if i == a else _ZERO for i in range(n)) for a in range(n))
-    return AdaptedBasis(columns=cols, weights=tuple(weights), names=L.names)
+    weights = (0,) * L.dimension if weights is None else tuple(weights)
+    return AdaptedBasis(tuple(map(tuple, linalg.identity(L.dimension))), weights, L.names)
 
 
 def change_basis(L: LieAlgebra, basis: AdaptedBasis) -> LieAlgebra:

@@ -30,7 +30,10 @@ Its time is that of the front door, the parse included:
 way: its entries grow much more in elimination (about 5 s against 0.2 s).
 ``check(c_t2k3)`` probes the ``check`` command of the benchmark's
 ``structure`` workload on that file: it times ``cli.main(["check", file])``,
-the parse included, and hashes the report it prints.
+the parse included, and hashes the report it prints.  ``check(c_free3c3)``
+does the same on free(3,3) in the basis of the ``structure`` input of that
+name, written like ``helpers.dense_free_3_3`` with every weight declared 0;
+its ``check`` and ``carnot`` jobs are the slowest of that workload.
 
     PYTHONPATH=src python3 tests/engine_times.py
     PYTHONPATH=src python3 tests/engine_times.py abelian(20)
@@ -39,6 +42,7 @@ the parse included, and hashes the report it prints.
     PYTHONPATH=src python3 tests/engine_times.py "fingerprint(graded(theorem4))"
     PYTHONPATH=src python3 tests/engine_times.py "by_weight(theorem1(4), 8)"
     PYTHONPATH=src python3 tests/engine_times.py "check(c_t2k3)"
+    PYTHONPATH=src python3 tests/engine_times.py "check(c_free3c3)"
 
 With arguments, only the named models run.  Like ``report_sweep.py``,
 pytest does not collect it.
@@ -59,8 +63,10 @@ import time
 MODELS = ("free(3,3)", "theorem1(4)", "theorem2(3)", "theorem2(4)", "abelian(20)", "theorem1(5)", "c_t2k3",
           "s_t2k3", "fingerprint(theorem4)", "fingerprint(graded(theorem4))",
           "fingerprint(theorem1(4))",
-          "by_weight(theorem1(4), 8)", "check(c_t2k3)")
-FILES = {"c_t2k3": "conjugate:c_t2k3", "s_t2k3": "c_t2k3"}  # name -> sign_conjugate seed
+          "by_weight(theorem1(4), 8)", "check(c_t2k3)", "check(c_free3c3)")
+# name -> (model, sign_conjugate seed); a free algebra's file declares every weight 0
+FILES = {"c_t2k3": ("theorem2(3)", "conjugate:c_t2k3"), "s_t2k3": ("theorem2(3)", "c_t2k3"),
+         "c_free3c3": ("free(3,3)", "conjugate:c_free3c3")}
 
 
 def build(name: str):
@@ -76,7 +82,9 @@ def build(name: str):
     if name.startswith("graded("):
         return associated_graded_model(build(name[len("graded("):-1]))
     if name in FILES:
-        return emit_algebra(sign_conjugate(lie_from_model(theorem2_family(3)), FILES[name]))
+        model, seed = FILES[name]
+        conj = sign_conjugate(lie_from_model(build(model)), seed)
+        return emit_algebra(conj, (0,) * conj.dimension if model.startswith("free") else None)
     family, args = name.rstrip(")").split("(")
     args = [int(a) for a in args.split(",")]
     if family == "free":
