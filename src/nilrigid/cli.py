@@ -29,7 +29,7 @@ from typing import Callable, NamedTuple
 
 from . import __version__
 from .cohomology import Cohomology
-from .errors import FamilyShapeError, ModelError, NilrigidError, NotNilpotentError, ParseError
+from .errors import ModelError, NilrigidError, NotNilpotentError, ParseError
 from .families import section3_pair, theorem1_family, theorem2_family, theorem4_example
 from .fileformat import (build_form, emit_algebra, form_to_str, lie_algebra, model, model_basis,
                          parse_source)
@@ -180,10 +180,7 @@ def _cmd_cohomology(args, report):
     p = args.degree
     report["degree"] = p
     if args.by_weight:
-        try:
-            by_weight = H.betti_by_weight(p)
-        except ModelError as exc:
-            raise ParseError(str(exc))
+        by_weight = H.betti_by_weight(p)
         report["by_weight"] = {str(w): d for w, d in sorted(by_weight.items())}
         report["betti"] = sum(by_weight.values())
     else:
@@ -341,10 +338,7 @@ def _text_verdict(report):
 
 def _cmd_normalize(args, report):
     A = _model(args.src)
-    try:
-        norm = normalize_perturbation(A)
-    except FamilyShapeError as exc:
-        raise ParseError(str(exc))
+    norm = normalize_perturbation(A)
     top = [g for g in A.generators if g.weight == 2][0]
     report["residual"] = str(norm.residual)
     report["map"] = {

@@ -135,11 +135,16 @@ def _packed(A: SullivanModel) -> list[int]:
 
 
 def _inverse_images(basis: AdaptedBasis) -> list[Terms]:
-    """The rows of D G^-1 as term lists, G the basis columns and D the lcm of
-    G^-1's denominators: row a is D phi(f^a), f^a a generator of ``ce_model(L, basis)``."""
-    inverse = linalg.invert(list(zip(*basis.columns)))  # the rows of G^-1
-    D = lcm(*(x.denominator for row in inverse for x in row))
-    return [_mask_terms((1 << i, int(x * D)) for i, x in enumerate(row) if x) for row in inverse]
+    """The rows of D G^-1 as term lists, G the basis columns: row a is D phi(f^a), f^a a
+    generator of ``ce_model(L, basis)``.  Row a of the integer reduced basis of the rows
+    (row i of G | e_i) is a_a (e_a | row a of G^-1), primitive, so D = lcm a_a clears G^-1."""
+    n = len(basis.columns)
+    reduced = linalg._back_substitute(linalg.integer_echelon(
+        {**{a: col[i] for a, col in enumerate(basis.columns) if col[i]}, n + i: 1}
+        for i in range(n)))
+    D = lcm(*(r[a] for a, r in reduced.items()))
+    return [_mask_terms((1 << j - n, x * (D // r[a])) for j, x in sorted(r.items()) if j >= n)
+            for a, r in reduced.items()]
 
 
 class _Classes:

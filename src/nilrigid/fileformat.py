@@ -206,8 +206,6 @@ def parse_source(text: str) -> AlgebraFile:
                 raise _Syntax(f"unknown keyword {keyword!r}", 0)
         except _Syntax as err:
             raise _located(line, lineno, toks, *err.args) from None
-    if not af.generators:
-        raise ParseError("file declares no generators")
     names = [g[0] for g in af.generators]
     for name, _, lineno in af.generators:
         if names.count(name) > 1:
@@ -217,6 +215,8 @@ def parse_source(text: str) -> AlgebraFile:
 
 def lie_algebra(af: AlgebraFile) -> tuple[LieAlgebra, tuple[int, ...] | None]:
     """LieAlgebra plus declared weights (None when any weight was omitted)."""
+    if not af.generators:
+        raise ParseError("file declares no generators")
     names = [g[0] for g in af.generators]
     index = {n: i for i, n in enumerate(names)}
     weights = tuple(g[1] for g in af.generators)

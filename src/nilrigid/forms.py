@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
-from numbers import Rational
 
 from .errors import DomainMismatchError, MixedDegreeError, ModelError
 
@@ -141,9 +140,6 @@ class Form:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def coefficient(self, mono) -> Fraction:
-        return self.terms.get(tuple(mono), Fraction(0))
-
     def degree(self) -> int | None:
         """Common exterior degree, None for the zero form."""
         degrees = {len(m) for m in self.terms}
@@ -173,16 +169,7 @@ class Form:
         return Form(self.gens, {m: -c for m, c in self.terms.items()})
 
     def __mul__(self, other):
-        if isinstance(other, Form):
-            return wedge(self, other)
-        if isinstance(other, Rational):
-            return self.scale(other)
-        return NotImplemented
-
-    def __rmul__(self, other):
-        if isinstance(other, Rational):
-            return self.scale(other)
-        return NotImplemented
+        return wedge(self, other) if isinstance(other, Form) else NotImplemented
 
     def scale(self, c) -> "Form":
         c = Fraction(c)

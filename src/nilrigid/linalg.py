@@ -23,9 +23,12 @@ coordinates 0" rule lies in where it puts e_j) or a span (products, bases).
 ``image_and_kernel``, ``nullspace`` and ``ColumnSolver`` take a matrix as a
 list of sparse columns, the form in which the cochain complexes and changes
 of basis are built.  The dense views ``rref``, ``rank``, ``in_rowspan``,
-``invert`` and ``identity`` take lists of rows of Fraction; they serve tests,
-the benchmark's input generation, ``morphisms.verify_cohomology_ring_iso``'s
-rank checks and ``Cohomology.decomposable_subspace``'s dense basis.
+``invert`` and ``identity`` take lists of rows of Fraction, and ``dense`` and
+``sparse`` convert a row.  Outside tests and the benchmark's inputs, only
+pinned calls remain: ``verify_cohomology_ring_iso``'s ``rank``s (the benchmark
+asserts ``rref`` work on ``classes``), ``decomposable_subspace``'s ``rref``
+(public rows), ``lie``'s dense ``AdaptedBasis`` columns (``identity`` in
+``trivial_basis``, ``dense``, ``sparse``) and ``theorem3_family``'s vector rows.
 """
 
 from __future__ import annotations

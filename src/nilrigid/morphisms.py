@@ -40,7 +40,7 @@ class MorphismResult:
         return self.ok
 
 
-def map_form(phi: GeneratorMap, src: SullivanModel, dst: SullivanModel, f: Form) -> Form:
+def map_form(phi: GeneratorMap, dst: SullivanModel, f: Form) -> Form:
     """Multiplicative extension of the generator images applied to f."""
     out = Form.zero(dst.generators)
     for mono, coeff in f.terms.items():
@@ -64,7 +64,7 @@ def verify_cdga_morphism(
         if not img.is_zero() and img.degree() != 1:
             return MorphismResult(False, stage="shape")
     for g, df in zip(src.generators, src.differential):
-        lhs = map_form(phi, src, dst, df)
+        lhs = map_form(phi, dst, df)
         rhs = apply_differential(dst, phi.images[g.index])
         diff = lhs - rhs
         if not diff.is_zero():
@@ -174,15 +174,14 @@ def is_decomposable_2form(w: Form) -> Decomposability:
     the nonzero square is returned as the refutation certificate.
     """
     gens = w.gens
-    n = len(gens)
     if not w.is_zero() and w.degree() != 2:
         raise ValueError("decomposability test needs a homogeneous 2-form")
     square = wedge(w, w)
-    mat = [[_ZERO] * n for _ in range(n)]
+    rows: dict[int, dict[int, Fraction]] = {}  # the nonzero rows of the skew matrix
     for (a, b), c in w.terms.items():
-        mat[a][b] = c
-        mat[b][a] = -c
-    r = len(linalg.integer_echelon(map(linalg.sparse, mat)))
+        rows.setdefault(a, {})[b] = c
+        rows.setdefault(b, {})[a] = -c
+    r = len(linalg.integer_echelon(rows.values()))
     if r > 2:
         return Decomposability(False, r, None, square)
     if r == 0:
@@ -190,8 +189,8 @@ def is_decomposable_2form(w: Form) -> Decomposability:
         return Decomposability(True, 0, (zero, zero), square)
     # rank 2: if M = u v^T - v u^T then row_a ^ row_b = M_ab (u ^ v)
     (a, b), pivot = min(w.terms.items())
-    u = Form(gens, {(j,): mat[a][j] for j in range(n) if mat[a][j]})
-    v = Form(gens, {(j,): mat[b][j] / pivot for j in range(n) if mat[b][j]})
+    u = Form(gens, {(j,): c for j, c in rows[a].items()})
+    v = Form(gens, {(j,): c / pivot for j, c in rows[b].items()})
     assert wedge(u, v) == w
     return Decomposability(True, r, (u, v), square)
 

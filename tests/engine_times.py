@@ -34,6 +34,10 @@ the parse included, and hashes the report it prints.  ``check(c_free3c3)``
 does the same on free(3,3) in the basis of the ``structure`` input of that
 name, written like ``helpers.dense_free_3_3`` with every weight declared 0;
 its ``check`` and ``carnot`` jobs are the slowest of that workload.
+``check(bad_c_t2k3)`` runs ``check`` on ``bad_c_t2k3``, the ``c_t2k3`` file
+after ``oracle.corrupt`` drawn from the seed ``"bad_c_t2k3"``, written without
+weights, which fails Jacobi: on a valid file ``check`` prints one fixed line,
+so only a defect makes the hash cover the Jacobi and d^2 lists.
 
     PYTHONPATH=src python3 tests/engine_times.py
     PYTHONPATH=src python3 tests/engine_times.py abelian(20)
@@ -43,6 +47,7 @@ its ``check`` and ``carnot`` jobs are the slowest of that workload.
     PYTHONPATH=src python3 tests/engine_times.py "by_weight(theorem1(4), 8)"
     PYTHONPATH=src python3 tests/engine_times.py "check(c_t2k3)"
     PYTHONPATH=src python3 tests/engine_times.py "check(c_free3c3)"
+    PYTHONPATH=src python3 tests/engine_times.py "check(bad_c_t2k3)"
 
 With arguments, only the named models run.  Like ``report_sweep.py``,
 pytest does not collect it.
@@ -54,6 +59,7 @@ import contextlib
 import hashlib
 import io
 import os
+import random
 import resource
 import subprocess
 import sys
@@ -63,7 +69,7 @@ import time
 MODELS = ("free(3,3)", "theorem1(4)", "theorem2(3)", "theorem2(4)", "abelian(20)", "theorem1(5)", "c_t2k3",
           "s_t2k3", "fingerprint(theorem4)", "fingerprint(graded(theorem4))",
           "fingerprint(theorem1(4))",
-          "by_weight(theorem1(4), 8)", "check(c_t2k3)", "check(c_free3c3)")
+          "by_weight(theorem1(4), 8)", "check(c_t2k3)", "check(c_free3c3)", "check(bad_c_t2k3)")
 # name -> (model, sign_conjugate seed); a free algebra's file declares every weight 0
 FILES = {"c_t2k3": ("theorem2(3)", "conjugate:c_t2k3"), "s_t2k3": ("theorem2(3)", "c_t2k3"),
          "c_free3c3": ("free(3,3)", "conjugate:c_free3c3")}
@@ -73,14 +79,16 @@ def build(name: str):
     """The Sullivan model called ``name`` in ``MODELS``, or the text of a file of ``FILES``."""
     from nilrigid import (associated_graded_model, ce_model, free_nilpotent_lie, lie_from_model,
                           theorem1_family, theorem2_family, theorem4_example, trivial_basis)
-    from nilrigid.fileformat import emit_algebra
+    from nilrigid.fileformat import emit_algebra, parse_algebra
     from helpers import sign_conjugate
-    from oracle import abelian
+    from oracle import abelian, corrupt
 
     if name == "theorem4":
         return theorem4_example()
     if name.startswith("graded("):
         return associated_graded_model(build(name[len("graded("):-1]))
+    if name.startswith("bad_"):  # a corrupted copy of a file, seeded by its name
+        return emit_algebra(corrupt(random.Random(name), parse_algebra(build(name[len("bad_"):]))))
     if name in FILES:
         model, seed = FILES[name]
         conj = sign_conjugate(lie_from_model(build(model)), seed)

@@ -22,7 +22,14 @@ directory, together with the dense and invalid inputs pinned in
 - ``decomposable`` on the pinned ``forms`` input;
 - ``family free`` for each (gens, class) of ``FREE``, and ``family theorem3``
   on each subspace file of ``SUBSPACES``, written here: full, empty, proper
-  with rational entries, dependent and of the wrong width.
+  with rational entries, dependent and of the wrong width;
+- inputs with no ``generators`` line, which only an algebra needs: ``family
+  theorem3`` on each subspace file again, written without the ``generators
+  a b`` line the calls above keep; ``verify-iso X X`` on every family file
+  with the map that doubles the last generator, written without its
+  ``generators`` line; and ``verify-ring-iso`` from section3's first model to
+  its second with the completed and the published class maps of
+  ``helpers``, with and without a ``generators`` line.
 
 Prints one line per call, ``<sha256>  <argv>``, the hash being that of
 (stdout, stderr, exit code); a final line gives the number of calls.  Run it
@@ -45,6 +52,7 @@ from pathlib import Path
 
 from nilrigid.cli import main
 from nilrigid.fileformat import emit_algebra, lie_algebra, parse_source
+from helpers import SECTION3_RING_MAP, SECTION3_RING_MAP_COMPLETED
 from oracle import corrupt, rational_conjugate
 
 # (name, family argv); section3 gives two files, "first" and "second"
@@ -175,6 +183,18 @@ def sweep():
     for name, (gens, k, vectors) in SUBSPACES.items():
         Path(f"{name}.sub").write_text("generators a b\n" + vectors)
         commands.append(("family", "theorem3", "--gens", gens, "--k", k, "--subspace", f"{name}.sub"))
+    for name, (gens, k, vectors) in SUBSPACES.items():  # the same vectors alone
+        Path(f"{name}.vec").write_text(vectors)
+        commands.append(("family", "theorem3", "--gens", gens, "--k", k, "--subspace", f"{name}.vec"))
+    for path, _ in pairs:
+        Path(f"{path}.bare.map").write_text(Path(f"{path}.double.map").read_text().split("\n", 1)[1])
+        commands.append(("verify-iso", path, path, f"{path}.bare.map"))
+    for name, table in (("completed", SECTION3_RING_MAP_COMPLETED), ("published", SECTION3_RING_MAP)):
+        lines = "".join(f"class {s} -> {d}\n" for s, d in table)
+        Path(f"{name}.ring").write_text(lines)
+        Path(f"{name}.gens.ring").write_text("generators a1 a2 b c d\n" + lines)
+        commands += [("verify-ring-iso", "s3a.alg", "s3b.alg", f"{name}{kind}.ring")
+                     for kind in ("", ".gens")]
     for command in commands:
         for fmt in ("text", "json"):
             argv = ("--format", fmt, *command)

@@ -570,6 +570,46 @@ def test_verify_iso_rejects_a_generator_mapped_twice(run, t1_file, tmp_path, lin
     assert err == "error: line 3: map line for generator 'n1' declared twice\n"
 
 
+def test_normalize_refuses_a_model_of_another_shape(run, tmp_path):
+    first = tmp_path / "first.alg"
+    first.write_text(json.loads(run("--format", "json", "family", "section3")[1])["first"])
+    assert run("normalize", str(first)) == (
+        2, "", "error: expected generators of weights 0, 1 and a single weight-2 one\n")
+
+
+@pytest.mark.parametrize("vectors", ["vector 1 0 0\nvector 0 1/2 0\n", ""],
+                         ids=["two-vectors", "no-vector"])
+def test_a_subspace_file_needs_no_generators_line(run, tmp_path, vectors):
+    reports = []
+    for header in ("generators a b\n", ""):
+        path = tmp_path / "s.sub"
+        path.write_text(header + vectors)
+        reports.append(run("family", "theorem3", "--gens", "2", "--k", "2", "--subspace", str(path)))
+    assert reports[0][0] == 0 and reports[0] == reports[1]
+
+
+@pytest.mark.parametrize("command", ["verify-iso", "verify-ring-iso"])
+def test_a_map_file_needs_no_generators_line(run, tmp_path, command):
+    code, out, _ = run("--format", "json", "family", "section3")
+    first, second = tmp_path / "first.alg", tmp_path / "second.alg"
+    first.write_text(json.loads(out)["first"])
+    second.write_text(json.loads(out)["second"])
+    lines = SECTION3_MAP if command == "verify-ring-iso" else "generators a1 a2 b c d\nmap d = d\n"
+    reports = []
+    for text in (lines, lines.split("\n", 1)[1]):
+        mapfile = tmp_path / "m.map"
+        mapfile.write_text(text)
+        reports.append(run(command, str(first), str(second), str(mapfile)))
+    assert reports[0][0] in (0, 1) and reports[0] == reports[1]
+
+
+@pytest.mark.parametrize("command", ["betti", "check"])
+def test_an_algebra_file_without_generators_exits_2(run, tmp_path, command):
+    path = tmp_path / "nogens.alg"
+    path.write_text("bracket [a,b] = c\n")
+    assert run(command, str(path)) == (2, "", "error: file declares no generators\n")
+
+
 def test_decomposable_exit_codes(run, tmp_path):
     good = tmp_path / "good.alg"
     good.write_text("generators a1 a2 b c d\nform a1^c\n")

@@ -157,8 +157,8 @@ def test_parse_errors_carry_positions():
     with pytest.raises(ParseError) as err:
         parse_source("generators a $\n")
     assert err.value.line == 1 and err.value.column == 14
-    with pytest.raises(ParseError):
-        parse_source("bracket [a,b] = c\n")  # no generators at all
+    with pytest.raises(ParseError, match="file declares no generators"):
+        lie_algebra(parse_source("bracket [a,b] = c\n"))  # the algebra needs generators
     with pytest.raises(ParseError):
         parse_source("generators a a\n")
 

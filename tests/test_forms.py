@@ -216,3 +216,13 @@ def test_form_coefficients_are_fractions_and_zeros_are_dropped():
     assert f.terms == {(0,): Fraction(2), (1,): Fraction(3, 4), (1, 2): Fraction(-1)}
     assert all(type(k) is tuple and type(c) is Fraction for k, c in f.terms.items())
     assert Form(GENS[:3], [((0,), 1)]).terms == {(0,): Fraction(1)} and Form(GENS[:3], {}).is_zero()
+
+
+def test_star_is_the_wedge_and_a_scalar_goes_through_scale():
+    a, b = Form.generator(GENS, 0), Form.generator(GENS, 1)
+    assert a * b == wedge(a, b) and a.scale(2) == a + a
+    for scalar in (2, Fraction(1, 2)):
+        with pytest.raises(TypeError):
+            a * scalar
+        with pytest.raises(TypeError):
+            scalar * a

@@ -11,11 +11,13 @@ from nilrigid import (
     Form,
     GeneratorMap,
     SullivanModel,
+    ce_model,
     fingerprint,
     is_decomposable_2form,
     lie_from_model,
     map_form,
     normalize_perturbation,
+    parse_algebra,
     section3_pair,
     theorem1_family,
     theorem2_family,
@@ -85,13 +87,38 @@ def test_singular_map_rejected():
     assert not result.ok and result.stage == "invertibility"
 
 
+def file_model(text):
+    """The model of an algebra file in the file's own basis."""
+    L = parse_algebra(text)
+    return ce_model(L, trivial_basis(L))
+
+
+@pytest.mark.parametrize("case", ["degree-2", "too-few", "other-model"])
+def test_morphism_of_the_wrong_shape_rejected(case):
+    first, _ = section3_pair()
+    identity = identity_map(first).images
+    images = {
+        "degree-2": (form_of(first, "a1^a2"),) + identity[1:],
+        "too-few": identity[:4],
+        "other-model": identity_map(file_model("generators p q r s t\n")).images,
+    }[case]
+    result = verify_cdga_morphism(first, first, GeneratorMap(images))
+    assert (result.ok, result.stage, result.generator) == (False, "shape", None)
+
+
+def test_morphism_between_unequal_dimensions_rejected():
+    line, plane = file_model("generators x\n"), file_model("generators x y\n")
+    result = verify_cdga_morphism(line, plane, GeneratorMap((plane.gen("x"),)))
+    assert (result.ok, result.stage) == (False, "invertibility")
+
+
 def test_map_form_is_multiplicative():
     model = theorem1_family(2)
     phi = identity_map(model)
     f = form_of(model, "x1^n1 + 2 x2^x3")
     g = form_of(model, "n2")
-    assert map_form(phi, model, model, wedge(f, g)) == wedge(
-        map_form(phi, model, model, f), map_form(phi, model, model, g)
+    assert map_form(phi, model, wedge(f, g)) == wedge(
+        map_form(phi, model, f), map_form(phi, model, g)
     )
 
 
@@ -230,6 +257,32 @@ def test_ring_iso_rejects_non_closed_image():
     pairs = [(form_of(first, "a1"), form_of(second, "b"))]
     result = verify_cohomology_ring_iso(Cohomology(first), Cohomology(second), pairs)
     assert not result.ok and result.stage == "image-not-closed"
+
+
+def swapped(table, i, j):
+    """The class table with the images of classes i and j swapped."""
+    images = [d for _, d in table]
+    images[i], images[j] = images[j], images[i]
+    return [(s, d) for (s, _), d in zip(table, images)]
+
+
+@pytest.mark.parametrize("pair, table, stage, degree, detail", [
+    ("section3", [("b", "b")], "source-not-closed", None, "generator 0"),
+    ("section3", swapped(SECTION3_RING_MAP_COMPLETED, 0, 2), "degree-mismatch", None,
+     "generator 0"),
+    ("heisenberg", [("x", "x"), ("y", "y")], "betti-mismatch", 1, "2 != 3"),
+    ("section3", swapped(SECTION3_RING_MAP_COMPLETED, 0, 1), "not-well-defined", 3,
+     "a vanishing product of source classes has nonzero image"),
+], ids=["source-not-closed", "degree-mismatch", "betti-mismatch", "not-well-defined"])
+def test_ring_iso_refutes_at_its_stage(pair, table, stage, degree, detail):
+    if pair == "section3":
+        src, dst = section3_pair()
+    else:  # d z = x y against d = 0
+        src = file_model("generators x y z\nbracket [x,y] = - z\n")
+        dst = file_model("generators x y z\n")
+    result = verify_cohomology_ring_iso(Cohomology(src), Cohomology(dst),
+                                        ring_pairs(src, dst, table))
+    assert (result.ok, result.stage, result.degree, result.detail) == (False, stage, degree, detail)
 
 
 def test_ring_iso_rejects_a_degree_zero_class():
